@@ -46,7 +46,7 @@ DATASET_FIELDS = ("v0", "p0", "g01", "g02", "g11", "g12", "cost", "cost_rate")
 # so the two halves of a run cannot silently disagree
 DATASET_BOUND_FIELDS = (
     "a", "b", "half_width", "horizon", "fine", "coarse",
-    "kernel_variant", "sigma", "letter", "contrast", "density_offset",
+    "sigma", "letter", "contrast", "density_offset",
 )
 
 
@@ -146,6 +146,13 @@ def _read_dataset(dataset_dir: str):
 
 def _adopt_dataset_config(cfg: ExperimentConfig, manifest: dict) -> ExperimentConfig:
     stored = manifest.get("config", {})
+    # older manifests name the kernel; only the line Gaussian one exists
+    variant = stored.get("kernel_variant", "line_gaussian")
+    if variant != "line_gaussian":
+        raise ValueError(
+            f"dataset was generated with the {variant!r} kernel; "
+            "only the line_gaussian kernel is supported"
+        )
     changes = {}
     for name in DATASET_BOUND_FIELDS:
         if name in stored:
@@ -290,8 +297,9 @@ def cmd_sweep_lambda(args) -> int:
             per_lam[f"{lam:g}"] = {"status": "failed", "error": str(exc)}
             continue
         m = summary["metrics"]
-        rows.append((lam, "ok", m["rel_l2"], m["contrast"], int(summary["converged"])))
-        per_lam[f"{lam:g}"] = {"status": "ok", **summary}
+        status = "ok" if summary["converged"] else "unconverged"
+        rows.append((lam, status, m["rel_l2"], m["contrast"], int(summary["converged"])))
+        per_lam[f"{lam:g}"] = {"status": status, **summary}
     summary_path = os.path.join(out, "summary.csv")
     with open(summary_path, "w", encoding="ascii") as fh:
         fh.write("lambda,status,rel_l2,contrast,converged\n")

@@ -21,12 +21,10 @@ from typing import Tuple
 from .carleman import CarlemanParams
 from .grid import SpaceTimeGrid
 from .inverse import SolverConfig
-from .kernels import DownstreamKernel, Kernel, LineGaussianKernel
+from .kernels import LineGaussianKernel
 from .phantoms import LETTERS
 
 ENV_OUTPUT_ROOT = "MFGCOEF_OUTPUT_ROOT"
-
-KERNEL_VARIANTS = ("line_gaussian", "downstream")
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,6 @@ class ExperimentConfig:
     # objective
     beta: float = 1e-3
     # kernel
-    kernel_variant: str = "line_gaussian"
     sigma: float = 0.2
     # phantom
     letter: str = "A"
@@ -61,7 +58,6 @@ class ExperimentConfig:
     max_iter: int = 20000
     shrink: float = 0.5
     precondition: bool = True
-    outflow_closure: str = "neumann_scaled"
     # output
     output_root: str = ""
 
@@ -99,18 +95,10 @@ class ExperimentConfig:
             max_iter=self.max_iter,
             shrink=self.shrink,
             precondition=self.precondition,
-            outflow_closure=self.outflow_closure,
         )
 
-    def kernel(self) -> Kernel:
-        if self.kernel_variant == "line_gaussian":
-            return LineGaussianKernel(sigma=self.sigma)
-        if self.kernel_variant == "downstream":
-            return DownstreamKernel()
-        raise ValueError(
-            f"unknown kernel variant {self.kernel_variant!r}, "
-            f"expected one of {KERNEL_VARIANTS}"
-        )
+    def kernel(self) -> LineGaussianKernel:
+        return LineGaussianKernel(sigma=self.sigma)
 
     def validate(self) -> None:
         """Construct everything cheap once; raises on any bad combination."""
@@ -143,7 +131,7 @@ _SCHEMA = {
     "grid": {"fine": "triple", "coarse": "triple"},
     "weight": {"lam": float, "alpha": float},
     "objective": {"beta": float},
-    "kernel": {"variant": str, "sigma": float},
+    "kernel": {"sigma": float},
     "phantom": {"letter": str, "contrast": float},
     "benchmark": {"density_offset": float},
     "noise": {"delta": float, "seed": int},
@@ -153,15 +141,11 @@ _SCHEMA = {
         "max_iter": int,
         "shrink": float,
         "precondition": bool,
-        "outflow_closure": str,
     },
     "output": {"root": str},
 }
 
-_FIELD_NAMES = {
-    ("kernel", "variant"): "kernel_variant",
-    ("output", "root"): "output_root",
-}
+_FIELD_NAMES = {("output", "root"): "output_root"}
 
 
 def _parse_value(kind, raw: str):

@@ -4,7 +4,7 @@ The pipeline prescribes an analytic value function v, an initial density
 and Dirichlet density boundary data, and a target interaction coefficient
 k.  The density equation
 
-    dp/dt - lap(p) - div(r p grad(v)) = 0
+    dp/dt - lap(p) - div(p grad(v)) = 0
 
 is solved on a fine grid by a backward-Euler scheme, centered in space
 with conservative flux differencing of the advection term.  The local
@@ -39,7 +39,7 @@ from .grid import (
     laplacian,
     restriction_strides,
 )
-from .kernels import InteractionOperator, Kernel
+from .kernels import InteractionOperator, LineGaussianKernel
 
 DENSITY_FLOOR = 1e-8
 
@@ -54,9 +54,8 @@ class ForwardSpec:
     ``value_fn(x1, x2, t)`` is the prescribed value function; the density
     starts from ``density_init_fn`` and carries Dirichlet data
     ``density_boundary_fn`` on the lateral boundary.  ``coefficient`` is
-    the target interaction coefficient k sampled on the grid, ``mobility``
-    the gain r (sampled, positive), and ``kernel`` fixes the interaction
-    operator.
+    the target interaction coefficient k sampled on the grid, and
+    ``kernel`` fixes the interaction operator.
     """
 
     grid: SpaceTimeGrid
@@ -64,8 +63,7 @@ class ForwardSpec:
     density_init_fn: SpatialFn
     density_boundary_fn: SpaceTimeFn
     coefficient: np.ndarray
-    kernel: Kernel
-    mobility: Optional[np.ndarray] = None
+    kernel: LineGaussianKernel
 
     def __post_init__(self) -> None:
         shape = self.grid.spatial_shape()
@@ -74,14 +72,6 @@ class ForwardSpec:
             raise ValueError(
                 f"coefficient must be sampled on the grid {shape}, got {self.coefficient.shape}"
             )
-        if self.mobility is None:
-            self.mobility = np.ones(shape)
-        else:
-            self.mobility = np.asarray(self.mobility, dtype=float)
-            if self.mobility.shape != shape:
-                raise ValueError("mobility must be sampled on the spatial grid")
-            if self.mobility.min() <= 0:
-                raise ValueError("mobility must be strictly positive")
 
     def value_on_grid(self) -> np.ndarray:
         x1, x2 = self.grid.meshgrid()
@@ -183,14 +173,13 @@ def solve_density(
     absolute value (the caller decides whether that is close enough to
     zero to matter; ``make_s`` enforces the hard floor).
 
-    The advection term div(r p grad v) is discretized conservatively:
-    face fluxes r_{i+1/2} * (p_i + p_{i+1})/2 * (v_{i+1} - v_i)/h, then
+    The advection term div(p grad v) is discretized conservatively:
+    face fluxes (p_i + p_{i+1})/2 * (v_{i+1} - v_i)/h, then
     differenced.  Coefficients are evaluated at the new time level.
     """
     g = spec.grid
     n1, n2 = g.n1, g.n2
     x1, x2 = g.meshgrid()
-    r = spec.mobility
 
     p = np.empty(g.spacetime_shape())
     p[:, :, 0] = spec.density_init_fn(x1, x2)
@@ -214,11 +203,11 @@ def solve_density(
             cols.append(target.ravel())
             vals.append(coef.ravel())
 
-        # advection coefficients from half-node fluxes of r * dv
-        a_e = 0.5 * (r[1:-1, 1:-1] + r[2:, 1:-1]) * (v[2:, 1:-1] - v[1:-1, 1:-1]) / g.h1
-        a_w = 0.5 * (r[:-2, 1:-1] + r[1:-1, 1:-1]) * (v[1:-1, 1:-1] - v[:-2, 1:-1]) / g.h1
-        a_n = 0.5 * (r[1:-1, 1:-1] + r[1:-1, 2:]) * (v[1:-1, 2:] - v[1:-1, 1:-1]) / g.h2
-        a_s = 0.5 * (r[1:-1, :-2] + r[1:-1, 1:-1]) * (v[1:-1, 1:-1] - v[1:-1, :-2]) / g.h2
+        # advection coefficients from half-node fluxes of dv
+        a_e = (v[2:, 1:-1] - v[1:-1, 1:-1]) / g.h1
+        a_w = (v[1:-1, 1:-1] - v[:-2, 1:-1]) / g.h1
+        a_n = (v[1:-1, 2:] - v[1:-1, 1:-1]) / g.h2
+        a_s = (v[1:-1, 1:-1] - v[1:-1, :-2]) / g.h2
 
         # center: time, diffusion, advection
         center = (
@@ -261,7 +250,7 @@ def solve_density(
 def make_s(spec: ForwardSpec, density: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Construct the local cost s so the value equation holds for the data.
 
-        s = [v_t + lap(v) - r |grad v|^2 / 2 - k * (interaction of p)] / p
+        s = [v_t + lap(v) - |grad v|^2 / 2 - k * (interaction of p)] / p
 
     All derivatives of the sampled value function are taken with the grid
     stencils.  The division requires |p| >= 1e-8 at every node; the error
@@ -287,8 +276,7 @@ def make_s(spec: ForwardSpec, density: np.ndarray) -> Tuple[np.ndarray, np.ndarr
     vx2 = ddx2(v).values
     op = InteractionOperator(g, spec.kernel)
     inter = op.apply(density)
-    r = spec.mobility[:, :, None]
-    num = vt + vlap - 0.5 * r * (vx1 * vx1 + vx2 * vx2) - spec.coefficient[:, :, None] * inter
+    num = vt + vlap - 0.5 * (vx1 * vx1 + vx2 * vx2) - spec.coefficient[:, :, None] * inter
     s = num / density
     st = apply_along_axis(first_diff_matrix(g.nt, g.ht), s, 2)
     return s, st

@@ -4,7 +4,9 @@ The computational domain is the box (a, b) x (-half_width, half_width) in
 space crossed with (0, horizon) in time.  Everything downstream (kernel
 quadrature, residual stencils, the objective gradient) is built from the
 small dense difference matrices defined here, so that transposing a matrix
-is all it takes to get an exact adjoint.
+is all it takes to get an exact adjoint.  The H2 penalty of the objective
+is defined here too, once, as ``H2Form``: the list of its terms, from
+which its value, its gradient and its diagonal are all read.
 
 Array layout is row-major (x1, x2) for spatial fields and (x1, x2, t) for
 space-time fields.
@@ -344,68 +346,68 @@ def integrate_y2(f: Field) -> np.ndarray:
     return np.tensordot(f.values, w, axes=([1], [0]))
 
 
-def _h2_matrices(g: SpaceTimeGrid):
-    d1 = [
-        first_diff_matrix(g.n1, g.h1),
-        first_diff_matrix(g.n2, g.h2),
-        first_diff_matrix(g.nt, g.ht),
-    ]
-    d2 = [
-        second_diff_matrix(g.n1, g.h1),
-        second_diff_matrix(g.n2, g.h2),
-        second_diff_matrix(g.nt, g.ht),
-    ]
-    return d1, d2
+class H2Form:
+    """The squared discrete H2 norm over the space-time slab, z . H z.
 
+    The norm sums, over every node and with the uniform node weight, the
+    squared value, the three squared first differences and all six
+    distinct squared second differences (pure seconds from the symmetric
+    stencil, mixed ones as nested first differences).  Each of these ten
+    terms is |Op z|^2 for a difference operator acting along one or two
+    axes, so H is the node weight times the sum of the tensor products of
+    the 1-D Gram matrices D^T D.  ``terms`` lists them once, each as its
+    (axis, D, D^T D) factors, the value term as the empty product.
 
-def h2_norm_sq(f: Field) -> float:
-    """Squared discrete H2 norm over the space-time slab.
-
-    Sum over every node of the squared value, the three squared first
-    differences and all six distinct squared second differences (pure
-    seconds from the symmetric stencil, mixed ones as nested first
-    differences), each term carrying the uniform node weight.  Exact on
-    the closed slab: a constant c gives c^2 * volume.
+    The value sums |Op z|^2, which stays accurate for fields close to the
+    null space of the difference operators (z . (H z) would lose about
+    cond(D)^2 digits there); the gradient 2 H z and the diagonal of H use
+    the Gram factors.  Exact on the closed slab: a constant c gives
+    c^2 * volume.
     """
-    _require_rank(f, SPACE_TIME)
-    g = f.grid
-    d1, d2 = _h2_matrices(g)
-    vals = f.values
-    total = np.sum(vals * vals)
-    firsts = [apply_along_axis(d1[ax], vals, ax) for ax in range(3)]
-    for arr in firsts:
-        total += np.sum(arr * arr)
-    for ax in range(3):
-        arr = apply_along_axis(d2[ax], vals, ax)
-        total += np.sum(arr * arr)
-    for ax_a, ax_b in ((0, 1), (0, 2), (1, 2)):
-        arr = apply_along_axis(d1[ax_b], firsts[ax_a], ax_b)
-        total += np.sum(arr * arr)
-    return float(g.node_weight * total)
 
+    def __init__(self, grid: SpaceTimeGrid) -> None:
+        self.grid = grid
+        axes = ((grid.n1, grid.h1), (grid.n2, grid.h2), (grid.nt, grid.ht))
+        first = [(ax, d, d.T @ d) for ax, d in enumerate(first_diff_matrix(*a) for a in axes)]
+        second = [(ax, d, d.T @ d) for ax, d in enumerate(second_diff_matrix(*a) for a in axes)]
+        self.terms = (
+            ((),)
+            + tuple((f,) for f in first)
+            + tuple((f,) for f in second)
+            + tuple((first[a], first[b]) for a, b in ((0, 1), (0, 2), (1, 2)))
+        )
 
-def h2_norm_sq_gradient(f: Field) -> Field:
-    """Gradient of ``h2_norm_sq`` with respect to the node values.
+    def norm_sq(self, values: np.ndarray) -> float:
+        """The squared H2 norm of node values on the space-time grid."""
+        total = 0.0
+        for term in self.terms:
+            arr = values
+            for ax, op, _ in term:
+                arr = apply_along_axis(op, arr, ax)
+            total += np.sum(arr * arr)
+        return float(self.grid.node_weight * total)
 
-    Every squared-operator term contributes 2 * Op^T (Op z); defined next
-    to the norm so the operator lists cannot drift apart.
-    """
-    _require_rank(f, SPACE_TIME)
-    g = f.grid
-    d1, d2 = _h2_matrices(g)
-    vals = f.values
-    out = vals.copy()
-    firsts = [apply_along_axis(d1[ax], vals, ax) for ax in range(3)]
-    for ax in range(3):
-        out += apply_along_axis(d1[ax].T, firsts[ax], ax)
-    for ax in range(3):
-        arr = apply_along_axis(d2[ax], vals, ax)
-        out += apply_along_axis(d2[ax].T, arr, ax)
-    for ax_a, ax_b in ((0, 1), (0, 2), (1, 2)):
-        arr = apply_along_axis(d1[ax_b], firsts[ax_a], ax_b)
-        arr = apply_along_axis(d1[ax_b].T, arr, ax_b)
-        out += apply_along_axis(d1[ax_a].T, arr, ax_a)
-    return Field(g, SPACE_TIME, 2.0 * g.node_weight * out)
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """H z, so that the gradient of ``norm_sq`` is 2 H z."""
+        out = np.zeros_like(values)
+        for term in self.terms:
+            arr = values
+            for ax, _, gram in term:
+                arr = apply_along_axis(gram, arr, ax)
+            out += arr
+        return self.grid.node_weight * out
+
+    def diagonal(self) -> np.ndarray:
+        """diag(H) on the space-time grid: products of the Gram diagonals."""
+        out = np.zeros(self.grid.spacetime_shape())
+        for term in self.terms:
+            prod = np.ones(1)
+            for ax, _, gram in term:
+                shape = [1, 1, 1]
+                shape[ax] = -1
+                prod = prod * np.diag(gram).reshape(shape)
+            out += prod
+        return self.grid.node_weight * out
 
 
 def restriction_strides(fine: SpaceTimeGrid, coarse: SpaceTimeGrid) -> Tuple[int, int, int]:

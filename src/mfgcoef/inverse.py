@@ -3,23 +3,15 @@
 The boundary data enter as hard constraints: the time derivatives of the
 Dirichlet traces pin (u, m) on the whole lateral boundary, and on the
 outflow face x1 = b the Neumann rate additionally ties the first interior
-layer to the one below it through a three-point closure.  Descent happens
-in the remaining free nodes; the objective gradient is reduced onto them
-by the chain rule of that affine closure (slope 1/4).
+layer to the one below it through a three-point closure,
 
-Two arrangements of the outflow closure are supported, differing in which
-data rate carries the mesh factor:
+    u[-2] = (3 D + u[-3] - 2 h N) / 4,
 
-- ``neumann_scaled``:   u[-2] = (3 D + u[-3] - 2 h N) / 4
-- ``dirichlet_scaled``: u[-2] = (3 N + u[-3] - 2 h D) / 4
-
-with D the Dirichlet rate and N the Neumann rate on the face.  The first
-is the one-sided Neumann stencil solved for the first interior layer with
-the boundary node pinned to D, and is the default: it is the arrangement
-under which reconstruction errors stay small.  The second exchanges the
-roles of the two rates and is kept as an explicit variant.  Both are
-affine with the same 1/4 slope, so the reduced gradient is
-closure-independent.
+with D the Dirichlet rate and N the Neumann rate on the face: the
+one-sided Neumann stencil solved for the first interior layer with the
+boundary node pinned to D.  Descent happens in the remaining free nodes;
+the objective gradient is reduced onto them by the chain rule of that
+affine closure (slope 1/4).
 """
 
 from __future__ import annotations
@@ -39,9 +31,6 @@ from .objective import (
     gradient,
     recover_coefficient,
 )
-
-OUTFLOW_CLOSURES = ("dirichlet_scaled", "neumann_scaled")
-
 
 class StallError(RuntimeError):
     """Raised when backtracking cannot find a descending step."""
@@ -71,7 +60,6 @@ class SolverConfig:
     shrink: float = 0.5
     min_step: float = 1e-14
     precondition: bool = True
-    outflow_closure: str = "neumann_scaled"
 
     def __post_init__(self) -> None:
         if self.step0 <= 0:
@@ -84,26 +72,10 @@ class SolverConfig:
             raise ValueError(f"shrink must lie in (0, 1), got {self.shrink}")
         if self.min_step <= 0:
             raise ValueError(f"min_step must be positive, got {self.min_step}")
-        if self.outflow_closure not in OUTFLOW_CLOSURES:
-            raise ValueError(
-                f"unknown outflow closure {self.outflow_closure!r}, "
-                f"expected one of {OUTFLOW_CLOSURES}"
-            )
-
-
-def _closure_layer(
-    closure: str, dirichlet: np.ndarray, neumann: np.ndarray, below: np.ndarray, h: float
-) -> np.ndarray:
-    if closure == "neumann_scaled":
-        return 0.25 * (3.0 * dirichlet + below - 2.0 * h * neumann)
-    return 0.25 * (3.0 * neumann + below - 2.0 * h * dirichlet)
 
 
 def project_data_constraints(
-    grid: SpaceTimeGrid,
-    bundle: DerivativeBundle,
-    it: Iterate,
-    closure: str = "neumann_scaled",
+    grid: SpaceTimeGrid, bundle: DerivativeBundle, it: Iterate
 ) -> Iterate:
     """Scatter the data rates onto an iterate; idempotent.
 
@@ -111,8 +83,6 @@ def project_data_constraints(
     columns; the first interior layer at the outflow face then follows
     from the closure, across the whole row.
     """
-    if closure not in OUTFLOW_CLOSURES:
-        raise ValueError(f"unknown outflow closure {closure!r}")
     out = it.copy()
     pairs = (
         (out.u, bundle.dt_g01, bundle.dt_g11),
@@ -123,8 +93,8 @@ def project_data_constraints(
         arr[:, -1, :] = trace.face("x2hi")
         arr[0, :, :] = trace.face("x1a")
         arr[-1, :, :] = trace.face("x1b")
-        arr[-2, :, :] = _closure_layer(
-            closure, trace.face("x1b"), gamma.values, arr[-3, :, :], grid.h1
+        arr[-2, :, :] = 0.25 * (
+            3.0 * trace.face("x1b") + arr[-3, :, :] - 2.0 * grid.h1 * gamma.values
         )
     return out
 
@@ -173,12 +143,10 @@ def _face_blend(grid: SpaceTimeGrid, trace) -> np.ndarray:
     return 0.5 * (along_x1 + along_x2)
 
 
-def initial_guess(
-    grid: SpaceTimeGrid, bundle: DerivativeBundle, closure: str = "neumann_scaled"
-) -> Iterate:
+def initial_guess(grid: SpaceTimeGrid, bundle: DerivativeBundle) -> Iterate:
     """Boundary-consistent start: blended face data, then projection."""
     start = Iterate(_face_blend(grid, bundle.dt_g01), _face_blend(grid, bundle.dt_g02))
-    return project_data_constraints(grid, bundle, start, closure)
+    return project_data_constraints(grid, bundle, start)
 
 
 @dataclass
@@ -204,7 +172,7 @@ def descend(ctx: ObjectiveContext, start: Iterate, config: SolverConfig) -> Reco
     step direction.
     """
     g = ctx.grid
-    z = project_data_constraints(g, ctx.bundle, start, config.outflow_closure)
+    z = project_data_constraints(g, ctx.bundle, start)
     value = evaluate(ctx, z)
     if not np.isfinite(value):
         raise ValueError(f"objective is not finite at the start: {value}")
@@ -230,10 +198,7 @@ def descend(ctx: ObjectiveContext, start: Iterate, config: SolverConfig) -> Reco
         dm = red.m / scale_m
         while True:
             trial = project_data_constraints(
-                g,
-                ctx.bundle,
-                Iterate(z.u - step * du, z.m - step * dm),
-                config.outflow_closure,
+                g, ctx.bundle, Iterate(z.u - step * du, z.m - step * dm)
             )
             trial_value = evaluate(ctx, trial)
             if trial_value < value:
@@ -261,5 +226,5 @@ def invert(ctx: ObjectiveContext, config: Optional[SolverConfig] = None) -> Reco
     """Full reconstruction: data-blended start, descent, coefficient."""
     if config is None:
         config = SolverConfig()
-    start = initial_guess(ctx.grid, ctx.bundle, config.outflow_closure)
+    start = initial_guess(ctx.grid, ctx.bundle)
     return descend(ctx, start, config)

@@ -1,24 +1,17 @@
-"""Interaction kernels and their quadrature operators.
+"""The interaction kernel and its quadrature operator.
 
-Two kernel families drive the coupling term of the value equation:
-
-- ``LineGaussianKernel``: concentrated on the line y1 = x1 (the transverse
-  profile is all that matters), with a Gaussian cross weight in y2.  The
-  interaction integral collapses to a single quadrature over y2, so the
-  operator is one dense (n2, n2) matrix applied along the x2 axis.
-
-- ``DownstreamKernel``: supported on y1 >= x1 with a bounded weight, so the
-  integral runs over the part of the strip ahead of x1.  The operator is a
-  dense matrix over flattened (x1, x2) space.
-
-Both operators are linear with nonnegative quadrature weights, and both
-expose their exact transpose; the objective gradient depends on that.
+The coupling term of the value equation integrates the density against
+``LineGaussianKernel``: concentrated on the line y1 = x1 (the transverse
+profile is all that matters), with a Gaussian cross weight in y2.  The
+interaction integral collapses to a single quadrature over y2, so the
+operator is one dense (n2, n2) matrix applied along the x2 axis.  It is
+linear with nonnegative quadrature weights and exposes its exact
+transpose; the objective gradient depends on that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -55,79 +48,28 @@ class LineGaussianKernel:
         return np.exp(-(d * d) / (self.sigma * self.sigma))
 
 
-@dataclass(frozen=True)
-class DownstreamKernel:
-    """Weight supported on y1 >= x1; ``weight(x1, x2, y1, y2)`` defaults to 1."""
-
-    weight: Optional[Callable[[float, float, np.ndarray, np.ndarray], np.ndarray]] = None
-
-
-Kernel = Union[LineGaussianKernel, DownstreamKernel]
-
-
 class InteractionOperator:
     """Discrete interaction integral for one kernel on one grid.
 
-    Precomputes the quadrature matrix once; ``apply`` evaluates the
-    integral at every node of a spatial or space-time field, and
+    Precomputes the (n2, n2) quadrature matrix once; ``apply`` evaluates
+    the integral at every node of a spatial or space-time field by
+    applying it along x2, and
     ``apply_transpose`` is its exact adjoint in the unweighted node inner
     product.
     """
 
-    def __init__(self, grid: SpaceTimeGrid, kernel: Kernel) -> None:
-        self.grid = grid
-        self.kernel = kernel
+    def __init__(self, grid: SpaceTimeGrid, kernel: LineGaussianKernel) -> None:
         w2 = trapezoid_weights(grid.n2, grid.h2)
-        if isinstance(kernel, LineGaussianKernel):
-            self._line_matrix = kernel.cross_weight(grid.x2, grid.x2) * w2[None, :]
-            self._full_matrix = None
-        elif isinstance(kernel, DownstreamKernel):
-            self._line_matrix = None
-            self._full_matrix = self._build_downstream_matrix(grid, kernel, w2)
-        else:
-            raise TypeError(f"unsupported kernel {kernel!r}")
-
-    @staticmethod
-    def _build_downstream_matrix(
-        grid: SpaceTimeGrid, kernel: DownstreamKernel, w2: np.ndarray
-    ) -> np.ndarray:
-        n1, n2 = grid.n1, grid.n2
-        mat = np.zeros((n1 * n2, n1 * n2))
-        for i1 in range(n1):
-            # trapezoid weights on [x1_i, b]; the last column sees the
-            # zero-measure interval [b, b] and stays a zero row
-            m = n1 - i1
-            if m < 2:
-                continue
-            w1 = np.zeros(n1)
-            w1[i1:] = trapezoid_weights(m, grid.h1)
-            for i2 in range(n2):
-                if kernel.weight is None:
-                    kv = np.ones((n1, n2))
-                else:
-                    y1g, y2g = np.meshgrid(grid.x1, grid.x2, indexing="ij")
-                    kv = np.asarray(
-                        kernel.weight(grid.x1[i1], grid.x2[i2], y1g, y2g), dtype=float
-                    )
-                mat[i1 * n2 + i2] = (kv * np.outer(w1, w2)).ravel()
-        return mat
+        self._matrix = kernel.cross_weight(grid.x2, grid.x2) * w2[None, :]
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        if self._line_matrix is not None:
-            return apply_along_axis(self._line_matrix, values, 1)
-        flat = values.reshape(self.grid.n1 * self.grid.n2, -1)
-        out = self._full_matrix @ flat
-        return out.reshape(values.shape)
+        return apply_along_axis(self._matrix, values, 1)
 
     def apply_transpose(self, values: np.ndarray) -> np.ndarray:
-        if self._line_matrix is not None:
-            return apply_along_axis(self._line_matrix.T, values, 1)
-        flat = values.reshape(self.grid.n1 * self.grid.n2, -1)
-        out = self._full_matrix.T @ flat
-        return out.reshape(values.shape)
+        return apply_along_axis(self._matrix.T, values, 1)
 
 
-def interaction_integral(kernel: Kernel, f: Field) -> Field:
+def interaction_integral(kernel: LineGaussianKernel, f: Field) -> Field:
     """Interaction integral of a spatial or space-time field, node by node."""
     if f.rank not in (SPATIAL, SPACE_TIME):
         raise ValueError(f"interaction integral needs a volumetric field, got {f.rank!r}")
@@ -135,7 +77,7 @@ def interaction_integral(kernel: Kernel, f: Field) -> Field:
     return Field(f.grid, f.rank, op.apply(f.values))
 
 
-def denominator_field(kernel: Kernel, p0: Field, floor: float = 1e-8) -> Field:
+def denominator_field(kernel: LineGaussianKernel, p0: Field, floor: float = 1e-8) -> Field:
     """Interaction integral of the midpoint density; used as a reciprocal later.
 
     Raises ``DenominatorError`` if any node falls below ``floor`` in

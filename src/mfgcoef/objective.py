@@ -15,8 +15,10 @@ operators acting on (u, m) alone:
 Each residual is squared against an exponential weight that peaks at the
 observation corner (x1 = b, t = T/2); the value residual carries an
 extra lam^(3/2) factor balancing the running-integral bound.  A small H2
-penalty on (u, m) makes the functional strictly convex on the affine
-subspace of iterates sharing the boundary data.
+penalty beta * (z . H z) on each of u and m (``grid.H2Form``, built once
+per context) makes the functional strictly convex on the affine subspace
+of iterates sharing the boundary data; its gradient is 2 beta H z and
+its curvature 2 beta diag(H), read off the same form.
 
 Every operator involved is a dense matrix applied along one axis, so each
 term of the gradient is an exact transpose scatter.  ``gradient`` is the
@@ -27,25 +29,23 @@ hold it against central differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .carleman import CarlemanParams
 from .forward import DerivativeBundle
 from .grid import (
-    SPACE_TIME,
     SPATIAL,
     Field,
+    H2Form,
     SpaceTimeGrid,
     apply_along_axis,
     first_diff_matrix,
-    h2_norm_sq,
-    h2_norm_sq_gradient,
     second_diff_matrix,
     volterra_matrix,
 )
-from .kernels import InteractionOperator, Kernel, denominator_field
+from .kernels import InteractionOperator, LineGaussianKernel, denominator_field
 
 
 @dataclass
@@ -97,13 +97,12 @@ class ObjectiveContext:
     def __init__(
         self,
         grid: SpaceTimeGrid,
-        kernel: Kernel,
+        kernel: LineGaussianKernel,
         params: CarlemanParams,
         beta: float,
         bundle: DerivativeBundle,
         cost: np.ndarray,
         cost_rate: np.ndarray,
-        mobility: Optional[np.ndarray] = None,
         residual_scale: float = 1.0,
     ) -> None:
         if params.b != grid.b or params.horizon != grid.horizon:
@@ -120,12 +119,6 @@ class ObjectiveContext:
         cost_rate = np.asarray(cost_rate, dtype=float)
         if cost.shape != shape or cost_rate.shape != shape:
             raise ValueError("cost and cost_rate must live on the inversion grid")
-        if mobility is None:
-            mobility = np.ones(grid.spatial_shape())
-        else:
-            mobility = np.asarray(mobility, dtype=float)
-            if mobility.shape != grid.spatial_shape() or mobility.min() <= 0:
-                raise ValueError("mobility must be strictly positive on the spatial grid")
 
         self.grid = grid
         self.params = params
@@ -134,7 +127,6 @@ class ObjectiveContext:
         self.bundle = bundle
         self.cost = cost
         self.cost_rate = cost_rate
-        self.mobility = mobility
         self.operator = InteractionOperator(grid, kernel)
 
         self.v0_x1 = np.asarray(bundle.v0_x1, dtype=float)
@@ -151,7 +143,7 @@ class ObjectiveContext:
         s_mid = cost[:, :, grid.mid_index]
         self.F = self.f * (
             np.asarray(bundle.v0_lap, dtype=float)
-            - 0.5 * mobility * (self.v0_x1**2 + self.v0_x2**2)
+            - 0.5 * (self.v0_x1**2 + self.v0_x2**2)
             - s_mid * self.p0
         )
 
@@ -173,6 +165,7 @@ class ObjectiveContext:
             second_diff_matrix(grid.nt, grid.ht),
         )
         self._volt = volterra_matrix(grid.nt, grid.ht, grid.mid_index)
+        self.h2 = H2Form(grid)
 
     def _check(self, it: Iterate) -> None:
         if it.u.shape != self.grid.spacetime_shape():
@@ -201,7 +194,6 @@ def _forward_parts(ctx: ObjectiveContext, it: Iterate) -> _Parts:
     ctx._check(it)
     g = ctx.grid
     u, m = it.u, it.m
-    r = ctx.mobility[:, :, None]
     dx1, dx2, dt = ctx._d1
     dxx1, dxx2, _ = ctx._d2
 
@@ -217,14 +209,14 @@ def _forward_parts(ctx: ObjectiveContext, it: Iterate) -> _Parts:
         apply_along_axis(dt, u, 2)
         + apply_along_axis(dxx1, u, 0)
         + apply_along_axis(dxx2, u, 1)
-        - r * (ux1 * vx1 + ux2 * vx2)
+        - (ux1 * vx1 + ux2 * vx2)
         - ksub[:, :, None] * inter_m
         - ctx.cost * m
         - ctx.cost_rate * ptil
     )
 
-    flux1 = r * (m * vx1 + ptil * ux1)
-    flux2 = r * (m * vx2 + ptil * ux2)
+    flux1 = m * vx1 + ptil * ux1
+    flux2 = m * vx2 + ptil * ux2
     second = (
         apply_along_axis(dt, m, 2)
         - apply_along_axis(dxx1, m, 0)
@@ -246,10 +238,7 @@ def breakdown(ctx: ObjectiveContext, it: Iterate) -> ObjectiveParts:
     p = _forward_parts(ctx, it)
     first = ctx.residual_scale * float(np.sum(ctx.weight_first * p.first**2))
     second = ctx.residual_scale * float(np.sum(ctx.weight_second * p.second**2))
-    g = ctx.grid
-    smooth = ctx.beta * (
-        h2_norm_sq(Field(g, SPACE_TIME, it.u)) + h2_norm_sq(Field(g, SPACE_TIME, it.m))
-    )
+    smooth = ctx.beta * (ctx.h2.norm_sq(it.u) + ctx.h2.norm_sq(it.m))
     return ObjectiveParts(first=first, second=second, smoothness=smooth)
 
 
@@ -261,7 +250,6 @@ def gradient(ctx: ObjectiveContext, it: Iterate) -> Iterate:
     """Exact gradient of ``evaluate``: every term is a transpose scatter."""
     g = ctx.grid
     p = _forward_parts(ctx, it)
-    r = ctx.mobility[:, :, None]
     dx1, dx2, dt = ctx._d1
     dxx1, dxx2, _ = ctx._d2
     voltT = ctx._volt.T
@@ -280,8 +268,8 @@ def gradient(ctx: ObjectiveContext, it: Iterate) -> Iterate:
 
     # first residual, u slots
     gu = axt(dt.T, r1) + ax0(dxx1.T, r1) + ax1(dxx2.T, r1)
-    gu -= ax0(dx1.T, r * p.vx1 * r1) + ax1(dx2.T, r * p.vx2 * r1)
-    gu -= ax0(dx1.T, axt(voltT, r * p.ux1 * r1)) + ax1(dx2.T, axt(voltT, r * p.ux2 * r1))
+    gu -= ax0(dx1.T, p.vx1 * r1) + ax1(dx2.T, p.vx2 * r1)
+    gu -= ax0(dx1.T, axt(voltT, p.ux1 * r1)) + ax1(dx2.T, axt(voltT, p.ux2 * r1))
     gu[:, :, g.mid_index] -= ctx.f * np.sum(r1 * p.inter_m, axis=2)
 
     # first residual, m slots
@@ -293,13 +281,13 @@ def gradient(ctx: ObjectiveContext, it: Iterate) -> Iterate:
     s1 = ax0(dx1.T, r2)
     s2 = ax1(dx2.T, r2)
     gm += axt(dt.T, r2) - ax0(dxx1.T, r2) - ax1(dxx2.T, r2)
-    gm -= r * (p.vx1 * s1 + p.vx2 * s2)
-    gm -= axt(voltT, r * (p.ux1 * s1 + p.ux2 * s2))
-    gu -= ax0(dx1.T, axt(voltT, r * it.m * s1)) + ax1(dx2.T, axt(voltT, r * it.m * s2))
-    gu -= ax0(dx1.T, r * p.ptil * s1) + ax1(dx2.T, r * p.ptil * s2)
+    gm -= p.vx1 * s1 + p.vx2 * s2
+    gm -= axt(voltT, p.ux1 * s1 + p.ux2 * s2)
+    gu -= ax0(dx1.T, axt(voltT, it.m * s1)) + ax1(dx2.T, axt(voltT, it.m * s2))
+    gu -= ax0(dx1.T, p.ptil * s1) + ax1(dx2.T, p.ptil * s2)
 
-    gu += ctx.beta * h2_norm_sq_gradient(Field(g, SPACE_TIME, it.u)).values
-    gm += ctx.beta * h2_norm_sq_gradient(Field(g, SPACE_TIME, it.m)).values
+    gu += (2.0 * ctx.beta) * ctx.h2.apply(it.u)
+    gm += (2.0 * ctx.beta) * ctx.h2.apply(it.m)
     return Iterate(gu, gm)
 
 
@@ -318,9 +306,7 @@ def curvature_diagonal(ctx: ObjectiveContext) -> Iterate:
     weighted region; dividing by this diagonal restores a uniform
     per-node step scale.
     """
-    g = ctx.grid
-    n1, n2, nt = g.spacetime_shape()
-    dx1, dx2, dt = ctx._d1
+    dt = ctx._d1[2]
     dxx1, dxx2, _ = ctx._d2
 
     def residual_part(weight: np.ndarray) -> np.ndarray:
@@ -335,21 +321,7 @@ def curvature_diagonal(ctx: ObjectiveContext) -> Iterate:
         )
         return 2.0 * ctx.residual_scale * out
 
-    smooth = np.ones((n1, n2, nt))
-    d1_sq = [np.sum(m**2, axis=0) for m in (dx1, dx2, dt)]
-    d2_sq = [np.sum(m**2, axis=0) for m in (dxx1, dxx2, ctx._d2[2])]
-    for ax in range(3):
-        shape = [1, 1, 1]
-        shape[ax] = -1
-        smooth = smooth + d1_sq[ax].reshape(shape) + d2_sq[ax].reshape(shape)
-    for ax_a, ax_b in ((0, 1), (0, 2), (1, 2)):
-        shape_a = [1, 1, 1]
-        shape_a[ax_a] = -1
-        shape_b = [1, 1, 1]
-        shape_b[ax_b] = -1
-        smooth = smooth + d1_sq[ax_a].reshape(shape_a) * d1_sq[ax_b].reshape(shape_b)
-    smooth *= 2.0 * ctx.beta * g.node_weight
-
+    smooth = (2.0 * ctx.beta) * ctx.h2.diagonal()
     return Iterate(
         residual_part(ctx.weight_first) + smooth,
         residual_part(ctx.weight_second) + smooth,
@@ -372,6 +344,5 @@ def convexity_gap(ctx: ObjectiveContext, first: Iterate, second: Iterate) -> Tup
     """
     diff = Iterate(second.u - first.u, second.m - first.m)
     gap = evaluate(ctx, second) - evaluate(ctx, first) - dot(gradient(ctx, first), diff)
-    g = ctx.grid
-    h2 = h2_norm_sq(Field(g, SPACE_TIME, diff.u)) + h2_norm_sq(Field(g, SPACE_TIME, diff.m))
+    h2 = ctx.h2.norm_sq(diff.u) + ctx.h2.norm_sq(diff.m)
     return float(gap), float(h2)

@@ -2,7 +2,7 @@ import pytest
 
 from mfgcoef.config import ENV_OUTPUT_ROOT, ExperimentConfig, load_config
 from mfgcoef.inverse import SolverConfig
-from mfgcoef.kernels import DownstreamKernel, LineGaussianKernel
+from mfgcoef.kernels import LineGaussianKernel
 
 
 def test_defaults_are_the_benchmark_setup():
@@ -23,7 +23,6 @@ def test_builders_construct_consistent_objects():
     assert (coarse.n1, coarse.n2, coarse.nt) == (21, 21, 11)
     assert fine.a == coarse.a and fine.horizon == coarse.horizon
     assert isinstance(cfg.kernel(), LineGaussianKernel)
-    assert isinstance(cfg.replace(kernel_variant="downstream").kernel(), DownstreamKernel)
     assert cfg.solver_config() == SolverConfig()
     params = cfg.carleman_params()
     assert params.lam == 3.0 and params.alpha == 0.2
@@ -45,7 +44,7 @@ def test_ini_overrides_only_what_it_lists(tmp_path):
         "[weight]\n"
         "lam = 4\n"
         "[kernel]\n"
-        "variant = downstream\n"
+        "sigma = 0.3\n"
         "[solver]\n"
         "precondition = no\n"
         "[output]\n"
@@ -55,7 +54,7 @@ def test_ini_overrides_only_what_it_lists(tmp_path):
     assert cfg.fine == (41, 41, 81)
     assert cfg.coarse == (21, 21, 11)
     assert cfg.lam == 4.0
-    assert cfg.kernel_variant == "downstream"
+    assert cfg.sigma == 0.3
     assert cfg.precondition is False
     assert cfg.output_root == "out"
 
@@ -67,6 +66,8 @@ def test_ini_overrides_only_what_it_lists(tmp_path):
         ("[weight]\nmu = 1\n", "unknown key"),
         ("[grid]\nfine = 41 41\n", "three node counts"),
         ("[solver]\nprecondition = maybe\n", "boolean"),
+        ("[kernel]\nvariant = downstream\n", "unknown key"),
+        ("[solver]\noutflow_closure = dirichlet_scaled\n", "unknown key"),
     ],
 )
 def test_ini_rejects_unknown_or_malformed_entries(tmp_path, body, match):
@@ -83,7 +84,7 @@ def test_ini_rejects_unknown_or_malformed_entries(tmp_path, body, match):
         {"contrast": 0.0},
         {"delta": -0.01},
         {"seed": -1},
-        {"kernel_variant": "nope"},
+        {"sigma": 0.0},
         {"lam": -1.0},
         {"alpha": 0.5},
         {"shrink": 1.5},

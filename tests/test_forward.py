@@ -217,13 +217,3 @@ def test_forward_spec_validation():
             coefficient=np.ones((3, 3)),
             kernel=LineGaussianKernel(),
         )
-    with pytest.raises(ValueError, match="mobility"):
-        ForwardSpec(
-            grid=g,
-            value_fn=lambda a1, a2, t: a1,
-            density_init_fn=lambda a1, a2: a1,
-            density_boundary_fn=lambda a1, a2, t: a1,
-            coefficient=np.ones(g.spatial_shape()),
-            kernel=LineGaussianKernel(),
-            mobility=np.zeros(g.spatial_shape()),
-        )

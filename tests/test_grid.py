@@ -6,14 +6,13 @@ from mfgcoef.grid import (
     SPACE_TIME,
     SPATIAL,
     Field,
+    H2Form,
     SpaceTimeGrid,
     apply_along_axis,
     ddt,
     ddx1,
     ddx2,
     first_diff_matrix,
-    h2_norm_sq,
-    h2_norm_sq_gradient,
     integrate_y2,
     laplacian,
     restriction_strides,
@@ -140,26 +139,26 @@ def test_trapezoid_weights_sum():
 def test_h2_norm_of_constant():
     g = base_grid(n1=9, n2=7, nt=5)
     c = 3.25
-    f = Field(g, SPACE_TIME, np.full(g.spacetime_shape(), c))
-    assert h2_norm_sq(f) == pytest.approx(c * c * g.volume, rel=1e-13)
+    vals = np.full(g.spacetime_shape(), c)
+    assert H2Form(g).norm_sq(vals) == pytest.approx(c * c * g.volume, rel=1e-13)
 
 
 def test_h2_norm_of_linear_closed_form():
     g = base_grid()
     x1, _ = g.meshgrid()
     vals = np.broadcast_to(x1[:, :, None], g.spacetime_shape()).copy()
-    f = Field(g, SPACE_TIME, vals)
     expect = g.volume * np.mean(g.x1**2) + g.volume
-    assert h2_norm_sq(f) == pytest.approx(expect, rel=1e-12)
+    assert H2Form(g).norm_sq(vals) == pytest.approx(expect, rel=1e-12)
 
 
 def test_h2_norm_homogeneity():
     g = base_grid(n1=6, n2=5, nt=5)
     rng = np.random.default_rng(3)
     vals = rng.standard_normal(g.spacetime_shape())
-    base = h2_norm_sq(Field(g, SPACE_TIME, vals))
+    h2 = H2Form(g)
+    base = h2.norm_sq(vals)
     for c in (0.5, 2.0, -3.0):
-        scaled = h2_norm_sq(Field(g, SPACE_TIME, c * vals))
+        scaled = h2.norm_sq(c * vals)
         assert scaled == pytest.approx(c * c * base, rel=1e-12)
 
 
@@ -217,17 +216,14 @@ def test_restriction_strides():
 def test_h2_gradient_is_the_derivative_of_the_norm():
     g = base_grid(n1=7, n2=6, nt=5)
     rng = np.random.default_rng(11)
-    z = Field(g, SPACE_TIME, rng.standard_normal(g.spacetime_shape()))
-    w = Field(g, SPACE_TIME, rng.standard_normal(g.spacetime_shape()))
-    grad = h2_norm_sq_gradient(z)
+    z = rng.standard_normal(g.spacetime_shape())
+    w = rng.standard_normal(g.spacetime_shape())
+    h2 = H2Form(g)
+    grad = 2.0 * h2.apply(z)
     # Euler identity for the quadratic form
-    assert np.sum(grad.values * z.values) == pytest.approx(2.0 * h2_norm_sq(z), rel=1e-12)
+    assert np.sum(grad * z) == pytest.approx(2.0 * h2.norm_sq(z), rel=1e-12)
     # symmetry of the underlying bilinear form
-    assert np.sum(grad.values * w.values) == pytest.approx(
-        np.sum(h2_norm_sq_gradient(w).values * z.values), rel=1e-12
-    )
+    assert np.sum(grad * w) == pytest.approx(np.sum(2.0 * h2.apply(w) * z), rel=1e-12)
     eps = 1e-6
-    plus = Field(g, SPACE_TIME, z.values + eps * w.values)
-    minus = Field(g, SPACE_TIME, z.values - eps * w.values)
-    fd = (h2_norm_sq(plus) - h2_norm_sq(minus)) / (2.0 * eps)
-    assert fd == pytest.approx(np.sum(grad.values * w.values), rel=1e-7)
+    fd = (h2.norm_sq(z + eps * w) - h2.norm_sq(z - eps * w)) / (2.0 * eps)
+    assert fd == pytest.approx(np.sum(grad * w), rel=1e-7)

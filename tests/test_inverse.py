@@ -4,7 +4,6 @@ import pytest
 from mfgcoef.forward import DerivativeBundle
 from mfgcoef.grid import GAMMA_TRACE, Field, SpaceTimeGrid
 from mfgcoef.inverse import (
-    OUTFLOW_CLOSURES,
     ReconstructionResult,
     SolverConfig,
     StallError,
@@ -65,8 +64,6 @@ def test_projection_scatters_data_and_is_idempotent():
     assert np.array_equal(again.m, proj.m)
     # interior nodes pass through untouched
     assert np.array_equal(proj.u[1:-3, 1:-1, :], z.u[1:-3, 1:-1, :])
-    with pytest.raises(ValueError, match="closure"):
-        project_data_constraints(g, ctx.bundle, z, closure="midpoint")
 
 
 def test_outflow_closure_worked_values():
@@ -74,11 +71,9 @@ def test_outflow_closure_worked_values():
     g = grid(21, 6, 5)
     bundle = hand_bundle(g, x1b_u=1.0, neumann_u=0.0)
     z = Iterate(np.zeros(g.spacetime_shape()), np.zeros(g.spacetime_shape()))
-    ref = project_data_constraints(g, bundle, z, closure="dirichlet_scaled")
-    assert np.allclose(ref.u[-2, :, :], -0.025, atol=1e-15)
-    assert np.allclose(ref.u[-1, :, :], 1.0, atol=1e-15)
-    std = project_data_constraints(g, bundle, z, closure="neumann_scaled")
-    assert np.allclose(std.u[-2, :, :], 0.75, atol=1e-15)
+    proj = project_data_constraints(g, bundle, z)
+    assert np.allclose(proj.u[-1, :, :], 1.0, atol=1e-15)
+    assert np.allclose(proj.u[-2, :, :], 0.75, atol=1e-15)
 
 
 def test_reduced_gradient_is_the_constrained_derivative():
@@ -248,6 +243,3 @@ def test_solver_config_validation():
         SolverConfig(grad_tol=-1.0)
     with pytest.raises(ValueError, match="max_iter"):
         SolverConfig(max_iter=0)
-    with pytest.raises(ValueError, match="closure"):
-        SolverConfig(outflow_closure="upwind")
-    assert set(OUTFLOW_CLOSURES) == {"dirichlet_scaled", "neumann_scaled"}

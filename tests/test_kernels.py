@@ -3,7 +3,6 @@ import pytest
 
 from mfgcoef.grid import SPACE_TIME, SPATIAL, Field, SpaceTimeGrid, integrate_y2
 from mfgcoef.kernels import (
-    DownstreamKernel,
     InteractionOperator,
     LineGaussianKernel,
     denominator_field,
@@ -66,42 +65,23 @@ def test_linearity_and_positivity():
     rng = np.random.default_rng(1)
     a = rng.standard_normal(g.spatial_shape())
     b = rng.standard_normal(g.spatial_shape())
-    for kernel in (LineGaussianKernel(0.2), DownstreamKernel()):
-        op = InteractionOperator(g, kernel)
-        lhs = op.apply(2.0 * a - 3.0 * b)
-        rhs = 2.0 * op.apply(a) - 3.0 * op.apply(b)
-        assert np.allclose(lhs, rhs, atol=1e-12)
-        nonneg = op.apply(np.abs(a))
-        assert nonneg.min() >= -1e-14
-
-
-def test_downstream_constant_closed_form():
-    # kbar = 1, f = 1: integral over [x1, b] x [-A2, A2] equals (b - x1) * 2 * A2
-    g = make_grid(n1=11, n2=9)
-    f = Field(g, SPATIAL, np.ones(g.spatial_shape()))
-    out = interaction_integral(DownstreamKernel(), f)
-    expect = (g.b - g.x1)[:, None] * (2.0 * g.half_width)
-    assert np.allclose(out.values, expect, atol=1e-13)
-
-
-def test_downstream_vanishes_on_outflow_column():
-    g = make_grid(n1=7, n2=7)
-    rng = np.random.default_rng(5)
-    f = Field(g, SPATIAL, rng.standard_normal(g.spatial_shape()))
-    out = interaction_integral(DownstreamKernel(), f)
-    assert np.all(out.values[-1] == 0.0)
+    op = InteractionOperator(g, LineGaussianKernel(0.2))
+    lhs = op.apply(2.0 * a - 3.0 * b)
+    rhs = 2.0 * op.apply(a) - 3.0 * op.apply(b)
+    assert np.allclose(lhs, rhs, atol=1e-12)
+    nonneg = op.apply(np.abs(a))
+    assert nonneg.min() >= -1e-14
 
 
 def test_operators_transpose_is_adjoint():
     g = make_grid(n1=8, n2=9, nt=5)
     rng = np.random.default_rng(9)
-    for kernel in (LineGaussianKernel(0.2), DownstreamKernel()):
-        op = InteractionOperator(g, kernel)
-        f = rng.standard_normal(g.spacetime_shape())
-        w = rng.standard_normal(g.spacetime_shape())
-        lhs = np.sum(op.apply(f) * w)
-        rhs = np.sum(f * op.apply_transpose(w))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+    op = InteractionOperator(g, LineGaussianKernel(0.2))
+    f = rng.standard_normal(g.spacetime_shape())
+    w = rng.standard_normal(g.spacetime_shape())
+    lhs = np.sum(op.apply(f) * w)
+    rhs = np.sum(f * op.apply_transpose(w))
+    assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_spacetime_fields_processed_per_slice():

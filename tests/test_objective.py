@@ -3,13 +3,14 @@ import pytest
 
 from mfgcoef.carleman import CarlemanParams
 from mfgcoef.forward import ForwardSpec, extract_observations, make_s, solve_density, stencil_bundle
-from mfgcoef.grid import SPACE_TIME, Field, SpaceTimeGrid, apply_along_axis, first_diff_matrix, h2_norm_sq
+from mfgcoef.grid import H2Form, SpaceTimeGrid, apply_along_axis, first_diff_matrix
 from mfgcoef.kernels import LineGaussianKernel
 from mfgcoef.objective import (
     Iterate,
     ObjectiveContext,
     breakdown,
     convexity_gap,
+    curvature_diagonal,
     dot,
     evaluate,
     gradient,
@@ -86,14 +87,35 @@ def test_beta_only_mode_is_the_smoothness_quadratic():
     ctx = make_context(g, beta=0.5, residual_scale=0.0)
     rng = np.random.default_rng(5)
     it = random_iterate(g, rng)
-    expected = 0.5 * (
-        h2_norm_sq(Field(g, SPACE_TIME, it.u)) + h2_norm_sq(Field(g, SPACE_TIME, it.m))
-    )
+    h2 = H2Form(g)
+    expected = 0.5 * (h2.norm_sq(it.u) + h2.norm_sq(it.m))
     assert evaluate(ctx, it) == pytest.approx(expected, rel=1e-12)
     # Euler identity of the pure quadratic
     assert dot(gradient(ctx, it), it) == pytest.approx(2.0 * expected, rel=1e-12)
     parts = breakdown(ctx, it)
     assert parts.first == 0.0 and parts.second == 0.0
+
+
+def test_curvature_diagonal_is_the_hessian_diagonal_of_the_penalty():
+    # with both residuals off, evaluate is the quadratic beta * z . H z, so a
+    # second difference along a unit vector reads a Hessian diagonal entry
+    # exactly, whatever the step
+    g = grid(7, 6, 5)
+    ctx = make_context(g, beta=0.5, residual_scale=0.0)
+    rng = np.random.default_rng(8)
+    it = random_iterate(g, rng)
+    curv = curvature_diagonal(ctx)
+    base = evaluate(ctx, it)
+    nodes = ((0, 0, 0), (3, 2, 1), (6, 5, 4), (1, 4, 2), (5, 1, 3), (2, 3, 4))
+    for node in nodes:
+        e = np.zeros(g.spacetime_shape())
+        e[node] = 1.0
+        for slot, plus, minus in (
+            ("u", Iterate(it.u + e, it.m), Iterate(it.u - e, it.m)),
+            ("m", Iterate(it.u, it.m + e), Iterate(it.u, it.m - e)),
+        ):
+            second = evaluate(ctx, plus) - 2.0 * base + evaluate(ctx, minus)
+            assert getattr(curv, slot)[node] == pytest.approx(second, rel=1e-10)
 
 
 def test_weight_structure():
