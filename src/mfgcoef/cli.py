@@ -243,7 +243,9 @@ def _invert_core(cfg: ExperimentConfig, obs, cost, cost_rate, out: str) -> dict:
             "contrast": metrics.contrast,
         },
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
         "iterations": result.iterations,
+        "objective_passes": result.objective_passes,
         "final_step": result.final_step,
         "final_objective": float(result.objective_history[-1]),
         "final_gradient_max": float(result.gradient_history[-1]),

@@ -1,4 +1,4 @@
-"""Data projection and projected gradient descent for the reconstruction.
+"""Data projection and projected L-BFGS descent for the reconstruction.
 
 The boundary data enter as hard constraints: the time derivatives of the
 Dirichlet traces pin (u, m) on the whole lateral boundary, and on the
@@ -16,6 +16,7 @@ affine closure (slope 1/4).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,10 +28,13 @@ from .objective import (
     Iterate,
     ObjectiveContext,
     curvature_diagonal,
-    evaluate,
-    gradient,
     recover_coefficient,
+    value_and_gradient,
 )
+
+# L-BFGS memory: displacement/gradient-change pairs kept for the direction
+MEMORY = 10
+
 
 class StallError(RuntimeError):
     """Raised when backtracking cannot find a descending step."""
@@ -40,14 +44,16 @@ class StallError(RuntimeError):
 class SolverConfig:
     """Descent controls.
 
-    ``step0`` seeds the backtracking line search; the step shrinks by the
-    ``shrink`` factor until the objective decreases and the accepted
-    value carries over to the next iteration (it never grows back).
-    Iterations stop when the reduced gradient max-norm drops below
-    ``grad_tol``; a step below ``min_step`` raises ``StallError``.
+    ``step0`` scales the first direction (and the one after a memory
+    reset): the gradient times ``step0``, divided by the curvature when
+    preconditioned.  Each line search tries step 1 along the L-BFGS
+    direction and shrinks by the ``shrink`` factor until the objective
+    decreases.  Iterations stop when the reduced gradient max-norm drops
+    below ``grad_tol``; a step below ``min_step`` raises ``StallError``.
 
-    With ``precondition`` on (the default) the step direction is the
-    gradient divided node by node by a fixed curvature estimate; the
+    With ``precondition`` on (the default) the initial inverse Hessian
+    of the recursion is the reciprocal of a fixed curvature estimate,
+    node by node; otherwise it is a multiple of the identity.  The
     stopping test always reads the unscaled gradient.  The weight spans
     many orders of magnitude across the slab, and without this scaling
     the weakly weighted region relaxes so slowly that the stopping test
@@ -151,7 +157,13 @@ def initial_guess(grid: SpaceTimeGrid, bundle: DerivativeBundle) -> Iterate:
 
 @dataclass
 class ReconstructionResult:
-    """Converged (or stopped) descent output plus the implied coefficient."""
+    """Converged (or stopped) descent output plus the implied coefficient.
+
+    ``stop_reason`` is ``"grad_tol"`` when the reduced gradient met the
+    tolerance and ``"max_iter"`` when the budget ran out first (a stall
+    raises instead).  ``objective_passes`` counts the fused value and
+    gradient passes, one per trial point plus one for the start.
+    """
 
     iterate: Iterate
     coefficient: np.ndarray
@@ -160,65 +172,114 @@ class ReconstructionResult:
     converged: bool
     iterations: int
     final_step: float
+    stop_reason: str
+    objective_passes: int
+
+
+def _two_loop(grad: np.ndarray, pairs, h0: np.ndarray) -> np.ndarray:
+    """L-BFGS inverse-Hessian product (Liu & Nocedal 1989) with diagonal H0."""
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(s @ q)
+        q -= a * y
+        alphas.append(a)
+    r = h0 * q
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        r += (a - rho * float(y @ r)) * s
+    return r
 
 
 def descend(ctx: ObjectiveContext, start: Iterate, config: SolverConfig) -> ReconstructionResult:
-    """Monotone projected gradient descent from ``start``.
+    """Monotone projected L-BFGS descent from ``start`` on the free nodes.
 
-    Every accepted iterate strictly decreases the objective; the history
-    arrays record the objective per accepted step and the reduced gradient
-    max-norm per iteration.  The stopping test and the recorded history
-    use the raw reduced gradient even when preconditioning scales the
-    step direction.
+    The direction is the two-loop recursion over the last ``MEMORY``
+    pairs of free-node displacements and reduced-gradient changes, with
+    H0 = gamma / curvature (gamma = s.y / y.(y / curvature) of the newest
+    pair, ``step0`` while the memory is empty).  The line search tries
+    step 1 and shrinks until the objective strictly decreases; before it
+    gives up it clears the memory once and retries along the
+    preconditioned gradient.  Every accepted iterate strictly decreases
+    the objective; the history arrays record the objective per accepted
+    step and the raw reduced gradient max-norm per iteration, which is
+    also what the stopping test reads.
     """
     g = ctx.grid
+    mask = free_node_mask(g)
+    nfree = int(mask.sum())
+
+    def free(it: Iterate) -> np.ndarray:
+        return np.concatenate([it.u[mask], it.m[mask]])
+
     z = project_data_constraints(g, ctx.bundle, start)
-    value = evaluate(ctx, z)
+    value, grad = value_and_gradient(ctx, z)
+    passes = 1
     if not np.isfinite(value):
         raise ValueError(f"objective is not finite at the start: {value}")
     if config.precondition:
         curv = curvature_diagonal(ctx)
         floor = 1e-12 * max(float(curv.u.max()), float(curv.m.max()), 1.0)
-        scale_u = np.maximum(curv.u, floor)
-        scale_m = np.maximum(curv.m, floor)
+        inv_curv = 1.0 / np.maximum(free(curv), floor)
     else:
-        scale_u = scale_m = 1.0
-    step = config.step0
+        inv_curv = np.ones(2 * nfree)
+    x = free(z)
+    red = free(reduce_gradient(g, grad))
+    pairs: deque = deque(maxlen=MEMORY)
+    step = 1.0
     obj_hist = [value]
     grad_hist = []
-    converged = False
+    stop_reason = "max_iter"
     for _ in range(config.max_iter):
-        red = reduce_gradient(g, gradient(ctx, z))
-        gmax = max(float(np.max(np.abs(red.u))), float(np.max(np.abs(red.m))))
+        gmax = float(np.max(np.abs(red)))
         grad_hist.append(gmax)
         if gmax < config.grad_tol:
-            converged = True
+            stop_reason = "grad_tol"
             break
-        du = red.u / scale_u
-        dm = red.m / scale_m
+        if pairs:
+            _, y, rho = pairs[-1]
+            gamma = 1.0 / (rho * float(y @ (inv_curv * y)))
+        else:
+            gamma = config.step0
+        direction = _two_loop(red, pairs, gamma * inv_curv)
+        step = 1.0
         while True:
-            trial = project_data_constraints(
-                g, ctx.bundle, Iterate(z.u - step * du, z.m - step * dm)
-            )
-            trial_value = evaluate(ctx, trial)
+            trial_x = x - step * direction
+            trial = z.copy()
+            trial.u[mask] = trial_x[:nfree]
+            trial.m[mask] = trial_x[nfree:]
+            trial = project_data_constraints(g, ctx.bundle, trial)
+            trial_value, trial_grad = value_and_gradient(ctx, trial)
+            passes += 1
             if trial_value < value:
                 break
             step *= config.shrink
             if step < config.min_step:
-                raise StallError(
-                    f"line search stalled at step {step:.3e} with reduced gradient "
-                    f"max-norm {gmax:.3e}; the objective cannot decrease further"
-                )
-        z, value = trial, trial_value
+                if not pairs:
+                    raise StallError(
+                        f"line search stalled at step {step:.3e} with reduced gradient "
+                        f"max-norm {gmax:.3e}; the objective cannot decrease further"
+                    )
+                pairs.clear()
+                direction = config.step0 * inv_curv * red
+                step = 1.0
+        trial_red = free(reduce_gradient(g, trial_grad))
+        s = trial_x - x
+        y = trial_red - red
+        sy = float(s @ y)
+        if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y)):
+            pairs.append((s, y, 1.0 / sy))
+        z, x, value, red = trial, trial_x, trial_value, trial_red
         obj_hist.append(value)
     return ReconstructionResult(
         iterate=z,
         coefficient=recover_coefficient(ctx, z),
         objective_history=np.asarray(obj_hist),
         gradient_history=np.asarray(grad_hist),
-        converged=converged,
+        converged=stop_reason == "grad_tol",
         iterations=len(obj_hist) - 1,
         final_step=step,
+        stop_reason=stop_reason,
+        objective_passes=passes,
     )
 
 

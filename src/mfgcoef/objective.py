@@ -23,7 +23,9 @@ its curvature 2 beta diag(H), read off the same form.
 Every operator involved is a dense matrix applied along one axis, so each
 term of the gradient is an exact transpose scatter.  ``gradient`` is the
 derivative of ``evaluate`` to rounding, not an approximation; the tests
-hold it against central differences.
+hold it against central differences.  ``value_and_gradient`` returns
+both from one pass of the residual operators, which is what the descent
+calls at every trial point.
 """
 
 from __future__ import annotations
@@ -233,13 +235,16 @@ def residuals(ctx: ObjectiveContext, it: Iterate) -> Tuple[np.ndarray, np.ndarra
     return p.first, p.second
 
 
-def breakdown(ctx: ObjectiveContext, it: Iterate) -> ObjectiveParts:
-    """Objective value split into its additive pieces."""
-    p = _forward_parts(ctx, it)
+def _split(ctx: ObjectiveContext, it: Iterate, p: _Parts) -> ObjectiveParts:
     first = ctx.residual_scale * float(np.sum(ctx.weight_first * p.first**2))
     second = ctx.residual_scale * float(np.sum(ctx.weight_second * p.second**2))
     smooth = ctx.beta * (ctx.h2.norm_sq(it.u) + ctx.h2.norm_sq(it.m))
     return ObjectiveParts(first=first, second=second, smoothness=smooth)
+
+
+def breakdown(ctx: ObjectiveContext, it: Iterate) -> ObjectiveParts:
+    """Objective value split into its additive pieces."""
+    return _split(ctx, it, _forward_parts(ctx, it))
 
 
 def evaluate(ctx: ObjectiveContext, it: Iterate) -> float:
@@ -247,7 +252,16 @@ def evaluate(ctx: ObjectiveContext, it: Iterate) -> float:
 
 
 def gradient(ctx: ObjectiveContext, it: Iterate) -> Iterate:
-    """Exact gradient of ``evaluate``: every term is a transpose scatter."""
+    """Exact gradient of ``evaluate``."""
+    return value_and_gradient(ctx, it)[1]
+
+
+def value_and_gradient(ctx: ObjectiveContext, it: Iterate) -> Tuple[float, Iterate]:
+    """``evaluate`` and its exact gradient from one pass of the residuals.
+
+    The value equals ``evaluate`` bit for bit.  Every gradient term is a
+    transpose scatter of the forward operators.
+    """
     g = ctx.grid
     p = _forward_parts(ctx, it)
     dx1, dx2, dt = ctx._d1
@@ -288,7 +302,7 @@ def gradient(ctx: ObjectiveContext, it: Iterate) -> Iterate:
 
     gu += (2.0 * ctx.beta) * ctx.h2.apply(it.u)
     gm += (2.0 * ctx.beta) * ctx.h2.apply(it.m)
-    return Iterate(gu, gm)
+    return _split(ctx, it, p).total, Iterate(gu, gm)
 
 
 def curvature_diagonal(ctx: ObjectiveContext) -> Iterate:

@@ -56,16 +56,25 @@ def test_generate_refuses_nonempty_dir_without_force(workspace):
     ]) == EXIT_OK
 
 
-def test_invert_reconstructs_and_reports(workspace):
+@pytest.fixture(scope="module")
+def inverted(workspace):
+    """One clean ``invert`` of the workspace dataset: its exit code and output."""
     root, config, dataset = workspace
     out = root / "inv"
     code = main(["invert", "--config", str(config), str(dataset), "--out", str(out)])
+    return code, out
+
+
+def test_invert_reconstructs_and_reports(inverted):
+    code, out = inverted
     assert code == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "invert"
     assert manifest["metrics"]["rel_l2"] < 0.10
     assert manifest["unweighted"] is False
     assert "inputs" in manifest
+    assert manifest["stop_reason"] == "grad_tol"
+    assert manifest["objective_passes"] > manifest["iterations"]
     k = read_field(out / "k_comp.field")
     assert k.values.shape == (21, 21)
     header = (out / "metrics.csv").read_text().splitlines()[0]
@@ -89,6 +98,7 @@ def test_invert_rerun_with_same_seed_is_bit_identical(workspace):
     b = json.loads((outs[1] / "manifest.json").read_text())
     assert a["outputs"]["k_comp"]["sha256"] == b["outputs"]["k_comp"]["sha256"]
     assert a["metrics"] == b["metrics"]
+    assert (a["stop_reason"], a["objective_passes"]) == (b["stop_reason"], b["objective_passes"])
 
 
 def test_invert_vanishing_denominator_is_a_numerical_failure(workspace, tmp_path):
@@ -153,23 +163,28 @@ def test_invert_requires_dataset_manifest(workspace, tmp_path):
     assert code == EXIT_PRECONDITION
 
 
-def test_sweep_lambda_writes_summary_and_continues_on_failure(workspace):
+def test_sweep_lambda_writes_summary_and_continues_on_failure(workspace, tmp_path):
     root, config, dataset = workspace
+    short = tmp_path / "short.ini"
+    short.write_text(SMALL_INI.replace("max_iter = 2500", "max_iter = 20"))
     out = root / "sweep"
     code = main([
-        "sweep-lambda", "--config", str(config), str(dataset),
+        "sweep-lambda", "--config", str(short), str(dataset),
         "--out", str(out), "--lambda", "3,-1",
     ])
     assert code == EXIT_OK
     rows = (out / "summary.csv").read_text().splitlines()
     assert rows[0] == "lambda,status,rel_l2,contrast,converged"
-    # max_iter = 2500 stops lam=3 short of grad_tol on this grid
+    # max_iter = 20 stops lam=3 short of grad_tol on this grid
     assert rows[1].startswith("3,unconverged,")
     assert rows[1].endswith(",0")
     assert rows[2].startswith("-1,failed,")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["runs"]["3"]["status"] == "unconverged"
     assert manifest["runs"]["3"]["converged"] is False
+    assert manifest["runs"]["3"]["stop_reason"] == "max_iter"
+    assert manifest["runs"]["3"]["iterations"] == 20
+    assert manifest["runs"]["3"]["objective_passes"] > 20
     assert manifest["runs"]["-1"]["status"] == "failed"
     assert (out / "lam_3" / "k_comp.field").exists()
 
@@ -205,14 +220,15 @@ def test_verify_carleman_rejects_bad_weight_parameters(tmp_path):
     ]) == EXIT_PRECONDITION
 
 
-def test_render_spatial_and_time_slice(workspace, tmp_path):
+def test_render_spatial_and_time_slice(workspace, inverted, tmp_path):
     root, config, dataset = workspace
+    _, inv = inverted
     out = tmp_path / "render"
-    assert main(["render", str(root / "inv" / "k_comp.field"), "--out", str(out)]) == EXIT_OK
+    assert main(["render", str(inv / "k_comp.field"), "--out", str(out)]) == EXIT_OK
     assert (out / "k_comp.pgm").exists() and (out / "k_comp.csv").exists()
-    assert main(["render", str(root / "inv" / "u.field"), "--out", str(out)]) == EXIT_PRECONDITION
+    assert main(["render", str(inv / "u.field"), "--out", str(out)]) == EXIT_PRECONDITION
     assert main([
-        "render", str(root / "inv" / "u.field"), "--out", str(out), "--slice", "t=0.5",
+        "render", str(inv / "u.field"), "--out", str(out), "--slice", "t=0.5",
     ]) == EXIT_OK
     assert (out / "u_t0.5.pgm").exists()
     # trace ranks have no heatmap rendering
@@ -221,7 +237,7 @@ def test_render_spatial_and_time_slice(workspace, tmp_path):
     ]) == EXIT_PRECONDITION
 
 
-def test_render_rejects_malformed_slice(workspace, tmp_path):
-    root, config, dataset = workspace
+def test_render_rejects_malformed_slice(inverted):
+    _, inv = inverted
     with pytest.raises(SystemExit):
-        main(["render", str(root / "inv" / "u.field"), "--slice", "0.5"])
+        main(["render", str(inv / "u.field"), "--slice", "0.5"])

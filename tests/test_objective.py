@@ -16,6 +16,7 @@ from mfgcoef.objective import (
     gradient,
     recover_coefficient,
     residuals,
+    value_and_gradient,
 )
 
 KERNEL = LineGaussianKernel(sigma=0.2)
@@ -80,6 +81,15 @@ def test_gradient_matches_central_differences():
         minus = Iterate(it.u - eps * d.u, it.m - eps * d.m)
         fd = (evaluate(ctx, plus) - evaluate(ctx, minus)) / (2.0 * eps)
         assert fd == pytest.approx(dot(grad, d), rel=1e-6)
+
+
+def test_fused_pass_value_is_evaluate_bit_for_bit():
+    # the descent's objective history comes from the fused pass
+    g = grid(9, 8, 5)
+    ctx = make_context(g)
+    it = random_iterate(g, np.random.default_rng(8))
+    value, _ = value_and_gradient(ctx, it)
+    assert value == evaluate(ctx, it)
 
 
 def test_beta_only_mode_is_the_smoothness_quadratic():
