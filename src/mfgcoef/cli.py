@@ -328,6 +328,8 @@ def cmd_verify_carleman(args) -> int:
     for lam in lambdas:
         if lam <= 0:
             raise ValueError(f"certification needs lam > 0, got {lam:g}")
+    if args.trials < 1:
+        raise ValueError(f"certification needs --trials >= 1, got {args.trials}")
     validate_exponent(cfg.alpha)
     out = _out_dir(args, cfg, "carleman")
     _prepare_out(out, args.force)
@@ -335,15 +337,17 @@ def cmd_verify_carleman(args) -> int:
         seed=cfg.seed, n_trials=args.trials, lambdas=lambdas,
         d=cfg.half_width, alpha=cfg.alpha,
     )
-    slope = ratio_log_slope(lambdas, d=cfg.half_width, alpha=cfg.alpha) if len(lambdas) > 1 else None
+    slope = ratio_log_slope(lambdas, d=cfg.half_width, alpha=cfg.alpha)
     report_path = os.path.join(out, "report.txt")
     counts = {"holds": 0, "violated": 0, "inconclusive": 0}
     with open(report_path, "w", encoding="ascii") as fh:
         fh.write("trial lam lhs rhs margin status\n")
         for i, r in enumerate(results):
             counts[r.status] += 1
+            # rows run profile-major, so a profile's lam rows share its number
             fh.write(
-                f"{i} {r.lam:g} {r.lhs:.12e} {r.rhs:.12e} {r.margin:.12e} {r.status}\n"
+                f"{i // len(lambdas)} {r.lam:g} {r.lhs:.12e} {r.rhs:.12e} "
+                f"{r.margin:.12e} {r.status}\n"
             )
         fh.write(
             f"# {counts['holds']} hold, {counts['violated']} violated, "

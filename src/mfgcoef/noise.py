@@ -15,10 +15,6 @@ weight follows from the known noise level by Morozov's discrepancy
 principle (regularized numerical differentiation, Hanke & Scherzer,
 Amer. Math. Monthly 108, 2001); the clean-path stencils then
 differentiate the fitted data.
-
-The natural cubic spline helpers (``spline_fit``, ``CubicSpline1D``)
-remain as a general interpolation utility; the inversion does not use
-them.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from math import comb
 from typing import Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded, solveh_banded
+from scipy.linalg import solveh_banded
 
 from .forward import DerivativeBundle, ObservationData, stencil_bundle
 from .grid import FACES, GAMMA_TRACE, SPATIAL, Field
@@ -80,95 +76,6 @@ def inject(obs: ObservationData, spec: NoiseSpec) -> ObservationData:
         zeta = _field_generator(spec.seed, name).random(size=f.values.shape)
         noisy[name] = Field(f.grid, f.rank, f.values * (1.0 + spec.level * zeta))
     return ObservationData(grid=obs.grid, **noisy)
-
-
-@dataclass
-class CubicSpline1D:
-    """Natural cubic interpolant: knots, values, second derivatives at knots.
-
-    The end second derivatives are exactly zero (natural conditions); the
-    interior ones come from the standard tridiagonal system.
-    """
-
-    knots: np.ndarray
-    values: np.ndarray
-    second: np.ndarray
-
-    def _locate(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.knots[0], self.knots[-1]
-        if np.any(x < lo) or np.any(x > hi):
-            raise ValueError(f"evaluation outside the knot range [{lo}, {hi}]")
-        idx = np.searchsorted(self.knots, x, side="right") - 1
-        return np.clip(idx, 0, len(self.knots) - 2)
-
-    def _coefs(self, x):
-        i = self._locate(x)
-        h = self.knots[i + 1] - self.knots[i]
-        a = (self.knots[i + 1] - x) / h
-        b = (x - self.knots[i]) / h
-        if self.values.ndim > 1:
-            # broadcast interval weights over the column axes
-            extra = (None,) * (self.values.ndim - 1)
-            h, a, b = (np.asarray(c)[(..., *extra)] for c in (h, a, b))
-        return i, h, a, b
-
-    def __call__(self, x) -> np.ndarray:
-        i, h, a, b = self._coefs(x)
-        return (
-            a * self.values[i]
-            + b * self.values[i + 1]
-            + ((a**3 - a) * self.second[i] + (b**3 - b) * self.second[i + 1]) * h * h / 6.0
-        )
-
-    def derivative(self, x, order: int = 1) -> np.ndarray:
-        if order not in (1, 2):
-            raise ValueError(f"order must be 1 or 2, got {order}")
-        i, h, a, b = self._coefs(x)
-        if order == 1:
-            return (
-                (self.values[i + 1] - self.values[i]) / h
-                - (3.0 * a * a - 1.0) / 6.0 * h * self.second[i]
-                + (3.0 * b * b - 1.0) / 6.0 * h * self.second[i + 1]
-            )
-        return a * self.second[i] + b * self.second[i + 1]
-
-
-def spline_fit(knots: np.ndarray, values: np.ndarray) -> CubicSpline1D:
-    """Fit a natural cubic spline through the samples.
-
-    ``values`` may be 2-d with series along the first axis; the
-    tridiagonal solve is shared across columns.
-    """
-    knots = np.asarray(knots, dtype=float)
-    values = np.asarray(values, dtype=float)
-    n = knots.size
-    if knots.ndim != 1 or n < 3:
-        raise ValueError("need at least 3 strictly increasing knots")
-    if np.any(np.diff(knots) <= 0):
-        raise ValueError("knots must be strictly increasing")
-    if values.shape[0] != n:
-        raise ValueError(f"values first axis must match {n} knots, got {values.shape}")
-
-    h = np.diff(knots)
-    flat = values.reshape(n, -1)
-    slope = np.diff(flat, axis=0) / h[:, None]
-    rhs = 6.0 * (slope[1:] - slope[:-1])
-
-    m = n - 2
-    ab = np.zeros((3, m))
-    ab[0, 1:] = h[1:-1]
-    ab[1, :] = 2.0 * (h[:-1] + h[1:])
-    ab[2, :-1] = h[1:-1]
-    interior = solve_banded((1, 1), ab, rhs)
-
-    second = np.zeros_like(flat)
-    second[1:-1] = interior
-    return CubicSpline1D(knots, values, second.reshape(values.shape))
-
-
-def spline_derivative(spline: CubicSpline1D, x, order: int = 1) -> np.ndarray:
-    return spline.derivative(x, order=order)
 
 
 def _gram(n: int, order: int) -> np.ndarray:

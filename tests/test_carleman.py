@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from mfgcoef.carleman import (
+    QUAD_AGREE_RTOL,
     CarlemanParams,
+    VolterraForms,
     bound_constant,
     conventional_vs_new_ratio,
     random_profile,
@@ -12,6 +16,37 @@ from mfgcoef.carleman import (
     validate_exponent,
     volterra_carleman_check,
 )
+
+
+def direct_sums(knots, values, lam, alpha, level):
+    """Both level sums node by node: (lhs_L, rhs_int_L)."""
+    d = knots[-1]
+    n = 2**level
+    t = np.linspace(-d, d, n + 1)
+    f = np.interp(t, knots, values)
+    w = np.exp(-2.0 * lam * np.abs(t) ** (1.0 + alpha))
+    h = 2.0 * d / n
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * h * (f[1:] + f[:-1]))))
+    inner = cum - cum[n // 2]
+    return np.trapezoid(w * inner * inner, dx=h), np.trapezoid(w * f * f, dx=h)
+
+
+def direct_levels(knots, values, lam, alpha, start_level=6):
+    """The level at which the node-by-node sums first settle."""
+    prev = direct_sums(knots, values, lam, alpha, start_level)
+    for level in range(start_level + 1, 25):
+        cur = direct_sums(knots, values, lam, alpha, level)
+        scale = max(abs(cur[0]), abs(cur[1]))
+        if all(abs(c - p) <= QUAD_AGREE_RTOL * scale for c, p in zip(cur, prev)):
+            return level
+        prev = cur
+    return None
+
+
+def symmetric_unaligned_knots():
+    # no interior knot lies on a grid node at any level, t = 0 included
+    half = np.array([0.0173, 0.061, 0.1337, 0.2011, 0.29, 0.3583, 0.4419, 0.5])
+    return np.concatenate((-half[::-1], half))
 
 
 def test_exponent_validation():
@@ -110,7 +145,7 @@ def test_certification_suite_seeded():
     assert len(results) == 20
     assert all(r.status == "holds" for r in results)
     again = run_certification(seed=123, n_trials=10, lambdas=(1.0, 8.0))
-    assert [r.lhs for r in results] == [r.lhs for r in again]
+    assert [(r.lhs, r.rhs) for r in results] == [(r.lhs, r.rhs) for r in again]
 
 
 def test_ratio_closed_form_and_slope():
@@ -118,6 +153,14 @@ def test_ratio_closed_form_and_slope():
     assert conventional_vs_new_ratio(1.0, 0.5, 0.2) == pytest.approx(c, rel=1e-14)
     assert conventional_vs_new_ratio(100.0, 0.5, 0.2) == pytest.approx(c / 10.0, rel=1e-14)
     assert ratio_log_slope((1.0, 2.0, 4.0, 8.0)) == pytest.approx(-0.5, abs=1e-12)
+
+
+def test_ratio_slope_fits_distinct_lambdas_only():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ratio_log_slope((2.0, 2.0)) is None
+        assert ratio_log_slope((4.0,)) is None
+        assert ratio_log_slope((1.0, 1.0, 2.0, 8.0, 8.0)) == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_ratio_dips_below_one_for_large_lambda():
@@ -135,3 +178,32 @@ def test_profile_input_validation():
     knots, values = random_profile(np.random.default_rng(0), 0.5)
     with pytest.raises(ValueError):
         volterra_carleman_check(knots, values, 1.0, 0.25)
+    with pytest.raises(ValueError):
+        volterra_carleman_check(knots, values, 1.0, 0.2, forms=VolterraForms(knots, 1.0 / 7.0))
+    with pytest.raises(ValueError):
+        volterra_carleman_check(
+            knots, values, 1.0, 0.2, forms=VolterraForms(symmetric_unaligned_knots(), 0.2)
+        )
+
+
+@pytest.mark.parametrize("knots", [np.linspace(-0.5, 0.5, 17), symmetric_unaligned_knots()])
+def test_forms_match_direct_trapezoid_sums(knots):
+    rng = np.random.default_rng(11)
+    forms = VolterraForms(knots, 0.2, lambdas=(1.0, 8.0))
+    for lam in (1.0, 8.0, 100.0):
+        for level in range(6, 13):
+            gram, kern = forms.at(lam, level)
+            for values in (rng.uniform(-1.0, 1.0, knots.size), knots.copy(), np.ones(knots.size)):
+                lhs, rhs_int = direct_sums(knots, values, lam, 0.2, level)
+                assert values @ kern @ values == pytest.approx(lhs, rel=1e-12, abs=0.0)
+                assert values @ gram @ values == pytest.approx(rhs_int, rel=1e-12, abs=0.0)
+
+
+def test_certification_stops_where_the_direct_sums_settle():
+    results = run_certification(seed=0, n_trials=10, lambdas=(1.0, 8.0))
+    rng = np.random.default_rng(0)
+    expected = []
+    for _ in range(10):
+        knots, values = random_profile(rng, 0.5)
+        expected += [direct_levels(knots, values, lam, 0.2) for lam in (1.0, 8.0)]
+    assert [r.levels for r in results] == expected

@@ -1,5 +1,6 @@
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,28 @@ def test_verify_carleman_passes_and_reports(workspace, tmp_path):
     assert manifest["counts"]["holds"] > 0
     report = (out / "report.txt").read_text()
     assert "log-log slope" in report
+    rows = [line.split() for line in report.splitlines()[1:] if not line.startswith("#")]
+    # one profile's lambda rows share its trial number
+    assert [(row[0], row[1]) for row in rows] == [
+        (str(trial), lam) for trial in range(2) for lam in ("1", "2", "4", "8")
+    ]
+
+
+def test_verify_carleman_repeated_lambda_reports_no_slope(tmp_path):
+    out = tmp_path / "carl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify-carleman", "--out", str(out), "--trials", "2", "--lambda", "2,2"])
+    assert code == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["slope"] is None
+    assert "slope" not in (out / "report.txt").read_text()
+
+
+def test_verify_carleman_rejects_nonpositive_trials(tmp_path):
+    for trials in ("0", "-3"):
+        out = tmp_path / f"t{trials}"
+        assert main(["verify-carleman", "--out", str(out), "--trials", trials]) == EXIT_PRECONDITION
+        assert not (out / "report.txt").exists()
 
 
 def test_verify_carleman_rejects_bad_weight_parameters(tmp_path):

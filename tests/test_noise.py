@@ -6,14 +6,11 @@ from mfgcoef.forward import ObservationData, stencil_bundle
 from mfgcoef.grid import GAMMA_TRACE, SPATIAL, Field, SpaceTimeGrid
 from mfgcoef.noise import (
     SLICE_ORDER,
-    CubicSpline1D,
     NoiseSpec,
     _field_generator,
     inject,
     regularized_fit,
     smooth_observations,
-    spline_derivative,
-    spline_fit,
 )
 
 
@@ -56,63 +53,6 @@ def analytic_obs(g=None):
         g11=Field(g, GAMMA_TRACE, v_x1(g.b, g.x2[:, None], g.t[None, :])),
         g12=Field(g, GAMMA_TRACE, p_x1(g.b, g.x2[:, None], g.t[None, :])),
     )
-
-
-def test_spline_interpolates_knots():
-    knots = np.linspace(0.0, 1.0, 11)
-    vals = np.sin(3.0 * knots)
-    s = spline_fit(knots, vals)
-    assert np.allclose(s(knots), vals, atol=1e-14)
-
-
-def test_spline_natural_ends():
-    knots = np.linspace(-1.0, 2.0, 9)
-    rng = np.random.default_rng(0)
-    s = spline_fit(knots, rng.standard_normal(9))
-    assert s.second[0] == 0.0
-    assert s.second[-1] == 0.0
-    assert s.derivative(knots[0], order=2) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_spline_against_scipy_natural():
-    # independent implementation of the same interpolant
-    knots = np.linspace(0.0, 2.0, 15)
-    rng = np.random.default_rng(1)
-    vals = rng.standard_normal(15)
-    mine = spline_fit(knots, vals)
-    ref = CubicSpline(knots, vals, bc_type="natural")
-    x = np.linspace(0.0, 2.0, 137)
-    assert np.allclose(mine(x), ref(x), atol=1e-11)
-    assert np.allclose(mine.derivative(x), ref(x, 1), atol=1e-10)
-    assert np.allclose(mine.derivative(x, order=2), ref(x, 2), atol=1e-9)
-
-
-def test_spline_fourth_order_in_the_interior():
-    # halving h should cut midpoint interpolation error ~16x (order 4 +- 0.3)
-    errs = []
-    for n in (17, 33):
-        knots = np.linspace(0.0, 1.0, n)
-        s = spline_fit(knots, np.sin(2.0 * np.pi * knots))
-        mids = 0.5 * (knots[:-1] + knots[1:])
-        core = mids[n // 4 : -n // 4]
-        errs.append(np.max(np.abs(s(core) - np.sin(2.0 * np.pi * core))))
-    order = np.log2(errs[0] / errs[1])
-    assert order == pytest.approx(4.0, abs=0.3)
-
-
-def test_spline_rejects_outside_range():
-    s = spline_fit(np.linspace(0.0, 1.0, 5), np.zeros(5))
-    with pytest.raises(ValueError):
-        s(1.0001)
-    with pytest.raises(ValueError):
-        spline_derivative(s, -0.1)
-
-
-def test_spline_input_validation():
-    with pytest.raises(ValueError):
-        spline_fit(np.array([0.0, 1.0]), np.zeros(2))
-    with pytest.raises(ValueError):
-        spline_fit(np.array([0.0, 1.0, 0.5]), np.zeros(3))
 
 
 def test_inject_zero_level_is_identity():
@@ -188,11 +128,9 @@ def test_regularized_laplacian_beats_interpolating_splines(seed):
     assert np.sum((fitted - noisy) ** 2) == pytest.approx(target, rel=1e-6)
 
     fit_lap = smooth_observations(noisy_obs, level).v0_lap
-    along_x1 = spline_fit(g.x1, noisy)
-    along_x2 = spline_fit(g.x2, noisy.T)
     spline_lap = (
-        np.stack([along_x1.derivative(x, order=2) for x in g.x1])
-        + np.stack([along_x2.derivative(x, order=2) for x in g.x2]).T
+        CubicSpline(g.x1, noisy, axis=0, bc_type="natural")(g.x1, 2)
+        + CubicSpline(g.x2, noisy, axis=1, bc_type="natural")(g.x2, 2)
     )
     fit_err = np.linalg.norm(fit_lap - exact)
     spline_err = np.linalg.norm(spline_lap - exact)
