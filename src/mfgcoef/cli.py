@@ -282,6 +282,11 @@ def cmd_sweep_lambda(args) -> int:
     cfg = _config_from_args(args)
     if not args.lam_list:
         raise ValueError("--lambda needs at least one value")
+    # each run is stored under its lambda's name, so names must not repeat
+    names = [f"{lam:g}" for lam in args.lam_list]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"--lambda values share the run name lam_{repeated[0]}")
     obs, cost, cost_rate, ds_manifest, ds_paths = _read_dataset(args.dataset)
     cfg = _adopt_dataset_config(cfg, ds_manifest)
     cfg.validate()

@@ -91,6 +91,9 @@ def read_field(path) -> Field:
         entries[key] = rest
     if MAGIC not in entries or int(entries[MAGIC]) != VERSION:
         raise ValueError(f"not a version-{VERSION} field container: {path}")
+    for key in ("rank", "counts", "grid", "payload"):
+        if key not in entries:
+            raise ValueError(f"field header has no {key!r} line: {path}")
     rank = entries["rank"]
     counts = tuple(int(s) for s in entries["counts"].split())
     grid = _parse_grid(entries["grid"].split())

@@ -7,7 +7,9 @@ k.  The density equation
     dp/dt - lap(p) - div(p grad(v)) = 0
 
 is solved on a fine grid by a backward-Euler scheme, centered in space
-with conservative flux differencing of the advection term.  The local
+with conservative flux differencing of the advection term; each step
+solves one sparse system for the interior unknowns only, with the
+Dirichlet boundary values moved to its right-hand side.  The local
 cost s(x, t) is then constructed so that the value equation holds exactly
 for the prescribed v, which requires the computed density to stay away
 from zero everywhere.  Observations (midpoint slices, Dirichlet traces,
@@ -146,21 +148,12 @@ class DerivativeBundle:
 
 @dataclass
 class GeneratedData:
-    """Forward run output: fine-grid fields plus restricted observations."""
+    """Forward run output, restricted to the inversion grid."""
 
-    spec: ForwardSpec
-    density: np.ndarray
-    cost: np.ndarray
-    cost_rate: np.ndarray
     observations: ObservationData
     cost_coarse: np.ndarray
     cost_rate_coarse: np.ndarray
     min_density: float
-
-
-def _interior_index(n1: int, n2: int) -> np.ndarray:
-    idx = np.arange(n1 * n2).reshape(n1, n2)
-    return idx[1:-1, 1:-1].ravel()
 
 
 def solve_density(
@@ -176,6 +169,10 @@ def solve_density(
     The advection term div(p grad v) is discretized conservatively:
     face fluxes (p_i + p_{i+1})/2 * (v_{i+1} - v_i)/h, then
     differenced.  Coefficients are evaluated at the new time level.
+    Each step solves for the interior unknowns only: the five-point
+    operator couples an interior node to its interior neighbours, and
+    the Dirichlet values of its boundary neighbours move to the
+    right-hand side.
     """
     g = spec.grid
     n1, n2 = g.n1, g.n2
@@ -185,23 +182,24 @@ def solve_density(
     p[:, :, 0] = spec.density_init_fn(x1, x2)
 
     n_int = (n1 - 2) * (n2 - 2)
-    interior = _interior_index(n1, n2)
-    boundary_mask = np.ones((n1, n2), dtype=bool)
-    boundary_mask[1:-1, 1:-1] = False
-
     inv_h1sq = 1.0 / (g.h1 * g.h1)
     inv_h2sq = 1.0 / (g.h2 * g.h2)
 
-    # static five-point Laplacian stencil over the full node set
-    def full_matrix(v: np.ndarray) -> sp.csr_matrix:
-        rows, cols, vals = [], [], []
-        idx = np.arange(n1 * n2).reshape(n1, n2)
-        ii = idx[1:-1, 1:-1].ravel()
+    # interior numbering, and for east, west, north and south the interior
+    # nodes whose neighbour that way is interior too, with its number
+    k = np.arange(n_int).reshape(n1 - 2, n2 - 2)
+    links = (
+        (np.s_[:-1, :], k[1:, :]),
+        (np.s_[1:, :], k[:-1, :]),
+        (np.s_[:, :-1], k[:, 1:]),
+        (np.s_[:, 1:], k[:, :-1]),
+    )
+    rows = np.concatenate([k.ravel()] + [k[sel].ravel() for sel, _ in links])
+    cols = np.concatenate([k.ravel()] + [nbr.ravel() for _, nbr in links])
 
-        def add(coef: np.ndarray, target: np.ndarray) -> None:
-            rows.append(ii)
-            cols.append(target.ravel())
-            vals.append(coef.ravel())
+    for n in range(1, g.nt):
+        t = g.t[n]
+        v = spec.value_fn(x1, x2, t)
 
         # advection coefficients from half-node fluxes of dv
         a_e = (v[2:, 1:-1] - v[1:-1, 1:-1]) / g.h1
@@ -216,33 +214,29 @@ def solve_density(
             - 0.5 * (a_e - a_w) / g.h1
             - 0.5 * (a_n - a_s) / g.h2
         )
-        add(center, idx[1:-1, 1:-1])
-        add(-inv_h1sq - 0.5 * a_e / g.h1, idx[2:, 1:-1])
-        add(-inv_h1sq + 0.5 * a_w / g.h1, idx[:-2, 1:-1])
-        add(-inv_h2sq - 0.5 * a_n / g.h2, idx[1:-1, 2:])
-        add(-inv_h2sq + 0.5 * a_s / g.h2, idx[1:-1, :-2])
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n1 * n2, n1 * n2),
+        east = -inv_h1sq - 0.5 * a_e / g.h1
+        west = -inv_h1sq + 0.5 * a_w / g.h1
+        north = -inv_h2sq - 0.5 * a_n / g.h2
+        south = -inv_h2sq + 0.5 * a_s / g.h2
+        vals = np.concatenate(
+            [center.ravel()]
+            + [c[sel].ravel() for c, (sel, _) in zip((east, west, north, south), links)]
         )
-        return mat.tocsr()
+        mat = sp.csc_matrix((vals, (rows, cols)), shape=(n_int, n_int))
 
-    for n in range(1, g.nt):
-        t = g.t[n]
-        v = spec.value_fn(x1, x2, t)
-        mat = full_matrix(v)
-
-        bvals = np.where(boundary_mask, spec.density_boundary_fn(x1, x2, t), 0.0)
-        rhs_full = p[:, :, n - 1] / g.ht
+        # Dirichlet data; the zeroed interior drops interior neighbours
+        # from the coupling, summed in the neighbours' node order
+        p[:, :, n] = spec.density_boundary_fn(x1, x2, t)
+        p[1:-1, 1:-1, n] = 0.0
+        b = p[:, :, n]
+        coupling = (
+            west * b[:-2, 1:-1] + south * b[1:-1, :-2] + north * b[1:-1, 2:] + east * b[2:, 1:-1]
+        )
+        rhs = p[:, :, n - 1] / g.ht
         if source is not None:
-            rhs_full = rhs_full + source(x1, x2, t)
-        rhs = rhs_full.ravel()[interior] - (mat @ bvals.ravel())[interior]
-
-        a_int = mat[interior][:, interior]
-        sol = spsolve(a_int.tocsc(), rhs)
-        slab = bvals.copy()
-        slab.ravel()[interior] = sol
-        p[:, :, n] = slab
+            rhs = rhs + source(x1, x2, t)
+        sol = spsolve(mat, (rhs[1:-1, 1:-1] - coupling).ravel())
+        p[1:-1, 1:-1, n] = sol.reshape(n1 - 2, n2 - 2)
 
     return p, float(np.min(np.abs(p)))
 
@@ -335,10 +329,6 @@ def generate(spec: ForwardSpec, coarse: SpaceTimeGrid) -> GeneratedData:
     obs = extract_observations(spec, density, coarse)
     s1, s2, st_stride = restriction_strides(spec.grid, coarse)
     return GeneratedData(
-        spec=spec,
-        density=density,
-        cost=s,
-        cost_rate=st,
         observations=obs,
         cost_coarse=s[::s1, ::s2, ::st_stride],
         cost_rate_coarse=st[::s1, ::s2, ::st_stride],

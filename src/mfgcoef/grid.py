@@ -324,28 +324,6 @@ def laplacian(f: Field) -> Field:
     return Field(f.grid, f.rank, out)
 
 
-def volterra(f: Field) -> Field:
-    """Signed running time integral anchored at t = horizon/2.
-
-    Output slice j holds the trapezoid integral of f from the midpoint to
-    t_j (negative for j below the midpoint).  The midpoint slice is zero.
-    """
-    _require_rank(f, SPACE_TIME)
-    g = f.grid
-    v = volterra_matrix(g.nt, g.ht, g.mid_index)
-    return Field(g, SPACE_TIME, apply_along_axis(v, f.values, 2))
-
-
-def integrate_y2(f: Field) -> np.ndarray:
-    """Trapezoid integral over the x2 axis.
-
-    Returns an (n1,) array for spatial input and (n1, nt) for space-time.
-    """
-    _require_rank(f, SPATIAL, SPACE_TIME)
-    w = trapezoid_weights(f.grid.n2, f.grid.h2)
-    return np.tensordot(f.values, w, axes=([1], [0]))
-
-
 class H2Form:
     """The squared discrete H2 norm over the space-time slab, z . H z.
 

@@ -119,15 +119,17 @@ def test_criterion_05_noiseless_benchmark_reconstruction(bench_outcome):
 def test_criterion_06_lambda_sweep_shape(bench):
     cfg, data = bench
     errors = {}
+    stops = {}
     for lam in (0.0, 1.0, 2.0, 3.0, 4.0, 10.0):
         out = run_inversion(
             cfg.replace(lam=lam), data.observations, data.cost_coarse, data.cost_rate_coarse
         )
         errors[lam] = out.metrics.rel_l2
+        stops[lam] = f"{out.result.stop_reason}@{out.result.iterations}"
     best = min(errors, key=errors.get)
     low = min(errors[3.0], errors[4.0])
     ok = best in (3.0, 4.0) and errors[0.0] > low and errors[10.0] > low
-    detail = " ".join(f"lam={l:g}:{e:.4f}" for l, e in errors.items())
+    detail = " ".join(f"lam={l:g}:{e:.4f}({stops[l]})" for l, e in errors.items())
     verdict(6, ok, detail)
 
 

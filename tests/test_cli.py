@@ -7,7 +7,7 @@ import pytest
 
 from mfgcoef.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, main
 from mfgcoef.fieldio import read_field, read_pgm, write_field
-from mfgcoef.grid import Field
+from mfgcoef.grid import SPATIAL, Field, SpaceTimeGrid
 
 SMALL_INI = """\
 [grid]
@@ -199,6 +199,18 @@ def test_sweep_lambda_rejects_empty_list(workspace):
     assert code == EXIT_PRECONDITION
 
 
+def test_sweep_lambda_rejects_lambdas_with_one_run_name(workspace, tmp_path):
+    root, config, dataset = workspace
+    for raw in ("3,3", "3,3.0000001"):
+        out = tmp_path / f"sweep_{raw}"
+        code = main([
+            "sweep-lambda", "--config", str(config), str(dataset),
+            "--out", str(out), "--lambda", raw,
+        ])
+        assert code == EXIT_PRECONDITION
+        assert not out.exists()
+
+
 def test_verify_carleman_passes_and_reports(workspace, tmp_path):
     out = tmp_path / "carl"
     code = main(["verify-carleman", "--out", str(out), "--trials", "2"])
@@ -264,3 +276,15 @@ def test_render_rejects_malformed_slice(inverted):
     _, inv = inverted
     with pytest.raises(SystemExit):
         main(["render", str(inv / "u.field"), "--slice", "0.5"])
+
+
+def test_render_rejects_field_without_rank_and_grid_lines(tmp_path, capsys):
+    path = tmp_path / "bad.field"
+    grid = SpaceTimeGrid(a=1.0, b=2.0, half_width=0.5, horizon=1.0, n1=5, n2=5, nt=5)
+    write_field(path, Field(grid, SPATIAL, np.ones((5, 5))))
+    raw = path.read_bytes()
+    head, sep, payload = raw.partition(b"\nend\n")
+    kept = [line for line in head.split(b"\n") if not line.startswith((b"rank ", b"grid "))]
+    path.write_bytes(b"\n".join(kept) + sep + payload)
+    assert main(["render", str(path), "--out", str(tmp_path / "r")]) == EXIT_PRECONDITION
+    assert "'rank'" in capsys.readouterr().err

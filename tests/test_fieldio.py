@@ -63,6 +63,18 @@ def test_container_rejects_wrong_magic(tmp_path):
         read_field(path)
 
 
+@pytest.mark.parametrize("key", ["rank", "counts", "grid", "payload"])
+def test_container_names_a_missing_header_line(tmp_path, key):
+    path = tmp_path / "f.field"
+    write_field(path, random_field(small_grid(), SPATIAL))
+    raw = path.read_bytes()
+    head, sep, payload = raw.partition(b"\nend\n")
+    kept = [line for line in head.split(b"\n") if line.split(b" ")[0] != key.encode()]
+    path.write_bytes(b"\n".join(kept) + sep + payload)
+    with pytest.raises(ValueError, match=f"no '{key}' line"):
+        read_field(path)
+
+
 @pytest.mark.parametrize("rank", RANKS)
 def test_csv_round_trip_is_exact(tmp_path, rank):
     field = random_field(small_grid(), rank, seed=3)

@@ -13,12 +13,10 @@ from mfgcoef.grid import (
     ddx1,
     ddx2,
     first_diff_matrix,
-    integrate_y2,
     laplacian,
     restriction_strides,
     second_diff_matrix,
     trapezoid_weights,
-    volterra,
     volterra_matrix,
 )
 
@@ -97,10 +95,16 @@ def test_refinement_halves_error_by_about_four():
     assert 3.5 <= ratio <= 4.5
 
 
+def running_integral(f):
+    """Signed trapezoid integral in time from the midpoint slice."""
+    g = f.grid
+    return apply_along_axis(volterra_matrix(g.nt, g.ht, g.mid_index), f.values, 2)
+
+
 def test_volterra_of_constant():
     g = base_grid(n1=5, n2=5, nt=11)
     f = Field(g, SPACE_TIME, np.ones(g.spacetime_shape()))
-    out = volterra(f).values
+    out = running_integral(f)
     expect = g.t - 0.5 * g.horizon
     assert np.allclose(out[2, 3], expect, atol=1e-14)
     assert out[0, 0, g.mid_index] == 0.0
@@ -110,7 +114,7 @@ def test_volterra_additivity():
     g = base_grid(n1=4, n2=3, nt=9)
     rng = np.random.default_rng(7)
     f = Field(g, SPACE_TIME, rng.standard_normal(g.spacetime_shape()))
-    out = volterra(f).values
+    out = running_integral(f)
     w = f.values
     # difference of running integrals equals the direct trapezoid over [t_i, t_j]
     for i, j in ((0, 8), (2, 5), (4, 7), (1, 3)):
@@ -126,7 +130,7 @@ def test_volterra_matrix_midpoint_row_is_zero():
 def test_integrate_y2_constant():
     g = base_grid()
     f = Field(g, SPATIAL, np.ones(g.spatial_shape()))
-    out = integrate_y2(f)
+    out = f.values @ trapezoid_weights(g.n2, g.h2)
     assert out.shape == (g.n1,)
     assert np.allclose(out, 2.0 * g.half_width, atol=1e-14)
 
