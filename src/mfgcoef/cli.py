@@ -182,6 +182,8 @@ def cmd_generate(args) -> int:
         "versions": _versions(),
         "measurements": {
             "min_density": data.min_density,
+            "factorizations": data.factorizations,
+            "refinement_sweeps": data.refinement_sweeps,
             "denominator_min_abs": float(np.abs(denom.values).min()),
         },
         "outputs": _hash_map(paths),

@@ -84,7 +84,10 @@ def write_field(path, field: Field) -> None:
 def read_field(path) -> Field:
     with open(path, "rb") as fh:
         raw = fh.read()
-    head_end = raw.index(b"\nend\n") + len(b"\nend\n")
+    head_end = raw.find(b"\nend\n")
+    if head_end < 0:
+        raise ValueError(f"field header has no 'end' line: {path}")
+    head_end += len(b"\nend\n")
     entries = {}
     for line in raw[:head_end].decode("ascii").splitlines():
         key, _, rest = line.partition(" ")

@@ -9,7 +9,9 @@ k.  The density equation
 is solved on a fine grid by a backward-Euler scheme, centered in space
 with conservative flux differencing of the advection term; each step
 solves one sparse system for the interior unknowns only, with the
-Dirichlet boundary values moved to its right-hand side.  The local
+Dirichlet boundary values moved to its right-hand side.  One LU factor
+is kept across steps and each solve is refined with it; a step it cannot
+refine is factored afresh.  The local
 cost s(x, t) is then constructed so that the value equation holds exactly
 for the prescribed v, which requires the computed density to stay away
 from zero everywhere.  Observations (midpoint slices, Dirichlet traces,
@@ -24,7 +26,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from .grid import (
     BOUNDARY_TRACE,
@@ -44,6 +46,11 @@ from .grid import (
 from .kernels import InteractionOperator, LineGaussianKernel
 
 DENSITY_FLOOR = 1e-8
+# a refined step stops at a residual of a few ulps of its right-hand side
+REFINE_RTOL = 1e-14
+# a kept factor that needs more solves than this per step no longer
+# matches the step's matrix closely enough to be worth keeping
+MAX_SWEEPS = 6
 
 SpaceTimeFn = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 SpatialFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -154,17 +161,54 @@ class GeneratedData:
     cost_coarse: np.ndarray
     cost_rate_coarse: np.ndarray
     min_density: float
+    factorizations: int
+    refinement_sweeps: int
+
+
+@dataclass
+class DensitySolution:
+    """Density on the fine grid, its minimum |p|, and the linear-algebra work.
+
+    ``factorizations`` counts sparse LU factorizations and
+    ``refinement_sweeps`` the solves with a kept factor; both depend on
+    the data only, so they repeat exactly from run to run.
+    """
+
+    density: np.ndarray
+    min_density: float
+    factorizations: int
+    refinement_sweeps: int
+
+
+def _refined_solve(lu, mat, rhs: np.ndarray) -> Tuple[Optional[np.ndarray], int]:
+    """Solve ``mat x = rhs`` by iterative refinement with the factor ``lu``.
+
+    Each sweep solves for the current residual with ``lu`` (the first
+    sweep, from x = 0, is the plain solve).  Returns the solution, or None
+    when MAX_SWEEPS sweeps do not bring the residual under
+    REFINE_RTOL ||rhs||, and the number of sweeps made.
+    """
+    bound = REFINE_RTOL * np.linalg.norm(rhs)
+    sol = np.zeros_like(rhs)
+    residual = rhs
+    for sweep in range(1, MAX_SWEEPS + 1):
+        sol += lu.solve(residual)
+        residual = rhs - mat @ sol
+        if np.linalg.norm(residual) <= bound:
+            return sol, sweep
+    return None, MAX_SWEEPS
 
 
 def solve_density(
     spec: ForwardSpec,
     source: Optional[SpaceTimeFn] = None,
-) -> Tuple[np.ndarray, float]:
+) -> DensitySolution:
     """Backward-Euler solve of the density equation on the fine grid.
 
-    Returns the density on the full space-time grid and its minimum
+    Returns the density on the full space-time grid, its minimum
     absolute value (the caller decides whether that is close enough to
-    zero to matter; ``make_s`` enforces the hard floor).
+    zero to matter; ``make_s`` enforces the hard floor), and the counts of
+    factorizations and refinement sweeps.
 
     The advection term div(p grad v) is discretized conservatively:
     face fluxes (p_i + p_{i+1})/2 * (v_{i+1} - v_i)/h, then
@@ -173,6 +217,12 @@ def solve_density(
     operator couples an interior node to its interior neighbours, and
     the Dirichlet values of its boundary neighbours move to the
     right-hand side.
+
+    The step matrix changes only through the drift at the new time, so
+    one LU factor serves many steps: each step is solved by iterative
+    refinement with the kept factor until ||b - Ax|| <= REFINE_RTOL ||b||.
+    When MAX_SWEEPS sweeps do not get there, the current step's matrix is
+    factored afresh and its direct solve is taken, as at the first step.
     """
     g = spec.grid
     n1, n2 = g.n1, g.n2
@@ -196,7 +246,16 @@ def solve_density(
     )
     rows = np.concatenate([k.ravel()] + [k[sel].ravel() for sel, _ in links])
     cols = np.concatenate([k.ravel()] + [nbr.ravel() for _, nbr in links])
+    # the pattern never changes: build the CSC once and keep where each
+    # COO entry lands, so a step only refills the values
+    mat = sp.csc_matrix(
+        (np.arange(rows.size, dtype=float), (rows, cols)), shape=(n_int, n_int)
+    )
+    order = mat.data.astype(np.intp)
 
+    lu = None
+    factorizations = 0
+    sweeps = 0
     for n in range(1, g.nt):
         t = g.t[n]
         v = spec.value_fn(x1, x2, t)
@@ -222,7 +281,7 @@ def solve_density(
             [center.ravel()]
             + [c[sel].ravel() for c, (sel, _) in zip((east, west, north, south), links)]
         )
-        mat = sp.csc_matrix((vals, (rows, cols)), shape=(n_int, n_int))
+        np.take(vals, order, out=mat.data)
 
         # Dirichlet data; the zeroed interior drops interior neighbours
         # from the coupling, summed in the neighbours' node order
@@ -235,10 +294,17 @@ def solve_density(
         rhs = p[:, :, n - 1] / g.ht
         if source is not None:
             rhs = rhs + source(x1, x2, t)
-        sol = spsolve(mat, (rhs[1:-1, 1:-1] - coupling).ravel())
+        rhs = (rhs[1:-1, 1:-1] - coupling).ravel()
+
+        sol, done = (None, 0) if lu is None else _refined_solve(lu, mat, rhs)
+        sweeps += done
+        if sol is None:
+            lu = splu(mat, permc_spec="MMD_AT_PLUS_A")
+            factorizations += 1
+            sol = lu.solve(rhs)
         p[1:-1, 1:-1, n] = sol.reshape(n1 - 2, n2 - 2)
 
-    return p, float(np.min(np.abs(p)))
+    return DensitySolution(p, float(np.min(np.abs(p))), factorizations, sweeps)
 
 
 def make_s(spec: ForwardSpec, density: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -324,15 +390,17 @@ def extract_observations(
 
 def generate(spec: ForwardSpec, coarse: SpaceTimeGrid) -> GeneratedData:
     """Full forward pass: solve, build the cost, restrict everything."""
-    density, min_density = solve_density(spec)
-    s, st = make_s(spec, density)
-    obs = extract_observations(spec, density, coarse)
+    solution = solve_density(spec)
+    s, st = make_s(spec, solution.density)
+    obs = extract_observations(spec, solution.density, coarse)
     s1, s2, st_stride = restriction_strides(spec.grid, coarse)
     return GeneratedData(
         observations=obs,
         cost_coarse=s[::s1, ::s2, ::st_stride],
         cost_rate_coarse=st[::s1, ::s2, ::st_stride],
-        min_density=min_density,
+        min_density=solution.min_density,
+        factorizations=solution.factorizations,
+        refinement_sweeps=solution.refinement_sweeps,
     )
 
 

@@ -42,11 +42,28 @@ def test_generate_writes_dataset_and_manifest(workspace):
     assert manifest["command"] == "generate"
     assert manifest["config"]["coarse"] == [21, 21, 5]
     assert manifest["measurements"]["min_density"] > 0
+    assert manifest["measurements"]["factorizations"] >= 1
+    assert isinstance(manifest["measurements"]["refinement_sweeps"], int)
     assert set(manifest["outputs"]) == {
         "v0", "p0", "g01", "g02", "g11", "g12", "cost", "cost_rate",
     }
     grid = read_field(dataset / "v0.field").grid
     assert (grid.n1, grid.n2, grid.nt) == (21, 21, 5)
+
+
+def test_generate_rerun_is_bit_identical(workspace):
+    root, config, dataset = workspace
+    manifests = []
+    for name in ("ga", "gb"):
+        out = root / name
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    a, b = manifests
+    hashes = [{k: v["sha256"] for k, v in m["outputs"].items()} for m in manifests]
+    assert len(hashes[0]) == 8
+    assert hashes[0] == hashes[1]
+    # the refactor decisions repeat too, not just the bytes they produce
+    assert a["measurements"] == b["measurements"]
 
 
 def test_generate_refuses_nonempty_dir_without_force(workspace):
@@ -288,3 +305,10 @@ def test_render_rejects_field_without_rank_and_grid_lines(tmp_path, capsys):
     path.write_bytes(b"\n".join(kept) + sep + payload)
     assert main(["render", str(path), "--out", str(tmp_path / "r")]) == EXIT_PRECONDITION
     assert "'rank'" in capsys.readouterr().err
+
+
+def test_render_rejects_field_without_end_line(tmp_path, capsys):
+    path = tmp_path / "bad.field"
+    path.write_bytes(b"mfgcoef-field 1\nrank spatial\n")
+    assert main(["render", str(path), "--out", str(tmp_path / "r")]) == EXIT_PRECONDITION
+    assert "'end'" in capsys.readouterr().err

@@ -75,6 +75,14 @@ def test_container_names_a_missing_header_line(tmp_path, key):
         read_field(path)
 
 
+def test_container_names_a_missing_end_line(tmp_path):
+    path = tmp_path / "f.field"
+    path.write_bytes(b"mfgcoef-field 1\nrank spatial\n")
+    with pytest.raises(ValueError, match="no 'end' line") as info:
+        read_field(path)
+    assert str(path) in str(info.value)
+
+
 @pytest.mark.parametrize("rank", RANKS)
 def test_csv_round_trip_is_exact(tmp_path, rank):
     field = random_field(small_grid(), rank, seed=3)

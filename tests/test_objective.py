@@ -160,7 +160,7 @@ def test_coefficient_identity_on_consistent_data():
         coefficient=k_fine,
         kernel=KERNEL,
     )
-    density, _ = solve_density(spec)
+    density = solve_density(spec).density
     obs = extract_observations(spec, density, coarse)
     s, st = make_s(spec, density)
     s1, s2, st_stride = 2, 2, 4
