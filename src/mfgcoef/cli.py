@@ -91,18 +91,23 @@ def _hash_map(paths: dict) -> dict:
     return {name: {"path": p, "sha256": _sha256(p)} for name, p in paths.items()}
 
 
+# config overrides, each registered only on the subcommands that read it
+OVERRIDE_FLAGS = {
+    "seed": dict(type=int, help="seed override: the noise stream of an inversion, "
+                 "the random profiles of a certification"),
+    "delta": dict(type=float, help="relative noise level override"),
+    "letter": dict(choices=LETTERS, help="phantom letter override"),
+    "contrast": dict(type=float, help="inside value override"),
+}
+
+
 def _config_from_args(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     overrides = {}
-    for attr, field in (
-        ("seed", "seed"),
-        ("delta", "delta"),
-        ("letter", "letter"),
-        ("contrast", "contrast"),
-    ):
-        value = getattr(args, attr, None)
+    for name in OVERRIDE_FLAGS:
+        value = getattr(args, name, None)
         if value is not None:
-            overrides[field] = value
+            overrides[name] = value
     if getattr(args, "out", None):
         overrides["output_root"] = args.out
     if overrides:
@@ -425,33 +430,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset=False):
+    def common(p, overrides, dataset=False):
         p.add_argument("--config", help="INI config file; defaults are the benchmark setup")
         p.add_argument("--out", help="output directory (default: under the output root)")
         p.add_argument("--force", action="store_true", help="overwrite a non-empty output directory")
-        p.add_argument("--seed", type=int, help="noise stream seed override")
-        p.add_argument("--delta", type=float, help="relative noise level override")
-        p.add_argument("--letter", choices=LETTERS, help="phantom letter override")
-        p.add_argument("--contrast", type=float, help="inside value override")
+        for name in overrides:
+            p.add_argument("--" + name, **OVERRIDE_FLAGS[name])
         if dataset:
             p.add_argument("dataset", help="dataset directory from a generate run")
 
+    # an inversion adopts the phantom of its dataset, and generation has no
+    # noise, so each command takes only the overrides it reads
     p = sub.add_parser("generate", help="forward-solve the benchmark and write a dataset")
-    common(p)
+    common(p, ("letter", "contrast"))
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("invert", help="reconstruct the coefficient from a dataset")
-    common(p, dataset=True)
+    common(p, ("delta", "seed"), dataset=True)
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("sweep-lambda", help="repeat the inversion across weight strengths")
-    common(p, dataset=True)
+    common(p, ("delta", "seed"), dataset=True)
     p.add_argument("--lambda", dest="lam_list", type=_parse_lambda_list, required=True,
                    help="comma-separated weight strengths, e.g. 0,1,2,3,4,10")
     p.set_defaults(func=cmd_sweep_lambda)
 
     p = sub.add_parser("verify-carleman", help="certify the weighted integral inequality")
-    common(p)
+    common(p, ("seed",))
     p.add_argument("--lambda", dest="lam_list", type=_parse_lambda_list,
                    help="weight strengths to certify (default 1,2,4,8)")
     p.add_argument("--trials", type=int, default=100, help="random profiles per strength")

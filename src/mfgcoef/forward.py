@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .grid import (
     BOUNDARY_TRACE,
@@ -202,9 +200,11 @@ def _refined_solve(lu, mat, rhs: np.ndarray) -> Tuple[Optional[np.ndarray], int]
 def solve_density(
     spec: ForwardSpec,
     source: Optional[SpaceTimeFn] = None,
+    value: Optional[np.ndarray] = None,
 ) -> DensitySolution:
     """Backward-Euler solve of the density equation on the fine grid.
 
+    ``value`` is ``spec.value_on_grid()``, sampled here when not given.
     Returns the density on the full space-time grid, its minimum
     absolute value (the caller decides whether that is close enough to
     zero to matter; ``make_s`` enforces the hard floor), and the counts of
@@ -224,9 +224,16 @@ def solve_density(
     When MAX_SWEEPS sweeps do not get there, the current step's matrix is
     factored afresh and its direct solve is taken, as at the first step.
     """
+    # imported here so that commands which never solve the density start
+    # without scipy's sparse modules
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
     g = spec.grid
     n1, n2 = g.n1, g.n2
     x1, x2 = g.meshgrid()
+    if value is None:
+        value = spec.value_on_grid()
 
     p = np.empty(g.spacetime_shape())
     p[:, :, 0] = spec.density_init_fn(x1, x2)
@@ -258,7 +265,7 @@ def solve_density(
     sweeps = 0
     for n in range(1, g.nt):
         t = g.t[n]
-        v = spec.value_fn(x1, x2, t)
+        v = value[:, :, n]
 
         # advection coefficients from half-node fluxes of dv
         a_e = (v[2:, 1:-1] - v[1:-1, 1:-1]) / g.h1
@@ -307,7 +314,9 @@ def solve_density(
     return DensitySolution(p, float(np.min(np.abs(p))), factorizations, sweeps)
 
 
-def make_s(spec: ForwardSpec, density: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def make_s(
+    spec: ForwardSpec, density: np.ndarray, value: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
     """Construct the local cost s so the value equation holds for the data.
 
         s = [v_t + lap(v) - |grad v|^2 / 2 - k * (interaction of p)] / p
@@ -315,7 +324,8 @@ def make_s(spec: ForwardSpec, density: np.ndarray) -> Tuple[np.ndarray, np.ndarr
     All derivatives of the sampled value function are taken with the grid
     stencils.  The division requires |p| >= 1e-8 at every node; the error
     message names the first offending node.  The rate s_t comes from
-    central time differences of s.
+    central time differences of s.  ``value`` is ``spec.value_on_grid()``,
+    sampled here when not given.
     """
     g = spec.grid
     if density.shape != g.spacetime_shape():
@@ -329,7 +339,9 @@ def make_s(spec: ForwardSpec, density: np.ndarray) -> Tuple[np.ndarray, np.ndarr
             "the cost construction would blow up"
         )
 
-    v = Field(g, SPACE_TIME, spec.value_on_grid())
+    if value is None:
+        value = spec.value_on_grid()
+    v = Field(g, SPACE_TIME, value)
     vt = ddt(v).values
     vlap = laplacian(v).values
     vx1 = ddx1(v).values
@@ -343,18 +355,21 @@ def make_s(spec: ForwardSpec, density: np.ndarray) -> Tuple[np.ndarray, np.ndarr
 
 
 def extract_observations(
-    spec: ForwardSpec, density: np.ndarray, coarse: SpaceTimeGrid
+    spec: ForwardSpec,
+    density: np.ndarray,
+    coarse: SpaceTimeGrid,
+    value: Optional[np.ndarray] = None,
 ) -> ObservationData:
     """Restrict fine-grid fields to the inversion grid's observation set.
 
     Neumann traces at x1 = b are formed on the fine grid (3-point
-    one-sided, second order) before subsampling in (x2, t).
+    one-sided, second order) before subsampling in (x2, t).  ``value`` is
+    ``spec.value_on_grid()``, sampled here when not given.
     """
     g = spec.grid
     s1, s2, st_ = restriction_strides(g, coarse)
-    x1, x2 = g.meshgrid()
 
-    v = spec.value_on_grid()
+    v = spec.value_on_grid() if value is None else value
     mid = g.mid_index
     v0 = v[::s1, ::s2, mid]
     p0 = density[::s1, ::s2, mid]
@@ -389,10 +404,14 @@ def extract_observations(
 
 
 def generate(spec: ForwardSpec, coarse: SpaceTimeGrid) -> GeneratedData:
-    """Full forward pass: solve, build the cost, restrict everything."""
-    solution = solve_density(spec)
-    s, st = make_s(spec, solution.density)
-    obs = extract_observations(spec, solution.density, coarse)
+    """Full forward pass: solve, build the cost, restrict everything.
+
+    The value function is sampled once and shared by all three stages.
+    """
+    value = spec.value_on_grid()
+    solution = solve_density(spec, value=value)
+    s, st = make_s(spec, solution.density, value)
+    obs = extract_observations(spec, solution.density, coarse, value)
     s1, s2, st_stride = restriction_strides(spec.grid, coarse)
     return GeneratedData(
         observations=obs,

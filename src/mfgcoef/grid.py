@@ -194,10 +194,24 @@ def trapezoid_weights(n: int, h: float) -> np.ndarray:
 
 
 def apply_along_axis(mat: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a dense (n, n) matrix along one axis of an nd-array."""
-    moved = np.moveaxis(values, axis, 0)
+    """Apply a dense (m, n) matrix along one axis of an nd-array.
+
+    The axis is brought to the front by one transpose, the rest is
+    flattened into columns and multiplied as ``mat @ X``, and the result
+    is transposed back.  This is the same GEMM, on the same operands, as
+    the ``np.moveaxis`` form, and the output has the same strides, so
+    results (and reductions over them in memory order) match it bit for
+    bit; only the per-call axis bookkeeping is gone.
+    """
+    if axis == 0:
+        out = mat @ values.reshape(mat.shape[1], -1)
+        return out.reshape((mat.shape[0],) + values.shape[1:])
+    ndim = values.ndim
+    front = (axis,) + tuple(i for i in range(ndim) if i != axis)
+    moved = values.transpose(front)
     out = mat @ moved.reshape(mat.shape[1], -1)
-    return np.moveaxis(out.reshape((mat.shape[0],) + moved.shape[1:]), 0, axis)
+    back = tuple(range(1, axis + 1)) + (0,) + tuple(range(axis + 1, ndim))
+    return out.reshape((mat.shape[0],) + moved.shape[1:]).transpose(back)
 
 
 @dataclass

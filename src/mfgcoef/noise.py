@@ -25,7 +25,6 @@ from math import comb
 from typing import Tuple
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .forward import DerivativeBundle, ObservationData, stencil_bundle
 from .grid import FACES, GAMMA_TRACE, SPATIAL, Field
@@ -137,6 +136,10 @@ def regularized_fit(values: np.ndarray, level: float, order: int) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if level == 0.0:
         return values.copy()
+    # imported here so that commands which never fit noisy data start
+    # without scipy's linear-algebra modules
+    from scipy.linalg import solveh_banded
+
     band = _penalty_band(values.shape, order)
     y = values.ravel()
     target = level * level / 12.0 * float(y @ y)

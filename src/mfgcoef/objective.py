@@ -357,6 +357,7 @@ def convexity_gap(ctx: ObjectiveContext, first: Iterate, second: Iterate) -> Tup
     the residual terms only help.
     """
     diff = Iterate(second.u - first.u, second.m - first.m)
-    gap = evaluate(ctx, second) - evaluate(ctx, first) - dot(gradient(ctx, first), diff)
+    value, grad = value_and_gradient(ctx, first)
+    gap = evaluate(ctx, second) - value - dot(grad, diff)
     h2 = ctx.h2.norm_sq(diff.u) + ctx.h2.norm_sq(diff.m)
     return float(gap), float(h2)

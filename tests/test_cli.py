@@ -1,10 +1,15 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfgcoef
 from mfgcoef.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, main
 from mfgcoef.fieldio import read_field, read_pgm, write_field
 from mfgcoef.grid import SPATIAL, Field, SpaceTimeGrid
@@ -312,3 +317,58 @@ def test_render_rejects_field_without_end_line(tmp_path, capsys):
     path.write_bytes(b"mfgcoef-field 1\nrank spatial\n")
     assert main(["render", str(path), "--out", str(tmp_path / "r")]) == EXIT_PRECONDITION
     assert "'end'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--delta", "0.03"],
+    ["generate", "--seed", "3"],
+    ["invert", "DATASET", "--letter", "Omega"],
+    ["invert", "DATASET", "--contrast", "8"],
+    ["sweep-lambda", "DATASET", "--lambda", "1", "--letter", "Omega"],
+    ["sweep-lambda", "DATASET", "--lambda", "1", "--contrast", "8"],
+    ["verify-carleman", "--delta", "0.03"],
+    ["verify-carleman", "--letter", "Omega"],
+    ["verify-carleman", "--contrast", "8"],
+])
+def test_override_flags_a_command_would_ignore_are_rejected(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def _run_child(code: str, cwd: Path) -> subprocess.CompletedProcess:
+    src = str(Path(mfgcoef.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_scipy_solvers_load_only_for_commands_that_call_them(tmp_path):
+    # certification never touches a sparse or dense solver, so a fresh
+    # interpreter must not pay for importing them
+    certify = _run_child(
+        "import sys\n"
+        "import mfgcoef.cli as cli\n"
+        "assert cli.main(['verify-carleman', '--trials', '2', '--seed', '1',"
+        " '--out', 'carl']) == 0\n"
+        "print(sorted(m for m in ('scipy.sparse', 'scipy.linalg') if m in sys.modules))\n",
+        tmp_path,
+    )
+    assert certify.returncode == 0, certify.stderr
+    assert certify.stdout.splitlines()[-1] == "[]"
+
+    # generation solves the density, so the import still happens there
+    smoke = Path(__file__).resolve().parents[1] / "benchmarks" / "data" / "smoke.ini"
+    generate = _run_child(
+        "import sys\n"
+        "import mfgcoef.cli as cli\n"
+        f"assert cli.main(['generate', '--config', {str(smoke)!r}, '--out', 'ds']) == 0\n"
+        "print('scipy.sparse' in sys.modules)\n",
+        tmp_path,
+    )
+    assert generate.returncode == 0, generate.stderr
+    assert generate.stdout.splitlines()[-1] == "True"

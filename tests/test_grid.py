@@ -177,6 +177,33 @@ def test_difference_matrices_transpose_is_adjoint():
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def _moveaxis_apply(mat, values, axis):
+    # the np.moveaxis form apply_along_axis replaced; kept as its oracle
+    moved = np.moveaxis(values, axis, 0)
+    out = mat @ moved.reshape(mat.shape[1], -1)
+    return np.moveaxis(out.reshape((mat.shape[0],) + moved.shape[1:]), 0, axis)
+
+
+def test_apply_along_axis_matches_moveaxis_form_bit_for_bit():
+    rng = np.random.default_rng(5)
+    shapes = ((7, 6), (7, 6, 5))
+    for shape in shapes:
+        base = rng.standard_normal(shape)
+        inputs = {
+            "contiguous": base,
+            "transposed view": base.T,
+            "earlier output": _moveaxis_apply(rng.standard_normal((shape[1], shape[1])), base, 1),
+        }
+        for name, values in inputs.items():
+            for axis in range(values.ndim):
+                n = values.shape[axis]
+                for mat in (rng.standard_normal((n, n)), rng.standard_normal((n + 3, n))):
+                    got = apply_along_axis(mat, values, axis)
+                    want = _moveaxis_apply(mat, values, axis)
+                    assert np.array_equal(got, want), (shape, name, axis, mat.shape)
+                    assert got.strides == want.strides, (shape, name, axis, mat.shape)
+
+
 def test_boundary_trace_faces_round_trip():
     g = base_grid(n1=6, n2=5, nt=5)
     rng = np.random.default_rng(2)
