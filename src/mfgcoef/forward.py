@@ -199,16 +199,16 @@ def _refined_solve(lu, mat, rhs: np.ndarray) -> Tuple[Optional[np.ndarray], int]
 
 def solve_density(
     spec: ForwardSpec,
+    value: np.ndarray,
     source: Optional[SpaceTimeFn] = None,
-    value: Optional[np.ndarray] = None,
 ) -> DensitySolution:
     """Backward-Euler solve of the density equation on the fine grid.
 
-    ``value`` is ``spec.value_on_grid()``, sampled here when not given.
-    Returns the density on the full space-time grid, its minimum
-    absolute value (the caller decides whether that is close enough to
-    zero to matter; ``make_s`` enforces the hard floor), and the counts of
-    factorizations and refinement sweeps.
+    ``value`` is ``spec.value_on_grid()``.  Returns the density on the
+    full space-time grid, its minimum absolute value (the caller decides
+    whether that is close enough to zero to matter; ``make_s`` enforces
+    the hard floor), and the counts of factorizations and refinement
+    sweeps.
 
     The advection term div(p grad v) is discretized conservatively:
     face fluxes (p_i + p_{i+1})/2 * (v_{i+1} - v_i)/h, then
@@ -232,8 +232,6 @@ def solve_density(
     g = spec.grid
     n1, n2 = g.n1, g.n2
     x1, x2 = g.meshgrid()
-    if value is None:
-        value = spec.value_on_grid()
 
     p = np.empty(g.spacetime_shape())
     p[:, :, 0] = spec.density_init_fn(x1, x2)
@@ -315,7 +313,7 @@ def solve_density(
 
 
 def make_s(
-    spec: ForwardSpec, density: np.ndarray, value: Optional[np.ndarray] = None
+    spec: ForwardSpec, density: np.ndarray, value: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Construct the local cost s so the value equation holds for the data.
 
@@ -324,8 +322,7 @@ def make_s(
     All derivatives of the sampled value function are taken with the grid
     stencils.  The division requires |p| >= 1e-8 at every node; the error
     message names the first offending node.  The rate s_t comes from
-    central time differences of s.  ``value`` is ``spec.value_on_grid()``,
-    sampled here when not given.
+    central time differences of s.  ``value`` is ``spec.value_on_grid()``.
     """
     g = spec.grid
     if density.shape != g.spacetime_shape():
@@ -339,8 +336,6 @@ def make_s(
             "the cost construction would blow up"
         )
 
-    if value is None:
-        value = spec.value_on_grid()
     v = Field(g, SPACE_TIME, value)
     vt = ddt(v).values
     vlap = laplacian(v).values
@@ -358,20 +353,19 @@ def extract_observations(
     spec: ForwardSpec,
     density: np.ndarray,
     coarse: SpaceTimeGrid,
-    value: Optional[np.ndarray] = None,
+    value: np.ndarray,
 ) -> ObservationData:
     """Restrict fine-grid fields to the inversion grid's observation set.
 
     Neumann traces at x1 = b are formed on the fine grid (3-point
     one-sided, second order) before subsampling in (x2, t).  ``value`` is
-    ``spec.value_on_grid()``, sampled here when not given.
+    ``spec.value_on_grid()``.
     """
     g = spec.grid
     s1, s2, st_ = restriction_strides(g, coarse)
 
-    v = spec.value_on_grid() if value is None else value
     mid = g.mid_index
-    v0 = v[::s1, ::s2, mid]
+    v0 = value[::s1, ::s2, mid]
     p0 = density[::s1, ::s2, mid]
 
     def faces_of(arr: np.ndarray):
@@ -382,14 +376,14 @@ def extract_observations(
             arr[::s1, -1, ::st_],
         )
 
-    g01 = Field.from_faces(coarse, *faces_of(v))
+    g01 = Field.from_faces(coarse, *faces_of(value))
     g02 = Field.from_faces(coarse, *faces_of(density))
 
     def outflow_neumann(arr: np.ndarray) -> np.ndarray:
         d = (3.0 * arr[-1] - 4.0 * arr[-2] + arr[-3]) / (2.0 * g.h1)
         return d[::s2, ::st_]
 
-    g11 = Field(coarse, GAMMA_TRACE, outflow_neumann(v))
+    g11 = Field(coarse, GAMMA_TRACE, outflow_neumann(value))
     g12 = Field(coarse, GAMMA_TRACE, outflow_neumann(density))
 
     return ObservationData(
@@ -409,7 +403,7 @@ def generate(spec: ForwardSpec, coarse: SpaceTimeGrid) -> GeneratedData:
     The value function is sampled once and shared by all three stages.
     """
     value = spec.value_on_grid()
-    solution = solve_density(spec, value=value)
+    solution = solve_density(spec, value)
     s, st = make_s(spec, solution.density, value)
     obs = extract_observations(spec, solution.density, coarse, value)
     s1, s2, st_stride = restriction_strides(spec.grid, coarse)

@@ -203,9 +203,6 @@ def apply_along_axis(mat: np.ndarray, values: np.ndarray, axis: int) -> np.ndarr
     results (and reductions over them in memory order) match it bit for
     bit; only the per-call axis bookkeeping is gone.
     """
-    if axis == 0:
-        out = mat @ values.reshape(mat.shape[1], -1)
-        return out.reshape((mat.shape[0],) + values.shape[1:])
     ndim = values.ndim
     front = (axis,) + tuple(i for i in range(ndim) if i != axis)
     moved = values.transpose(front)

@@ -58,7 +58,7 @@ def spec_for(g, fv, fp, k=None):
 def solve_error(p_str, v_str, g):
     fp, fv, fsrc = manufactured(p_str, v_str)
     spec = spec_for(g, fv, fp)
-    density = solve_density(spec, source=fsrc).density
+    density = solve_density(spec, spec.value_on_grid(), source=fsrc).density
     x1, x2 = g.meshgrid()
     exact = fp(x1, x2, g.horizon)
     return float(np.max(np.abs(density[:, :, -1] - exact)))
@@ -139,7 +139,7 @@ def test_interior_step_matches_full_node_operator():
         "(1 + t) * (2 + sin(pi*x1) * x2)", "cos(pi*x1) * (x2 + x2**2) * (1 + t) / 3"
     )
     spec = spec_for(g, fv, fp)
-    solution = solve_density(spec, source=fsrc)
+    solution = solve_density(spec, spec.value_on_grid(), source=fsrc)
     expected = reference_density(spec, fsrc)
     assert max_rel_diff(solution.density, expected) <= 1e-13
     assert solution.min_density == float(np.min(np.abs(solution.density)))
@@ -157,7 +157,7 @@ def test_drift_jump_forces_a_fresh_factor():
         return fv(a1, a2, t) * (50.0 if t > 0.5 * g.horizon else 1.0)
 
     spec = spec_for(g, jumping, fp)
-    solution = solve_density(spec)
+    solution = solve_density(spec, spec.value_on_grid())
     assert solution.factorizations == 2
     # the step after the jump used up every sweep before refactoring
     assert solution.refinement_sweeps >= MAX_SWEEPS
@@ -167,7 +167,7 @@ def test_drift_jump_forces_a_fresh_factor():
 def test_constant_density_is_preserved():
     g = grid(13, 11, 7)
     spec = spec_for(g, lambda a1, a2, t: np.zeros_like(a1 * a2), lambda a1, a2, t: np.ones_like(a1 * a2 + t))
-    solution = solve_density(spec)
+    solution = solve_density(spec, spec.value_on_grid())
     assert np.allclose(solution.density, 1.0, atol=1e-11)
     assert solution.min_density == pytest.approx(1.0, abs=1e-11)
 
@@ -180,7 +180,7 @@ def test_pure_diffusion_respects_bounds():
         return 2.0 + np.sin(np.pi * a1) * np.cos(np.pi * a2)
 
     spec = spec_for(g, lambda a1, a2, t: np.zeros_like(a1 * a2), lambda a1, a2, t: init(a1, a2))
-    density = solve_density(spec).density
+    density = solve_density(spec, spec.value_on_grid()).density
     assert density.min() >= 1.0 - 1e-10
     assert density.max() <= 3.0 + 1e-10
 
@@ -198,7 +198,7 @@ def test_make_s_satisfies_value_equation_identity():
     spec = spec_for(g, fv, fp)
     x1, x2 = g.meshgrid()
     density = np.stack([fp(x1, x2, t) for t in g.t], axis=2)
-    s, st = make_s(spec, density)
+    s, st = make_s(spec, density, spec.value_on_grid())
     assert np.all(np.isfinite(s))
     assert st.shape == g.spacetime_shape()
 
@@ -234,7 +234,7 @@ def test_make_s_matches_symbolic_construction():
     spec = spec_for(g, fv, fp)
     x1, x2 = g.meshgrid()
     density = np.stack([fp(x1, x2, t) for t in g.t], axis=2)
-    s, _ = make_s(spec, density)
+    s, _ = make_s(spec, density, spec.value_on_grid())
 
     sigma = 0.2
     yfine = np.linspace(-g.half_width, g.half_width, 4001)
@@ -254,7 +254,7 @@ def test_make_s_rejects_vanishing_density():
     x1, x2 = g.meshgrid()
     density = np.stack([fp(x1, x2, t) for t in g.t], axis=2)
     with pytest.raises(ValueError, match="floor"):
-        make_s(spec, density)
+        make_s(spec, density, spec.value_on_grid())
 
 
 def test_extract_observations_values_and_shapes():
@@ -264,7 +264,7 @@ def test_extract_observations_values_and_shapes():
     spec = spec_for(fine, fv, fp)
     x1f, x2f = fine.meshgrid()
     density = np.stack([fp(x1f, x2f, t) for t in fine.t], axis=2)
-    obs = extract_observations(spec, density, coarse)
+    obs = extract_observations(spec, density, coarse, spec.value_on_grid())
 
     x1c, x2c = coarse.meshgrid()
     # midpoint value slice: 0.1 * 1.25 * cos(pi x1) sin(pi x2)

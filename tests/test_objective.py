@@ -46,8 +46,9 @@ def make_context(g, lam=3.0, beta=1e-3, residual_scale=1.0):
     )
     x1, x2 = g.meshgrid()
     density = np.stack([density_fn(x1, x2, t) for t in g.t], axis=2)
-    obs = extract_observations(spec, density, g)
-    s, st = make_s(spec, density)
+    value = spec.value_on_grid()
+    obs = extract_observations(spec, density, g, value)
+    s, st = make_s(spec, density, value)
     params = CarlemanParams(lam=lam, alpha=0.2, b=g.b, horizon=g.horizon)
     return ObjectiveContext(
         grid=g,
@@ -160,9 +161,10 @@ def test_coefficient_identity_on_consistent_data():
         coefficient=k_fine,
         kernel=KERNEL,
     )
-    density = solve_density(spec).density
-    obs = extract_observations(spec, density, coarse)
-    s, st = make_s(spec, density)
+    value = spec.value_on_grid()
+    density = solve_density(spec, value).density
+    obs = extract_observations(spec, density, coarse, value)
+    s, st = make_s(spec, density, value)
     s1, s2, st_stride = 2, 2, 4
     params = CarlemanParams(lam=3.0, alpha=0.2, b=coarse.b, horizon=coarse.horizon)
     ctx = ObjectiveContext(
