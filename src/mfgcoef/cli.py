@@ -33,7 +33,7 @@ from .fieldio import read_field, write_csv, write_field, write_pgm
 from .forward import ObservationData
 from .grid import SPACE_TIME, SPATIAL, Field
 from .kernels import DenominatorError, denominator_field
-from .phantoms import LETTERS, make_k
+from .phantoms import LETTERS
 from .pipeline import run_generation, run_inversion
 
 EXIT_OK = 0
@@ -224,7 +224,7 @@ def _invert_core(cfg: ExperimentConfig, obs, cost, cost_rate, out: str) -> dict:
     write_csv(paths["k_comp_csv"], k_comp)
     write_pgm(paths["k_comp_pgm"], result.coefficient)
     paths["k_comp_pgm_sidecar"] = paths["k_comp_pgm"] + ".json"
-    write_field(paths["k_true"], make_k(outcome.phantom))
+    write_field(paths["k_true"], outcome.k_true)
     write_field(paths["u"], Field(grid, SPACE_TIME, result.iterate.u))
     write_field(paths["m"], Field(grid, SPACE_TIME, result.iterate.m))
     metrics = outcome.metrics

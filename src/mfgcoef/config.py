@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .carleman import CarlemanParams
-from .grid import SpaceTimeGrid
+from .grid import SpaceTimeGrid, restriction_strides
 from .inverse import SolverConfig
 from .kernels import LineGaussianKernel
-from .phantoms import LETTERS
+from .phantoms import raster_letter
 
 ENV_OUTPUT_ROOT = "MFGCOEF_OUTPUT_ROOT"
 
@@ -101,14 +101,18 @@ class ExperimentConfig:
         return LineGaussianKernel(sigma=self.sigma)
 
     def validate(self) -> None:
-        """Construct everything cheap once; raises on any bad combination."""
-        self.fine_grid()
-        self.coarse_grid()
+        """Construct everything cheap once; raises on any bad combination.
+
+        The coarse grid must nest in the fine one and resolve the letter's
+        strokes, or generation would fail after the forward solve and
+        inversion after the dataset is written.
+        """
+        coarse = self.coarse_grid()
+        restriction_strides(self.fine_grid(), coarse)
         self.carleman_params()
         self.solver_config()
         self.kernel()
-        if self.letter not in LETTERS:
-            raise ValueError(f"unknown letter {self.letter!r}, expected one of {LETTERS}")
+        raster_letter(self.letter, coarse)
         if self.contrast <= 0:
             raise ValueError(f"contrast must be positive, got {self.contrast}")
         if self.delta < 0:

@@ -21,11 +21,11 @@ of iterates sharing the boundary data; its gradient is 2 beta H z and
 its curvature 2 beta diag(H), read off the same form.
 
 Every operator involved is a dense matrix applied along one axis, so each
-term of the gradient is an exact transpose scatter.  ``gradient`` is the
-derivative of ``evaluate`` to rounding, not an approximation; the tests
-hold it against central differences.  ``value_and_gradient`` returns
-both from one pass of the residual operators, which is what the descent
-calls at every trial point.
+term of the gradient is an exact transpose scatter.  ``value_and_gradient``
+returns the objective's additive pieces and its gradient from one pass of
+the residual operators, which is what the descent calls at every trial
+point; the gradient is the derivative of ``evaluate`` to rounding, not an
+approximation, and the tests hold it against central differences.
 """
 
 from __future__ import annotations
@@ -242,25 +242,16 @@ def _split(ctx: ObjectiveContext, it: Iterate, p: _Parts) -> ObjectiveParts:
     return ObjectiveParts(first=first, second=second, smoothness=smooth)
 
 
-def breakdown(ctx: ObjectiveContext, it: Iterate) -> ObjectiveParts:
-    """Objective value split into its additive pieces."""
-    return _split(ctx, it, _forward_parts(ctx, it))
-
-
 def evaluate(ctx: ObjectiveContext, it: Iterate) -> float:
-    return breakdown(ctx, it).total
+    """Objective value alone, the reference for the fused pass."""
+    return _split(ctx, it, _forward_parts(ctx, it)).total
 
 
-def gradient(ctx: ObjectiveContext, it: Iterate) -> Iterate:
-    """Exact gradient of ``evaluate``."""
-    return value_and_gradient(ctx, it)[1]
+def value_and_gradient(ctx: ObjectiveContext, it: Iterate) -> Tuple[ObjectiveParts, Iterate]:
+    """The objective's pieces and its exact gradient from one residual pass.
 
-
-def value_and_gradient(ctx: ObjectiveContext, it: Iterate) -> Tuple[float, Iterate]:
-    """``evaluate`` and its exact gradient from one pass of the residuals.
-
-    The value equals ``evaluate`` bit for bit.  Every gradient term is a
-    transpose scatter of the forward operators.
+    The split's total equals ``evaluate`` bit for bit.  Every gradient
+    term is a transpose scatter of the forward operators.
     """
     g = ctx.grid
     p = _forward_parts(ctx, it)
@@ -302,7 +293,7 @@ def value_and_gradient(ctx: ObjectiveContext, it: Iterate) -> Tuple[float, Itera
 
     gu += (2.0 * ctx.beta) * ctx.h2.apply(it.u)
     gm += (2.0 * ctx.beta) * ctx.h2.apply(it.m)
-    return _split(ctx, it, p).total, Iterate(gu, gm)
+    return _split(ctx, it, p), Iterate(gu, gm)
 
 
 def curvature_diagonal(ctx: ObjectiveContext) -> Iterate:
@@ -316,9 +307,10 @@ def curvature_diagonal(ctx: ObjectiveContext) -> Iterate:
     not be exact.  Iterate-independent, so compute it once per solve.
 
     The carried Carleman weight spans many orders of magnitude across the
-    slab, which makes the raw gradient direction useless in the weakly
-    weighted region; dividing by this diagonal restores a uniform
-    per-node step scale.
+    slab, which makes the raw gradient a badly scaled direction in the
+    weakly weighted region; dividing by this diagonal restores a uniform
+    per-node step scale (about 14 times fewer L-BFGS iterations on the
+    reference dataset, see ``SolverConfig``).
     """
     dt = ctx._d1[2]
     dxx1, dxx2, _ = ctx._d2
@@ -357,7 +349,7 @@ def convexity_gap(ctx: ObjectiveContext, first: Iterate, second: Iterate) -> Tup
     the residual terms only help.
     """
     diff = Iterate(second.u - first.u, second.m - first.m)
-    value, grad = value_and_gradient(ctx, first)
-    gap = evaluate(ctx, second) - value - dot(grad, diff)
+    parts, grad = value_and_gradient(ctx, first)
+    gap = value_and_gradient(ctx, second)[0].total - parts.total - dot(grad, diff)
     h2 = ctx.h2.norm_sq(diff.u) + ctx.h2.norm_sq(diff.m)
     return float(gap), float(h2)

@@ -28,7 +28,7 @@ from .grid import Field
 from .inverse import ReconstructionResult, invert
 from .noise import NoiseSpec, inject, smooth_observations
 from .objective import ObjectiveContext
-from .phantoms import Metrics, Phantom, letter_phantom, make_k, score
+from .phantoms import Metrics, letter_phantom, make_k, score
 
 
 def benchmark_value_fn(x1, x2, t):
@@ -102,7 +102,6 @@ class InversionOutcome:
     """Everything an inversion run reports."""
 
     result: ReconstructionResult
-    phantom: Phantom
     k_true: Field
     metrics: Metrics
     denominator_min: float
@@ -122,7 +121,6 @@ def run_inversion(
     metrics = score(result.coefficient, k_true, phantom.mask)
     return InversionOutcome(
         result=result,
-        phantom=phantom,
         k_true=k_true,
         metrics=metrics,
         denominator_min=float(np.abs(ctx.denominator).min()),

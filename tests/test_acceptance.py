@@ -18,9 +18,9 @@ from mfgcoef.carleman import ratio_log_slope, run_certification
 from mfgcoef.config import ExperimentConfig
 from mfgcoef.fieldio import read_field, write_field
 from mfgcoef.grid import SPACE_TIME, Field, first_diff_matrix, second_diff_matrix
-from mfgcoef.inverse import project_data_constraints
+from mfgcoef.inverse import DataConstraints
 from mfgcoef.noise import NoiseSpec, inject
-from mfgcoef.objective import Iterate, convexity_gap, dot, evaluate, gradient
+from mfgcoef.objective import Iterate, convexity_gap, dot, evaluate, value_and_gradient
 from mfgcoef.pipeline import observation_bundle, run_generation, run_inversion
 
 
@@ -63,7 +63,7 @@ def test_criterion_02_gradient_matches_central_differences():
     ctx = make_context(make_grid(11, 11, 7), lam=3.0, beta=1e-3)
     rng = np.random.default_rng(12)
     base = random_iterate(ctx.grid, rng)
-    grad = gradient(ctx, base)
+    grad = value_and_gradient(ctx, base)[1]
     worst = 0.0
     for _ in range(20):
         d = random_iterate(ctx.grid, rng, amplitude=1.0)
@@ -213,8 +213,9 @@ def test_criterion_10_infrastructure(tmp_path):
     bundle = observation_bundle(obs, 0.0, 0)[1]
     shape = obs.grid.spacetime_shape()
     start = Iterate(rng.standard_normal(shape), rng.standard_normal(shape))
-    once = project_data_constraints(obs.grid, bundle, start)
-    twice = project_data_constraints(obs.grid, bundle, once)
+    constraints = DataConstraints(obs.grid, bundle)
+    once = constraints.embed(constraints.free(start))
+    twice = constraints.embed(constraints.free(once))
     idempotent = np.array_equal(once.u, twice.u) and np.array_equal(once.m, twice.m)
 
     clean = inject(obs, NoiseSpec(level=0.0, seed=3))

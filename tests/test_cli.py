@@ -71,6 +71,15 @@ def test_generate_rerun_is_bit_identical(workspace):
     assert a["measurements"] == b["measurements"]
 
 
+def test_generate_rejects_grids_that_do_not_nest_before_solving(tmp_path, capsys):
+    config = tmp_path / "bad.ini"
+    config.write_text("[grid]\ncoarse = 21,21,13\n")
+    code = main(["generate", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == EXIT_PRECONDITION
+    assert "does not nest" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_generate_refuses_nonempty_dir_without_force(workspace):
     root, config, dataset = workspace
     assert main(["generate", "--config", str(config), "--out", str(dataset)]) == EXIT_PRECONDITION

@@ -88,6 +88,8 @@ def test_ini_rejects_unknown_or_malformed_entries(tmp_path, body, match):
         {"lam": -1.0},
         {"alpha": 0.5},
         {"shrink": 1.5},
+        {"coarse": (21, 21, 13)},
+        {"fine": (41, 41, 9), "coarse": (11, 11, 5)},
     ],
 )
 def test_validate_rejects_bad_combinations(changes):

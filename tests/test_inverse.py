@@ -4,17 +4,16 @@ import pytest
 from mfgcoef.forward import DerivativeBundle
 from mfgcoef.grid import GAMMA_TRACE, Field, SpaceTimeGrid
 from mfgcoef.inverse import (
+    FREE,
+    DataConstraints,
     ReconstructionResult,
     SolverConfig,
     StallError,
     descend,
-    free_node_mask,
     initial_guess,
     invert,
-    project_data_constraints,
-    reduce_gradient,
 )
-from mfgcoef.objective import Iterate, dot, evaluate, gradient
+from mfgcoef.objective import Iterate, dot, evaluate, value_and_gradient
 
 from test_objective import grid, make_context, random_iterate
 
@@ -44,7 +43,8 @@ def test_projection_scatters_data_and_is_idempotent():
     ctx = make_context(g)
     rng = np.random.default_rng(0)
     z = random_iterate(g, rng)
-    proj = project_data_constraints(g, ctx.bundle, z)
+    c = DataConstraints(g, ctx.bundle)
+    proj = c.embed(c.free(z))
     b = ctx.bundle
     # the tied layer owns its whole row, so the x2 faces hold data elsewhere
     keep = np.arange(g.n1) != g.n1 - 2
@@ -59,7 +59,7 @@ def test_projection_scatters_data_and_is_idempotent():
         3.0 * b.dt_g01.face("x1b") + proj.u[-3, :, :] - 2.0 * g.h1 * b.dt_g11.values
     )
     assert np.allclose(proj.u[-2, :, :], expected, atol=1e-14)
-    again = project_data_constraints(g, ctx.bundle, proj)
+    again = c.embed(c.free(proj))
     assert np.array_equal(again.u, proj.u)
     assert np.array_equal(again.m, proj.m)
     # interior nodes pass through untouched
@@ -70,57 +70,69 @@ def test_outflow_closure_worked_values():
     # h = 1/20, Dirichlet rate 1, Neumann rate 0, layer below at 0
     g = grid(21, 6, 5)
     bundle = hand_bundle(g, x1b_u=1.0, neumann_u=0.0)
-    z = Iterate(np.zeros(g.spacetime_shape()), np.zeros(g.spacetime_shape()))
-    proj = project_data_constraints(g, bundle, z)
+    c = DataConstraints(g, bundle)
+    proj = c.embed(np.zeros(2 * c.nfree))
     assert np.allclose(proj.u[-1, :, :], 1.0, atol=1e-15)
     assert np.allclose(proj.u[-2, :, :], 0.75, atol=1e-15)
+
+
+def test_embed_inverts_free_and_pullback_is_its_transpose():
+    g = grid(9, 8, 5)
+    ctx = make_context(g)
+    c = DataConstraints(g, ctx.bundle)
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        x = rng.standard_normal(2 * c.nfree)
+        y = random_iterate(g, rng, amplitude=1.0)
+        assert np.array_equal(c.free(c.embed(x)), x)
+        moved, base = c.embed(x), c.embed(np.zeros_like(x))
+        linear = Iterate(moved.u - base.u, moved.m - base.m)
+        assert c.pullback(y) @ x == pytest.approx(dot(y, linear), rel=1e-12)
 
 
 def test_reduced_gradient_is_the_constrained_derivative():
     g = grid(9, 8, 5)
     ctx = make_context(g)
+    c = DataConstraints(g, ctx.bundle)
     rng = np.random.default_rng(4)
-    z = project_data_constraints(g, ctx.bundle, random_iterate(g, rng))
-    red = reduce_gradient(g, gradient(ctx, z))
+    z = c.embed(c.free(random_iterate(g, rng)))
+    red = c.pullback(value_and_gradient(ctx, z)[1])
+    # its u half laid out on the nodes, zero where pinned
+    red_u = np.zeros(g.spacetime_shape())
+    red_u[FREE] = red[: c.nfree].reshape(red_u[FREE].shape)
     eps = 1e-5
 
-    def constrained_diff(node):
+    def nudged(node, amount):
         e = np.zeros(g.spacetime_shape())
-        e[node] = 1.0
-        plus = project_data_constraints(g, ctx.bundle, Iterate(z.u + eps * e, z.m))
-        minus = project_data_constraints(g, ctx.bundle, Iterate(z.u - eps * e, z.m))
+        e[node] = amount
+        return Iterate(z.u + e, z.m)
+
+    def constrained_diff(node):
+        plus = c.embed(c.free(nudged(node, eps)))
+        minus = c.embed(c.free(nudged(node, -eps)))
         return (evaluate(ctx, plus) - evaluate(ctx, minus)) / (2.0 * eps)
 
     interior = (3, 4, 2)
-    assert constrained_diff(interior) == pytest.approx(red.u[interior], rel=1e-4)
+    assert constrained_diff(interior) == pytest.approx(red_u[interior], rel=1e-4)
     # the layer feeding the closure carries the extra 1/4 chain term
     below = (g.n1 - 3, 4, 2)
-    assert constrained_diff(below) == pytest.approx(red.u[below], rel=1e-4)
+    assert constrained_diff(below) == pytest.approx(red_u[below], rel=1e-4)
     for node in ((g.n1 - 2, 4, 2), (0, 4, 2), (3, 0, 2), (g.n1 - 1, 4, 2)):
         assert constrained_diff(node) == pytest.approx(0.0, abs=1e-9)
-        assert red.u[node] == 0.0
+        assert red_u[node] == 0.0
+        # a pinned node has no slot in the free vector
+        assert np.array_equal(c.free(nudged(node, 1.0)), c.free(z))
 
 
 def quadratic_setup(nt=5):
     g = grid(5, 5, nt)
     ctx = make_context(g, beta=1.0, residual_scale=0.0)
-    mask = free_node_mask(g)
-    nfree = int(mask.sum())
-    base = project_data_constraints(
-        g, ctx.bundle, Iterate(np.zeros(g.spacetime_shape()), np.zeros(g.spacetime_shape()))
-    )
-
-    def embed(w):
-        z = base.copy()
-        z.u[mask] = w[:nfree]
-        z.m[mask] = w[nfree:]
-        return project_data_constraints(g, ctx.bundle, z)
+    c = DataConstraints(g, ctx.bundle)
 
     def reduced(w):
-        red = reduce_gradient(g, gradient(ctx, embed(w)))
-        return np.concatenate([red.u[mask], red.m[mask]])
+        return c.pullback(value_and_gradient(ctx, c.embed(w))[1])
 
-    return g, ctx, mask, nfree, embed, reduced
+    return ctx, c, reduced
 
 
 def quadratic_hessian(reduced, dim):
@@ -135,33 +147,33 @@ def quadratic_hessian(reduced, dim):
 
 
 def test_quadratic_mode_minimizer_is_the_linear_solve():
-    g, ctx, mask, nfree, embed, reduced = quadratic_setup()
-    dim = 2 * nfree
+    ctx, c, reduced = quadratic_setup()
+    dim = 2 * c.nfree
     r0, hess = quadratic_hessian(reduced, dim)
     assert np.allclose(hess, hess.T, atol=1e-10 * np.abs(hess).max())
     assert np.linalg.eigvalsh(hess).min() > 0
     w_star = np.linalg.solve(hess, -r0)
     assert np.max(np.abs(reduced(w_star))) < 1e-10 * np.max(np.abs(r0))
     # a true minimum: every probe raises the objective
-    j_star = evaluate(ctx, embed(w_star))
+    j_star = evaluate(ctx, c.embed(w_star))
     rng = np.random.default_rng(9)
     for _ in range(3):
         probe = w_star + 0.1 * rng.standard_normal(dim)
-        assert evaluate(ctx, embed(probe)) > j_star
+        assert evaluate(ctx, c.embed(probe)) > j_star
 
 
 def test_quadratic_mode_second_lbfgs_step_lands_on_the_minimizer():
     # smoothness-only objective: a start displaced along a Hessian
     # eigenvector first contracts with |1 - step0 * eig|, then the one
     # stored pair inverts the Hessian on that eigenvector exactly
-    g, ctx, mask, nfree, embed, reduced = quadratic_setup(nt=3)
-    dim = 2 * nfree
+    ctx, c, reduced = quadratic_setup(nt=3)
+    dim = 2 * c.nfree
     r0, hess = quadratic_hessian(reduced, dim)
     eigvals, eigvecs = np.linalg.eigh(hess)
     w_star = np.linalg.solve(hess, -r0)
     sigma = eigvals[-1]
     mu = 0.5 / sigma
-    start = embed(w_star + eigvecs[:, -1])
+    start = c.embed(w_star + eigvecs[:, -1])
     tol = 1e-8 * np.max(np.abs(r0))
     config = SolverConfig(step0=mu, grad_tol=1.01 * tol, max_iter=8, precondition=False)
     result = descend(ctx, start, config)
@@ -173,24 +185,24 @@ def test_quadratic_mode_second_lbfgs_step_lands_on_the_minimizer():
 
 
 def test_descend_reaches_the_linear_solve_in_fewer_than_dim_iterations():
-    g, ctx, mask, nfree, embed, reduced = quadratic_setup()
-    dim = 2 * nfree
+    ctx, c, reduced = quadratic_setup()
+    dim = 2 * c.nfree
     r0, hess = quadratic_hessian(reduced, dim)
     w_star = np.linalg.solve(hess, -r0)
     config = SolverConfig(grad_tol=1e-8 * np.max(np.abs(r0)), max_iter=dim - 1)
-    result = descend(ctx, embed(np.zeros(dim)), config)
+    result = descend(ctx, c.embed(np.zeros(dim)), config)
     assert result.converged
-    w = np.concatenate([result.iterate.u[mask], result.iterate.m[mask]])
+    w = c.free(result.iterate)
     assert np.max(np.abs(w - w_star)) < 1e-6
     # one fused pass for the start, then one per trial point
     assert result.objective_passes >= result.iterations + 1
 
 
 def test_descend_decreases_monotonically_and_stops():
-    g, ctx, mask, nfree, embed, reduced = quadratic_setup()
-    r0 = reduced(np.zeros(2 * nfree))
+    ctx, c, reduced = quadratic_setup()
+    r0 = reduced(np.zeros(2 * c.nfree))
     tol = 0.2 * np.max(np.abs(r0))
-    start = embed(np.zeros(2 * nfree))
+    start = c.embed(np.zeros(2 * c.nfree))
     result = descend(ctx, start, SolverConfig(grad_tol=tol, max_iter=2000))
     assert result.converged
     assert result.stop_reason == "grad_tol"
@@ -203,16 +215,16 @@ def test_descend_decreases_monotonically_and_stops():
 
 
 def test_descend_stalls_when_no_descent_exists():
-    g, ctx, mask, nfree, embed, reduced = quadratic_setup()
-    dim = 2 * nfree
+    ctx, c, reduced = quadratic_setup()
+    dim = 2 * c.nfree
     r0, hess = quadratic_hessian(reduced, dim)
     w_star = np.linalg.solve(hess, -r0)
     with pytest.raises(StallError, match="stalled"):
-        descend(ctx, embed(w_star), SolverConfig(grad_tol=0.0, max_iter=5))
+        descend(ctx, c.embed(w_star), SolverConfig(grad_tol=0.0, max_iter=5))
     # from afar the memory is full when rounding stops the decrease: the
     # reset retries along the preconditioned gradient, then stalls too
     with pytest.raises(StallError, match="stalled"):
-        descend(ctx, embed(np.zeros(dim)), SolverConfig(grad_tol=0.0, max_iter=10000))
+        descend(ctx, c.embed(np.zeros(dim)), SolverConfig(grad_tol=0.0, max_iter=10000))
 
 
 def test_descend_respects_iteration_budget():

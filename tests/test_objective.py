@@ -8,12 +8,10 @@ from mfgcoef.kernels import LineGaussianKernel
 from mfgcoef.objective import (
     Iterate,
     ObjectiveContext,
-    breakdown,
     convexity_gap,
     curvature_diagonal,
     dot,
     evaluate,
-    gradient,
     recover_coefficient,
     residuals,
     value_and_gradient,
@@ -72,7 +70,7 @@ def test_gradient_matches_central_differences():
     ctx = make_context(g)
     rng = np.random.default_rng(3)
     it = random_iterate(g, rng)
-    grad = gradient(ctx, it)
+    grad = value_and_gradient(ctx, it)[1]
     for _ in range(5):
         d = random_iterate(g, rng, amplitude=1.0)
         scale = max(np.max(np.abs(d.u)), np.max(np.abs(d.m)))
@@ -89,8 +87,8 @@ def test_fused_pass_value_is_evaluate_bit_for_bit():
     g = grid(9, 8, 5)
     ctx = make_context(g)
     it = random_iterate(g, np.random.default_rng(8))
-    value, _ = value_and_gradient(ctx, it)
-    assert value == evaluate(ctx, it)
+    parts, _ = value_and_gradient(ctx, it)
+    assert parts.total == evaluate(ctx, it)
 
 
 def test_beta_only_mode_is_the_smoothness_quadratic():
@@ -102,8 +100,8 @@ def test_beta_only_mode_is_the_smoothness_quadratic():
     expected = 0.5 * (h2.norm_sq(it.u) + h2.norm_sq(it.m))
     assert evaluate(ctx, it) == pytest.approx(expected, rel=1e-12)
     # Euler identity of the pure quadratic
-    assert dot(gradient(ctx, it), it) == pytest.approx(2.0 * expected, rel=1e-12)
-    parts = breakdown(ctx, it)
+    parts, grad = value_and_gradient(ctx, it)
+    assert dot(grad, it) == pytest.approx(2.0 * expected, rel=1e-12)
     assert parts.first == 0.0 and parts.second == 0.0
 
 
@@ -193,8 +191,8 @@ def test_coefficient_identity_on_consistent_data():
     rng = np.random.default_rng(7)
     bump = random_iterate(coarse, rng, amplitude=0.3)
     bumped = Iterate(truth.u + bump.u, truth.m + bump.m)
-    parts_truth = breakdown(ctx, truth)
-    parts_bumped = breakdown(ctx, bumped)
+    parts_truth = value_and_gradient(ctx, truth)[0]
+    parts_bumped = value_and_gradient(ctx, bumped)[0]
     res_truth = parts_truth.first + parts_truth.second
     res_bumped = parts_bumped.first + parts_bumped.second
     assert res_truth < 0.02 * res_bumped
