@@ -9,14 +9,16 @@ k.  The density equation
 is solved on a fine grid by a backward-Euler scheme, centered in space
 with conservative flux differencing of the advection term; each step
 solves one sparse system for the interior unknowns only, with the
-Dirichlet boundary values moved to its right-hand side.  One LU factor
-is kept across steps and each solve is refined with it; a step it cannot
-refine is factored afresh.  The local
-cost s(x, t) is then constructed so that the value equation holds exactly
-for the prescribed v, which requires the computed density to stay away
-from zero everywhere.  Observations (midpoint slices, Dirichlet traces,
-one-sided Neumann traces at the outflow face) are restricted to the
-coarser inversion grid.
+Dirichlet boundary values moved to its right-hand side.  The solve keeps
+its time slabs contiguous, (nt, n1, n2), while it steps.  One LU factor
+is kept across steps and each solve is refined with it, starting from
+the density extrapolated from the earlier steps; a step it cannot refine
+is factored afresh.  The local cost s(x, t) is then constructed so that
+the value equation holds exactly for the prescribed v, which requires
+the computed density to stay away from zero everywhere; it and its rate
+are formed only at the inversion-grid nodes.  Observations (midpoint
+slices, Dirichlet traces, one-sided Neumann traces at the outflow face)
+are restricted to the coarser inversion grid.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 from .grid import (
     BOUNDARY_TRACE,
     GAMMA_TRACE,
-    SPACE_TIME,
     SPATIAL,
     Field,
     SpaceTimeGrid,
@@ -40,6 +41,7 @@ from .grid import (
     first_diff_matrix,
     laplacian,
     restriction_strides,
+    second_diff_matrix,
 )
 from .kernels import InteractionOperator, LineGaussianKernel
 
@@ -81,11 +83,16 @@ class ForwardSpec:
             )
 
     def value_on_grid(self) -> np.ndarray:
+        """The value function at every node, indexed (x1, x2, t).
+
+        It is sampled one time slab at a time into a time-major buffer,
+        and the result is that buffer's (n1, n2, nt) view.
+        """
         x1, x2 = self.grid.meshgrid()
-        out = np.empty(self.grid.spacetime_shape())
+        out = np.empty((self.grid.nt,) + self.grid.spatial_shape())
         for n, t in enumerate(self.grid.t):
-            out[:, :, n] = self.value_fn(x1, x2, t)
-        return out
+            out[n] = self.value_fn(x1, x2, t)
+        return out.transpose(1, 2, 0)
 
 
 @dataclass
@@ -167,9 +174,11 @@ class GeneratedData:
 class DensitySolution:
     """Density on the fine grid, its minimum |p|, and the linear-algebra work.
 
-    ``factorizations`` counts sparse LU factorizations and
-    ``refinement_sweeps`` the solves with a kept factor; both depend on
-    the data only, so they repeat exactly from run to run.
+    ``density`` is indexed (x1, x2, t).  ``factorizations`` counts sparse
+    LU factorizations and ``refinement_sweeps`` the solves with a kept
+    factor; both depend on the data only, so they repeat exactly from run
+    to run.  With the extrapolated start, a step whose drift changes
+    smoothly takes two kept-factor solves.
     """
 
     density: np.ndarray
@@ -178,17 +187,36 @@ class DensitySolution:
     refinement_sweeps: int
 
 
-def _refined_solve(lu, mat, rhs: np.ndarray) -> Tuple[Optional[np.ndarray], int]:
+def _start(p: np.ndarray, n: int) -> np.ndarray:
+    """Interior density at step n extrapolated from the steps before it.
+
+    ``p`` is the time-major density.  Quadratic through the last three
+    slabs, linear through two at n = 3, and the last slab at n = 2.
+    """
+    prev = p[:n, 1:-1, 1:-1]
+    if n > 3:
+        guess = 3.0 * prev[-1] - 3.0 * prev[-2] + prev[-3]
+    elif n == 3:
+        guess = 2.0 * prev[-1] - prev[-2]
+    else:
+        # a copy: the refinement updates its guess in place
+        guess = prev[-1].copy()
+    return guess.ravel()
+
+
+def _refined_solve(
+    lu, mat, rhs: np.ndarray, guess: np.ndarray
+) -> Tuple[Optional[np.ndarray], int]:
     """Solve ``mat x = rhs`` by iterative refinement with the factor ``lu``.
 
-    Each sweep solves for the current residual with ``lu`` (the first
-    sweep, from x = 0, is the plain solve).  Returns the solution, or None
-    when MAX_SWEEPS sweeps do not bring the residual under
-    REFINE_RTOL ||rhs||, and the number of sweeps made.
+    Each sweep solves for the current residual with ``lu``, the first
+    for ``rhs - mat @ guess``; ``guess`` is updated in place.  Returns the
+    solution, or None when MAX_SWEEPS sweeps do not bring the residual
+    under REFINE_RTOL ||rhs||, and the number of sweeps made.
     """
     bound = REFINE_RTOL * np.linalg.norm(rhs)
-    sol = np.zeros_like(rhs)
-    residual = rhs
+    sol = guess
+    residual = rhs - mat @ sol
     for sweep in range(1, MAX_SWEEPS + 1):
         sol += lu.solve(residual)
         residual = rhs - mat @ sol
@@ -220,9 +248,15 @@ def solve_density(
 
     The step matrix changes only through the drift at the new time, so
     one LU factor serves many steps: each step is solved by iterative
-    refinement with the kept factor until ||b - Ax|| <= REFINE_RTOL ||b||.
-    When MAX_SWEEPS sweeps do not get there, the current step's matrix is
-    factored afresh and its direct solve is taken, as at the first step.
+    refinement with the kept factor until ||b - Ax|| <= REFINE_RTOL ||b||,
+    starting from the interior extrapolated from the last three steps
+    (two at the third step, one at the second).  When MAX_SWEEPS sweeps
+    do not get there, the current step's matrix is factored afresh and
+    its direct solve is taken, as at the first step.
+
+    Value samples and density are kept time-major, (nt, n1, n2), while
+    stepping, so each step reads and writes contiguous slabs; the density
+    is returned as its (n1, n2, nt) view.
     """
     # imported here so that commands which never solve the density start
     # without scipy's sparse modules
@@ -233,8 +267,10 @@ def solve_density(
     n1, n2 = g.n1, g.n2
     x1, x2 = g.meshgrid()
 
-    p = np.empty(g.spacetime_shape())
-    p[:, :, 0] = spec.density_init_fn(x1, x2)
+    # a view when ``value`` comes from ``value_on_grid``
+    value_t = np.ascontiguousarray(value.transpose(2, 0, 1))
+    p = np.empty((g.nt, n1, n2))
+    p[0] = spec.density_init_fn(x1, x2)
 
     n_int = (n1 - 2) * (n2 - 2)
     inv_h1sq = 1.0 / (g.h1 * g.h1)
@@ -263,7 +299,7 @@ def solve_density(
     sweeps = 0
     for n in range(1, g.nt):
         t = g.t[n]
-        v = value[:, :, n]
+        v = value_t[n]
 
         # advection coefficients from half-node fluxes of dv
         a_e = (v[2:, 1:-1] - v[1:-1, 1:-1]) / g.h1
@@ -290,39 +326,47 @@ def solve_density(
 
         # Dirichlet data; the zeroed interior drops interior neighbours
         # from the coupling, summed in the neighbours' node order
-        p[:, :, n] = spec.density_boundary_fn(x1, x2, t)
-        p[1:-1, 1:-1, n] = 0.0
-        b = p[:, :, n]
+        p[n] = spec.density_boundary_fn(x1, x2, t)
+        p[n, 1:-1, 1:-1] = 0.0
+        b = p[n]
         coupling = (
             west * b[:-2, 1:-1] + south * b[1:-1, :-2] + north * b[1:-1, 2:] + east * b[2:, 1:-1]
         )
-        rhs = p[:, :, n - 1] / g.ht
+        rhs = p[n - 1] / g.ht
         if source is not None:
             rhs = rhs + source(x1, x2, t)
         rhs = (rhs[1:-1, 1:-1] - coupling).ravel()
 
-        sol, done = (None, 0) if lu is None else _refined_solve(lu, mat, rhs)
+        sol, done = (None, 0) if lu is None else _refined_solve(lu, mat, rhs, _start(p, n))
         sweeps += done
         if sol is None:
             lu = splu(mat, permc_spec="MMD_AT_PLUS_A")
             factorizations += 1
             sol = lu.solve(rhs)
-        p[1:-1, 1:-1, n] = sol.reshape(n1 - 2, n2 - 2)
+        p[n, 1:-1, 1:-1] = sol.reshape(n1 - 2, n2 - 2)
 
-    return DensitySolution(p, float(np.min(np.abs(p))), factorizations, sweeps)
+    return DensitySolution(
+        p.transpose(1, 2, 0), float(np.min(np.abs(p))), factorizations, sweeps
+    )
 
 
 def make_s(
-    spec: ForwardSpec, density: np.ndarray, value: np.ndarray
+    spec: ForwardSpec, density: np.ndarray, value: np.ndarray, coarse: SpaceTimeGrid
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Construct the local cost s so the value equation holds for the data.
 
         s = [v_t + lap(v) - |grad v|^2 / 2 - k * (interaction of p)] / p
 
-    All derivatives of the sampled value function are taken with the grid
-    stencils.  The division requires |p| >= 1e-8 at every node; the error
-    message names the first offending node.  The rate s_t comes from
-    central time differences of s.  ``value`` is ``spec.value_on_grid()``.
+    Returns s and its rate s_t at the nodes of ``coarse``, which must nest
+    in the generation grid.  All derivatives of the sampled value function
+    are taken with the fine-grid stencils and the interaction with the
+    fine-grid quadrature, but only their rows at the coarse (x1, x2) nodes
+    are formed: s there at every fine time, then s_t by the rows of the
+    central time difference at the coarse times.  With ``coarse =
+    spec.grid`` every stride is 1 and this is the full-grid construction.
+    The division requires |p| >= 1e-8 at every fine node; the error
+    message names the first offending node.  ``value`` is
+    ``spec.value_on_grid()``.
     """
     g = spec.grid
     if density.shape != g.spacetime_shape():
@@ -336,17 +380,22 @@ def make_s(
             "the cost construction would blow up"
         )
 
-    v = Field(g, SPACE_TIME, value)
-    vt = ddt(v).values
-    vlap = laplacian(v).values
-    vx1 = ddx1(v).values
-    vx2 = ddx2(v).values
-    op = InteractionOperator(g, spec.kernel)
-    inter = op.apply(density)
-    num = vt + vlap - 0.5 * (vx1 * vx1 + vx2 * vx2) - spec.coefficient[:, :, None] * inter
-    s = num / density
-    st = apply_along_axis(first_diff_matrix(g.nt, g.ht), s, 2)
-    return s, st
+    s1, s2, st_ = restriction_strides(g, coarse)
+    # the stencil rows at coarse nodes read only the whole x1 lines through
+    # the coarse x2 nodes and the x2 lines through the coarse x1 nodes
+    lines1, lines2 = value[:, ::s2], value[::s1]
+    d_t = first_diff_matrix(g.nt, g.ht)
+    vt = apply_along_axis(d_t, value[::s1, ::s2], 2)
+    vlap = apply_along_axis(second_diff_matrix(g.n1, g.h1)[::s1], lines1, 0) + apply_along_axis(
+        second_diff_matrix(g.n2, g.h2)[::s2], lines2, 1
+    )
+    vx1 = apply_along_axis(first_diff_matrix(g.n1, g.h1)[::s1], lines1, 0)
+    vx2 = apply_along_axis(first_diff_matrix(g.n2, g.h2)[::s2], lines2, 1)
+    inter = InteractionOperator(g, spec.kernel).apply(density[::s1], rows=np.s_[::s2])
+    k = spec.coefficient[::s1, ::s2, None]
+    num = vt + vlap - 0.5 * (vx1 * vx1 + vx2 * vx2) - k * inter
+    s = num / density[::s1, ::s2]
+    return s[:, :, ::st_], apply_along_axis(d_t[::st_], s, 2)
 
 
 def extract_observations(
@@ -404,13 +453,12 @@ def generate(spec: ForwardSpec, coarse: SpaceTimeGrid) -> GeneratedData:
     """
     value = spec.value_on_grid()
     solution = solve_density(spec, value)
-    s, st = make_s(spec, solution.density, value)
+    s, st = make_s(spec, solution.density, value, coarse)
     obs = extract_observations(spec, solution.density, coarse, value)
-    s1, s2, st_stride = restriction_strides(spec.grid, coarse)
     return GeneratedData(
         observations=obs,
-        cost_coarse=s[::s1, ::s2, ::st_stride],
-        cost_rate_coarse=st[::s1, ::s2, ::st_stride],
+        cost_coarse=s,
+        cost_rate_coarse=st,
         min_density=solution.min_density,
         factorizations=solution.factorizations,
         refinement_sweeps=solution.refinement_sweeps,

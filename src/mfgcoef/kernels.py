@@ -53,17 +53,17 @@ class InteractionOperator:
 
     Precomputes the (n2, n2) quadrature matrix once; ``apply`` evaluates
     the integral at every node of a spatial or space-time field by
-    applying it along x2, and
-    ``apply_transpose`` is its exact adjoint in the unweighted node inner
-    product.
+    applying it along x2 (or only at the x2 nodes ``rows`` selects, with
+    those rows of the matrix), and ``apply_transpose`` is its exact
+    adjoint in the unweighted node inner product.
     """
 
     def __init__(self, grid: SpaceTimeGrid, kernel: LineGaussianKernel) -> None:
         w2 = trapezoid_weights(grid.n2, grid.h2)
         self._matrix = kernel.cross_weight(grid.x2, grid.x2) * w2[None, :]
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return apply_along_axis(self._matrix, values, 1)
+    def apply(self, values: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        return apply_along_axis(self._matrix[rows], values, 1)
 
     def apply_transpose(self, values: np.ndarray) -> np.ndarray:
         return apply_along_axis(self._matrix.T, values, 1)

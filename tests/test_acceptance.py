@@ -3,8 +3,10 @@
 Criteria 5 through 9 run the full benchmark: fine-grid generation,
 restriction, descent on the inversion grid, scoring.  They share
 generated datasets through module fixtures but are otherwise
-independent.  Expected runtime for the whole module is around ten
-minutes, dominated by the reconstruction sweeps.
+independent.  One more test reads the forward solve's linear-algebra
+counts off the shared benchmark generation.  Expected runtime for the
+whole module is around ten minutes, dominated by the reconstruction
+sweeps.
 """
 
 import numpy as np
@@ -84,7 +86,7 @@ def test_criterion_03_convexity_gap_dominates_h2():
     worst = np.inf
     for _ in range(50):
         base = random_iterate(ctx.grid, rng, amplitude=0.25 * scale)
-        d = admissible_difference(ctx.grid, rng, amplitude=0.25 * scale)
+        d = admissible_difference(ctx, rng, amplitude=0.25 * scale)
         other = Iterate(base.u + d.u, base.m + d.m)
         gap, h2 = convexity_gap(ctx, base, other)
         worst = min(worst, gap / (0.5 * ctx.beta * h2))
@@ -95,6 +97,14 @@ def test_criterion_04_forward_scheme_orders():
     temporal, spatial = convergence_orders()
     ok = abs(temporal - 1.0) <= 0.2 and abs(spatial - 2.0) <= 0.3
     verdict(4, ok, f"observed orders: temporal {temporal:.2f}, spatial {spatial:.2f}")
+
+
+def test_benchmark_generation_keeps_one_factor(bench):
+    # every step after the first is refined from its extrapolated start
+    # with two solves of the one kept factor
+    cfg, data = bench
+    assert data.factorizations == 1
+    assert data.refinement_sweeps <= 2 * (cfg.fine_grid().nt - 2)
 
 
 def test_criterion_05_noiseless_benchmark_reconstruction(bench_outcome):

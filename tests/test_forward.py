@@ -13,7 +13,17 @@ from mfgcoef.forward import (
     solve_density,
     stencil_bundle,
 )
-from mfgcoef.grid import SpaceTimeGrid
+from mfgcoef.grid import (
+    SPACE_TIME,
+    Field,
+    SpaceTimeGrid,
+    apply_along_axis,
+    ddt,
+    ddx1,
+    ddx2,
+    first_diff_matrix,
+    laplacian,
+)
 from mfgcoef.kernels import InteractionOperator, LineGaussianKernel
 
 
@@ -191,6 +201,57 @@ def test_scheme_orders():
     assert spatial == pytest.approx(2.0, abs=0.3)
 
 
+def full_grid_cost(spec, density, value):
+    """s and s_t at every node of the generation grid, by the Field operators."""
+    g = spec.grid
+    v = Field(g, SPACE_TIME, value)
+    vx1, vx2 = ddx1(v).values, ddx2(v).values
+    inter = InteractionOperator(g, spec.kernel).apply(density)
+    num = (
+        ddt(v).values
+        + laplacian(v).values
+        - 0.5 * (vx1 * vx1 + vx2 * vx2)
+        - spec.coefficient[:, :, None] * inter
+    )
+    s = num / density
+    return s, apply_along_axis(first_diff_matrix(g.nt, g.ht), s, 2)
+
+
+def cost_case(g):
+    """A spec with a non-constant coefficient, its analytic density and value."""
+    fp, fv, _ = manufactured(
+        "(t + 1) * (x1*x2 + 2)", "cos(pi*x1) * sin(pi*x2) * (t*t + 1) / 10 + x2**3 * t"
+    )
+    x1, x2 = g.meshgrid()
+    k = 1.0 + 0.5 * np.exp(-((x1 - 1.5) ** 2 + (x2 - 0.1) ** 2) / 0.05)
+    spec = spec_for(g, fv, fp, k)
+    density = np.stack([fp(x1, x2, t) for t in g.t], axis=2)
+    return spec, density, spec.value_on_grid()
+
+
+def test_make_s_on_its_own_grid_is_the_full_grid_formula():
+    g = grid(15, 13, 9)
+    spec, density, value = cost_case(g)
+    s, st = make_s(spec, density, value, g)
+    s_full, st_full = full_grid_cost(spec, density, value)
+    assert np.array_equal(s, s_full)
+    assert np.array_equal(st, st_full)
+
+
+def test_make_s_on_coarse_nodes_restricts_the_full_grid_cost():
+    # only the stencil and quadrature rows at coarse nodes are formed; the
+    # products then round in another order than the full-grid ones
+    fine = grid(41, 41, 41)
+    coarse = grid(11, 11, 11)  # strides (4, 4, 4)
+    spec, density, value = cost_case(fine)
+    s, st = make_s(spec, density, value, coarse)
+    s_full, st_full = full_grid_cost(spec, density, value)
+    assert s.shape == st.shape == coarse.spacetime_shape()
+    s_ref, st_ref = s_full[::4, ::4, ::4], st_full[::4, ::4, ::4]
+    assert np.max(np.abs(s - s_ref)) <= 1e-12 * np.max(np.abs(s_ref))
+    assert np.max(np.abs(st - st_ref)) <= 1e-10 * np.max(np.abs(st_ref))
+
+
 def test_make_s_satisfies_value_equation_identity():
     # s is constructed by division, so num - s*p vanishes to rounding
     g = grid(15, 15, 7)
@@ -198,11 +259,9 @@ def test_make_s_satisfies_value_equation_identity():
     spec = spec_for(g, fv, fp)
     x1, x2 = g.meshgrid()
     density = np.stack([fp(x1, x2, t) for t in g.t], axis=2)
-    s, st = make_s(spec, density, spec.value_on_grid())
+    s, st = make_s(spec, density, spec.value_on_grid(), g)
     assert np.all(np.isfinite(s))
     assert st.shape == g.spacetime_shape()
-
-    from mfgcoef.grid import SPACE_TIME, Field, ddt, ddx1, ddx2, laplacian
 
     v = Field(g, SPACE_TIME, spec.value_on_grid())
     op = InteractionOperator(g, spec.kernel)
@@ -234,7 +293,7 @@ def test_make_s_matches_symbolic_construction():
     spec = spec_for(g, fv, fp)
     x1, x2 = g.meshgrid()
     density = np.stack([fp(x1, x2, t) for t in g.t], axis=2)
-    s, _ = make_s(spec, density, spec.value_on_grid())
+    s, _ = make_s(spec, density, spec.value_on_grid(), g)
 
     sigma = 0.2
     yfine = np.linspace(-g.half_width, g.half_width, 4001)
@@ -254,7 +313,7 @@ def test_make_s_rejects_vanishing_density():
     x1, x2 = g.meshgrid()
     density = np.stack([fp(x1, x2, t) for t in g.t], axis=2)
     with pytest.raises(ValueError, match="floor"):
-        make_s(spec, density, spec.value_on_grid())
+        make_s(spec, density, spec.value_on_grid(), g)
 
 
 def test_extract_observations_values_and_shapes():

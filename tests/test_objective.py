@@ -4,6 +4,7 @@ import pytest
 from mfgcoef.carleman import CarlemanParams
 from mfgcoef.forward import ForwardSpec, extract_observations, make_s, solve_density, stencil_bundle
 from mfgcoef.grid import H2Form, SpaceTimeGrid, apply_along_axis, first_diff_matrix
+from mfgcoef.inverse import DataConstraints
 from mfgcoef.kernels import LineGaussianKernel
 from mfgcoef.objective import (
     Iterate,
@@ -46,7 +47,7 @@ def make_context(g, lam=3.0, beta=1e-3, residual_scale=1.0):
     density = np.stack([density_fn(x1, x2, t) for t in g.t], axis=2)
     value = spec.value_on_grid()
     obs = extract_observations(spec, density, g, value)
-    s, st = make_s(spec, density, value)
+    s, st = make_s(spec, density, value, g)
     params = CarlemanParams(lam=lam, alpha=0.2, b=g.b, horizon=g.horizon)
     return ObjectiveContext(
         grid=g,
@@ -162,7 +163,7 @@ def test_coefficient_identity_on_consistent_data():
     value = spec.value_on_grid()
     density = solve_density(spec, value).density
     obs = extract_observations(spec, density, coarse, value)
-    s, st = make_s(spec, density, value)
+    s, st = make_s(spec, density, value, coarse)
     s1, s2, st_stride = 2, 2, 4
     params = CarlemanParams(lam=3.0, alpha=0.2, b=coarse.b, horizon=coarse.horizon)
     ctx = ObjectiveContext(
@@ -171,8 +172,8 @@ def test_coefficient_identity_on_consistent_data():
         params=params,
         beta=1e-3,
         bundle=stencil_bundle(obs),
-        cost=s[::s1, ::s2, ::st_stride],
-        cost_rate=st[::s1, ::s2, ::st_stride],
+        cost=s,
+        cost_rate=st,
     )
 
     # truth iterate: u analytic, m by fine stencil then restriction
@@ -198,15 +199,17 @@ def test_coefficient_identity_on_consistent_data():
     assert res_truth < 0.02 * res_bumped
 
 
-def admissible_difference(g, rng, amplitude):
-    """A direction vanishing on the lateral data nodes, outflow layer tied."""
-    d = random_iterate(g, rng, amplitude)
-    for arr in (d.u, d.m):
-        arr[:, 0, :] = 0.0
-        arr[:, -1, :] = 0.0
-        arr[0, :, :] = 0.0
-        arr[-1, :, :] = 0.25 * arr[-2, :, :]
-    return d
+def admissible_difference(ctx, rng, amplitude):
+    """A difference of two iterates that carry the data, embed(x) - embed(0).
+
+    It vanishes on the pinned lateral faces and its tied outflow layer is
+    a quarter of the layer below it, so adding it to an iterate that
+    carries the data stays inside the constraint set.
+    """
+    constraints = DataConstraints(ctx.grid, ctx.bundle)
+    x = amplitude * rng.standard_normal(2 * constraints.nfree)
+    moved, origin = constraints.embed(x), constraints.embed(np.zeros_like(x))
+    return Iterate(moved.u - origin.u, moved.m - origin.m)
 
 
 def test_convexity_gap_dominates_h2():
@@ -216,7 +219,7 @@ def test_convexity_gap_dominates_h2():
     scale = float(np.max(np.abs(ctx.v0_x1)))
     for _ in range(10):
         base = random_iterate(g, rng, amplitude=0.25 * scale)
-        d = admissible_difference(g, rng, amplitude=0.25 * scale)
+        d = admissible_difference(ctx, rng, amplitude=0.25 * scale)
         other = Iterate(base.u + d.u, base.m + d.m)
         gap, h2 = convexity_gap(ctx, base, other)
         assert gap >= 0.5 * ctx.beta * h2
