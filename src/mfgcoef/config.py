@@ -69,19 +69,18 @@ class ExperimentConfig:
 
     # builders; each delegates validation to the object it constructs
 
-    def fine_grid(self) -> SpaceTimeGrid:
-        n1, n2, nt = self.fine
+    def _grid(self, nodes: Tuple[int, int, int]) -> SpaceTimeGrid:
+        n1, n2, nt = nodes
         return SpaceTimeGrid(
             a=self.a, b=self.b, half_width=self.half_width, horizon=self.horizon,
             n1=n1, n2=n2, nt=nt,
         )
 
+    def fine_grid(self) -> SpaceTimeGrid:
+        return self._grid(self.fine)
+
     def coarse_grid(self) -> SpaceTimeGrid:
-        n1, n2, nt = self.coarse
-        return SpaceTimeGrid(
-            a=self.a, b=self.b, half_width=self.half_width, horizon=self.horizon,
-            n1=n1, n2=n2, nt=nt,
-        )
+        return self._grid(self.coarse)
 
     def carleman_params(self) -> CarlemanParams:
         return CarlemanParams(

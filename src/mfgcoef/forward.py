@@ -271,6 +271,8 @@ def solve_density(
     value_t = np.ascontiguousarray(value.transpose(2, 0, 1))
     p = np.empty((g.nt, n1, n2))
     p[0] = spec.density_init_fn(x1, x2)
+    # the minimum |p| is taken slab by slab, never over a full-grid |p|
+    min_abs = np.abs(p[0]).min()
 
     n_int = (n1 - 2) * (n2 - 2)
     inv_h1sq = 1.0 / (g.h1 * g.h1)
@@ -344,10 +346,9 @@ def solve_density(
             factorizations += 1
             sol = lu.solve(rhs)
         p[n, 1:-1, 1:-1] = sol.reshape(n1 - 2, n2 - 2)
+        min_abs = np.minimum(min_abs, np.abs(p[n]).min())
 
-    return DensitySolution(
-        p.transpose(1, 2, 0), float(np.min(np.abs(p))), factorizations, sweeps
-    )
+    return DensitySolution(p.transpose(1, 2, 0), float(min_abs), factorizations, sweeps)
 
 
 def make_s(
@@ -371,8 +372,9 @@ def make_s(
     g = spec.grid
     if density.shape != g.spacetime_shape():
         raise ValueError("density must live on the generation grid")
-    mags = np.abs(density)
-    if mags.min() < DENSITY_FLOOR:
+    # slab by slab, so no full-grid |p| is formed unless the check fails
+    if np.min([np.abs(density[:, :, n]).min() for n in range(g.nt)]) < DENSITY_FLOOR:
+        mags = np.abs(density)
         i, j, n = np.unravel_index(int(np.argmin(mags)), mags.shape)
         raise ValueError(
             f"density is {density[i, j, n]:.3e} at node (x1={g.x1[i]:.4f}, "

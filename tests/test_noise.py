@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -6,8 +8,10 @@ from mfgcoef.forward import ObservationData, stencil_bundle
 from mfgcoef.grid import GAMMA_TRACE, SPATIAL, Field, SpaceTimeGrid
 from mfgcoef.noise import (
     SLICE_ORDER,
+    TRACE_ORDER,
     NoiseSpec,
     _field_generator,
+    _penalty_spectrum,
     inject,
     regularized_fit,
     smooth_observations,
@@ -135,6 +139,55 @@ def test_regularized_laplacian_beats_interpolating_splines(seed):
     fit_err = np.linalg.norm(fit_lap - exact)
     spline_err = np.linalg.norm(spline_lap - exact)
     assert spline_err >= 10.0 * fit_err
+
+
+def monomials(shape, order):
+    """Columns x1^i x2^j, i + j < order, on the flattened surface."""
+    x1 = np.linspace(0.0, 1.0, shape[0])[:, None]
+    x2 = np.linspace(0.0, 1.0, shape[1])[None, :]
+    return np.stack(
+        [(x1**i * x2**j).ravel() for i in range(shape[0]) for j in range(shape[1]) if i + j < order],
+        axis=1,
+    )
+
+
+@pytest.mark.parametrize("shape, order", [((21, 21), 4), ((21, 11), 3), ((41, 41), 4)])
+def test_penalty_null_space_is_the_low_degree_monomials(shape, order):
+    eigenvalues, eigenvectors = _penalty_spectrum(shape, order)
+    basis = monomials(shape, order)
+    nullity = basis.shape[1]
+    assert np.count_nonzero(eigenvalues == 0.0) == nullity
+    assert np.all(eigenvalues[nullity:] > 0.0)
+    # eigh resolves the subspace only to about eps * max(e) / min(e > 0)
+    # (Davis-Kahan); measured 6e-10 on (21, 21) and 1.4e-7 on (41, 41)
+    null = eigenvectors[:, :nullity]
+    assert np.linalg.norm(basis - null @ (null.T @ basis)) <= 1e-6 * np.linalg.norm(basis)
+
+
+@pytest.mark.parametrize("shape, order", [((21, 21), SLICE_ORDER), ((21, 11), TRACE_ORDER)])
+def test_penalty_spectrum_rebuilds_the_difference_penalty(shape, order):
+    # reference: sum_a C(order, a) D_a^T D_a, D_a the mixed difference
+    # D1^a D2^(order-a) applied to every unit vector of the surface
+    n = shape[0] * shape[1]
+    units = np.eye(n).reshape(n, *shape)
+    penalty = np.zeros((n, n))
+    for a in range(order + 1):
+        d = np.diff(np.diff(units, a, axis=1), order - a, axis=2).reshape(n, -1)
+        penalty += comb(order, a) * d @ d.T
+    eigenvalues, eigenvectors = _penalty_spectrum(shape, order)
+    rebuilt = (eigenvectors * eigenvalues) @ eigenvectors.T
+    assert np.max(np.abs(rebuilt - penalty)) <= 1e-12 * np.max(np.abs(penalty))
+
+
+@pytest.mark.parametrize("level", (0.01, 0.03, 0.05))
+@pytest.mark.parametrize("shape, order", [((21, 21), SLICE_ORDER), ((21, 11), TRACE_ORDER)])
+def test_fit_returns_polynomials_the_penalty_does_not_see(shape, order, level):
+    # zero penalty and zero residual at every alpha: the discrepancy rule
+    # ends at the largest alpha, where the fit must still be the data
+    basis = monomials(shape, order)
+    poly = (basis @ np.linspace(2.0, -1.0, basis.shape[1])).reshape(shape)
+    fitted = regularized_fit(poly, level, order)
+    assert np.max(np.abs(fitted - poly)) <= 1e-6 * np.max(np.abs(poly))
 
 
 def test_noise_spec_validation():
