@@ -11,7 +11,7 @@ alone.
 
 Exit codes: 0 on success, 2 for configuration and precondition errors,
 3 for numerical failures (stalled descent, violated certification,
-denominator bound).
+denominator bound, a density step that does not converge).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import platform
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .carleman import ratio_log_slope, run_certification, validate_exponent
@@ -66,7 +65,6 @@ def _versions() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "mfgcoef": __version__,
     }
 
@@ -187,8 +185,8 @@ def cmd_generate(args) -> int:
         "versions": _versions(),
         "measurements": {
             "min_density": data.min_density,
-            "factorizations": data.factorizations,
-            "refinement_sweeps": data.refinement_sweeps,
+            "preconditioned_sweeps": data.preconditioned_sweeps,
+            "krylov_steps": data.krylov_steps,
             "denominator_min_abs": float(np.abs(denom.values).min()),
         },
         "outputs": _hash_map(paths),

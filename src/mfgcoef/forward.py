@@ -8,17 +8,20 @@ k.  The density equation
 
 is solved on a fine grid by a backward-Euler scheme, centered in space
 with conservative flux differencing of the advection term; each step
-solves one sparse system for the interior unknowns only, with the
+solves one five-point system for the interior unknowns only, with the
 Dirichlet boundary values moved to its right-hand side.  The solve keeps
-its time slabs contiguous, (nt, n1, n2), while it steps.  One LU factor
-is kept across steps and each solve is refined with it, starting from
-the density extrapolated from the earlier steps; a step it cannot refine
-is factored afresh.  The local cost s(x, t) is then constructed so that
-the value equation holds exactly for the prescribed v, which requires
-the computed density to stay away from zero everywhere; it and its rate
-are formed only at the inversion-grid nodes.  Observations (midpoint
-slices, Dirichlet traces, one-sided Neumann traces at the outflow face)
-are restricted to the coarser inversion grid.
+its time slabs contiguous, (nt, n1, n2), while it steps, and forms no
+matrix.  Each step starts from the density extrapolated from the earlier
+steps and sweeps with the exact inverse of its drift-free part, which
+the sine bases of the grid lines diagonalize; a step whose drift is too
+strong for that is solved by GMRES with the same preconditioner, and a
+step neither method solves raises.  The local cost s(x, t) is then
+constructed so that the value equation holds exactly for the prescribed
+v, which requires the computed density to stay away from zero
+everywhere; it and its rate are formed only at the inversion-grid
+nodes.  Observations (midpoint slices, Dirichlet traces, one-sided
+Neumann traces at the outflow face) are restricted to the coarser
+inversion grid.
 """
 
 from __future__ import annotations
@@ -46,11 +49,14 @@ from .grid import (
 from .kernels import InteractionOperator, LineGaussianKernel
 
 DENSITY_FLOOR = 1e-8
-# a refined step stops at a residual of a few ulps of its right-hand side
+# a step stops at a residual of a few ulps of its right-hand side
 REFINE_RTOL = 1e-14
-# a kept factor that needs more solves than this per step no longer
-# matches the step's matrix closely enough to be worth keeping
-MAX_SWEEPS = 6
+# a step whose drift is weak meets the stop test in a few sweeps from its
+# extrapolated start; one that needs more than this goes to GMRES
+SWEEP_CAP = 10
+# GMRES restart length, and its budget of products with the step matrix
+GMRES_RESTART = 30
+GMRES_MATVECS = 600
 
 SpaceTimeFn = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 SpatialFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -166,25 +172,26 @@ class GeneratedData:
     cost_coarse: np.ndarray
     cost_rate_coarse: np.ndarray
     min_density: float
-    factorizations: int
-    refinement_sweeps: int
+    preconditioned_sweeps: int
+    krylov_steps: int
 
 
 @dataclass
 class DensitySolution:
     """Density on the fine grid, its minimum |p|, and the linear-algebra work.
 
-    ``density`` is indexed (x1, x2, t).  ``factorizations`` counts sparse
-    LU factorizations and ``refinement_sweeps`` the solves with a kept
-    factor; both depend on the data only, so they repeat exactly from run
-    to run.  With the extrapolated start, a step whose drift changes
-    smoothly takes two kept-factor solves.
+    ``density`` is indexed (x1, x2, t).  ``preconditioned_sweeps`` counts
+    the Richardson sweeps of all steps, those of steps that then needed
+    GMRES included, and ``krylov_steps`` the steps that needed GMRES;
+    both depend on the data only, so they repeat exactly from run to run.
+    With the extrapolated start, a step whose drift changes smoothly
+    takes two to five sweeps.
     """
 
     density: np.ndarray
     min_density: float
-    factorizations: int
-    refinement_sweeps: int
+    preconditioned_sweeps: int
+    krylov_steps: int
 
 
 def _start(p: np.ndarray, n: int) -> np.ndarray:
@@ -195,34 +202,91 @@ def _start(p: np.ndarray, n: int) -> np.ndarray:
     """
     prev = p[:n, 1:-1, 1:-1]
     if n > 3:
-        guess = 3.0 * prev[-1] - 3.0 * prev[-2] + prev[-3]
-    elif n == 3:
-        guess = 2.0 * prev[-1] - prev[-2]
-    else:
-        # a copy: the refinement updates its guess in place
-        guess = prev[-1].copy()
-    return guess.ravel()
+        return 3.0 * prev[-1] - 3.0 * prev[-2] + prev[-3]
+    if n == 3:
+        return 2.0 * prev[-1] - prev[-2]
+    return prev[-1]
 
 
-def _refined_solve(
-    lu, mat, rhs: np.ndarray, guess: np.ndarray
-) -> Tuple[Optional[np.ndarray], int]:
-    """Solve ``mat x = rhs`` by iterative refinement with the factor ``lu``.
+def _sine_basis(m: int, h: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors and eigenvalues of the 1D Dirichlet -d2/dx2 stencil.
 
-    Each sweep solves for the current residual with ``lu``, the first
-    for ``rhs - mat @ guess``; ``guess`` is updated in place.  Returns the
-    solution, or None when MAX_SWEEPS sweeps do not bring the residual
-    under REFINE_RTOL ||rhs||, and the number of sweeps made.
+    The stencil acts on m interior nodes of spacing h.  Its eigenvector
+    matrix is the orthonormal, symmetric sine matrix, so it is its own
+    inverse.
     """
-    bound = REFINE_RTOL * np.linalg.norm(rhs)
-    sol = guess
-    residual = rhs - mat @ sol
-    for sweep in range(1, MAX_SWEEPS + 1):
-        sol += lu.solve(residual)
-        residual = rhs - mat @ sol
-        if np.linalg.norm(residual) <= bound:
-            return sol, sweep
-    return None, MAX_SWEEPS
+    j = np.arange(1, m + 1)
+    basis = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(j, j) / (m + 1))
+    return basis, (2.0 / h) ** 2 * np.sin(0.5 * np.pi * j / (m + 1)) ** 2
+
+
+def _richardson(apply, precondition, rhs: np.ndarray, x: np.ndarray, bound: float):
+    """Preconditioned Richardson sweeps ``x += P^-1 (rhs - A x)`` from x.
+
+    Returns the iterate whose residual norm is at most ``bound``, or None
+    when SWEEP_CAP sweeps do not get there, and the number of sweeps made.
+    ``x`` itself is left as it is, so a step can restart from it.
+    """
+    residual = rhs - apply(x)
+    made = 0
+    while np.linalg.norm(residual) > bound:
+        if made == SWEEP_CAP:
+            return None, made
+        x = x + precondition(residual)
+        residual = rhs - apply(x)
+        made += 1
+    return x, made
+
+
+def _gmres(apply, precondition, rhs: np.ndarray, x: np.ndarray, bound: float):
+    """Right-preconditioned restarted GMRES(GMRES_RESTART) from x.
+
+    Each cycle builds an Arnoldi basis of A P^-1 (Gram-Schmidt applied
+    twice) and reduces its Hessenberg matrix with Givens rotations; it
+    ends early once the rotated residual estimate meets ``bound``.  The
+    stop test is on the true residual, formed after every cycle, and at
+    most GMRES_MATVECS products with A are spent.  Returns the last
+    iterate and its true residual norm.
+    """
+    shape = x.shape
+    residual = rhs - apply(x)
+    rnorm = np.linalg.norm(residual)
+    used = 0
+    while rnorm > bound and used < GMRES_MATVECS:
+        m = min(GMRES_RESTART, GMRES_MATVECS - used)
+        basis = np.zeros((m + 1, residual.size))
+        hess = np.zeros((m + 1, m))
+        cos, sin = np.zeros(m), np.zeros(m)
+        g = np.zeros(m + 1)
+        g[0] = rnorm
+        basis[0] = residual.ravel() / rnorm
+        for j in range(m):
+            w = apply(precondition(basis[j].reshape(shape))).ravel()
+            used += 1
+            for _ in range(2):
+                h = basis[: j + 1] @ w
+                w -= h @ basis[: j + 1]
+                hess[: j + 1, j] += h
+            hess[j + 1, j] = np.linalg.norm(w)
+            if hess[j + 1, j] > 0.0:
+                basis[j + 1] = w / hess[j + 1, j]
+            for i in range(j):
+                upper, lower = hess[i, j], hess[i + 1, j]
+                hess[i, j] = cos[i] * upper + sin[i] * lower
+                hess[i + 1, j] = cos[i] * lower - sin[i] * upper
+            radius = np.hypot(hess[j, j], hess[j + 1, j])
+            cos[j], sin[j] = hess[j, j] / radius, hess[j + 1, j] / radius
+            hess[j, j], hess[j + 1, j] = radius, 0.0
+            g[j + 1] = -sin[j] * g[j]
+            g[j] *= cos[j]
+            if abs(g[j + 1]) <= bound:
+                break
+        k = j + 1
+        y = np.linalg.solve(hess[:k, :k], g[:k])
+        x = x + precondition((y @ basis[:k]).reshape(shape))
+        residual = rhs - apply(x)
+        rnorm = np.linalg.norm(residual)
+    return x, rnorm
 
 
 def solve_density(
@@ -235,8 +299,8 @@ def solve_density(
     ``value`` is ``spec.value_on_grid()``.  Returns the density on the
     full space-time grid, its minimum absolute value (the caller decides
     whether that is close enough to zero to matter; ``make_s`` enforces
-    the hard floor), and the counts of factorizations and refinement
-    sweeps.
+    the hard floor), and the counts of Richardson sweeps and of steps
+    that needed GMRES.
 
     The advection term div(p grad v) is discretized conservatively:
     face fluxes (p_i + p_{i+1})/2 * (v_{i+1} - v_i)/h, then
@@ -244,25 +308,25 @@ def solve_density(
     Each step solves for the interior unknowns only: the five-point
     operator couples an interior node to its interior neighbours, and
     the Dirichlet values of its boundary neighbours move to the
-    right-hand side.
+    right-hand side.  The step operator is applied to an interior slab
+    by shifted-slice products with its five coefficient arrays; no
+    matrix is formed.
 
-    The step matrix changes only through the drift at the new time, so
-    one LU factor serves many steps: each step is solved by iterative
-    refinement with the kept factor until ||b - Ax|| <= REFINE_RTOL ||b||,
-    starting from the interior extrapolated from the last three steps
-    (two at the third step, one at the second).  When MAX_SWEEPS sweeps
-    do not get there, the current step's matrix is factored afresh and
-    its direct solve is taken, as at the first step.
+    The step matrix is (1/ht) I - lap_h plus the drift part, and the sine
+    bases of the x1 and x2 lines diagonalize the first part exactly, so
+    its inverse P^-1 costs four small matrix products (the fast
+    diagonalization method).  Each step starts from the interior
+    extrapolated from the last three steps (two at the third step, one
+    at the second) and sweeps x += P^-1 (b - Ax) until
+    ||b - Ax|| <= REFINE_RTOL ||b||.  A step whose drift is too strong
+    for SWEEP_CAP sweeps restarts from the same start with GMRES,
+    preconditioned by the same P^-1, under the same stop test; a step
+    that meets it under neither raises RuntimeError.
 
     Value samples and density are kept time-major, (nt, n1, n2), while
     stepping, so each step reads and writes contiguous slabs; the density
     is returned as its (n1, n2, nt) view.
     """
-    # imported here so that commands which never solve the density start
-    # without scipy's sparse modules
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import splu
-
     g = spec.grid
     n1, n2 = g.n1, g.n2
     x1, x2 = g.meshgrid()
@@ -274,31 +338,23 @@ def solve_density(
     # the minimum |p| is taken slab by slab, never over a full-grid |p|
     min_abs = np.abs(p[0]).min()
 
-    n_int = (n1 - 2) * (n2 - 2)
     inv_h1sq = 1.0 / (g.h1 * g.h1)
     inv_h2sq = 1.0 / (g.h2 * g.h2)
 
-    # interior numbering, and for east, west, north and south the interior
-    # nodes whose neighbour that way is interior too, with its number
-    k = np.arange(n_int).reshape(n1 - 2, n2 - 2)
-    links = (
-        (np.s_[:-1, :], k[1:, :]),
-        (np.s_[1:, :], k[:-1, :]),
-        (np.s_[:, :-1], k[:, 1:]),
-        (np.s_[:, 1:], k[:, :-1]),
-    )
-    rows = np.concatenate([k.ravel()] + [k[sel].ravel() for sel, _ in links])
-    cols = np.concatenate([k.ravel()] + [nbr.ravel() for _, nbr in links])
-    # the pattern never changes: build the CSC once and keep where each
-    # COO entry lands, so a step only refills the values
-    mat = sp.csc_matrix(
-        (np.arange(rows.size, dtype=float), (rows, cols)), shape=(n_int, n_int)
-    )
-    order = mat.data.astype(np.intp)
+    basis1, eig1 = _sine_basis(n1 - 2, g.h1)
+    basis2, eig2 = _sine_basis(n2 - 2, g.h2)
+    inv_eig = 1.0 / (1.0 / g.ht + eig1[:, None] + eig2[None, :])
 
-    lu = None
-    factorizations = 0
+    def precondition(r: np.ndarray) -> np.ndarray:
+        return basis1 @ ((basis1 @ r @ basis2) * inv_eig) @ basis2
+
+    # an interior slab inside a zero frame, so the boundary-facing
+    # coefficients of the step operator multiply zeros
+    framed = np.zeros((n1, n2))
+    inner = framed[1:-1, 1:-1]
+
     sweeps = 0
+    krylov_steps = 0
     for n in range(1, g.nt):
         t = g.t[n]
         v = value_t[n]
@@ -320,35 +376,44 @@ def solve_density(
         west = -inv_h1sq + 0.5 * a_w / g.h1
         north = -inv_h2sq - 0.5 * a_n / g.h2
         south = -inv_h2sq + 0.5 * a_s / g.h2
-        vals = np.concatenate(
-            [center.ravel()]
-            + [c[sel].ravel() for c, (sel, _) in zip((east, west, north, south), links)]
-        )
-        np.take(vals, order, out=mat.data)
+
+        def neighbours(q: np.ndarray) -> np.ndarray:
+            """Off-center part of the step operator on a full (n1, n2) slab."""
+            return (
+                west * q[:-2, 1:-1] + south * q[1:-1, :-2] + north * q[1:-1, 2:] + east * q[2:, 1:-1]
+            )
+
+        def apply(x: np.ndarray) -> np.ndarray:
+            inner[...] = x
+            return center * x + neighbours(framed)
 
         # Dirichlet data; the zeroed interior drops interior neighbours
-        # from the coupling, summed in the neighbours' node order
+        # from the coupling
         p[n] = spec.density_boundary_fn(x1, x2, t)
         p[n, 1:-1, 1:-1] = 0.0
-        b = p[n]
-        coupling = (
-            west * b[:-2, 1:-1] + south * b[1:-1, :-2] + north * b[1:-1, 2:] + east * b[2:, 1:-1]
-        )
+        coupling = neighbours(p[n])
         rhs = p[n - 1] / g.ht
         if source is not None:
             rhs = rhs + source(x1, x2, t)
-        rhs = (rhs[1:-1, 1:-1] - coupling).ravel()
+        rhs = rhs[1:-1, 1:-1] - coupling
 
-        sol, done = (None, 0) if lu is None else _refined_solve(lu, mat, rhs, _start(p, n))
-        sweeps += done
+        bound = REFINE_RTOL * np.linalg.norm(rhs)
+        start = _start(p, n)
+        sol, made = _richardson(apply, precondition, rhs, start, bound)
+        sweeps += made
         if sol is None:
-            lu = splu(mat, permc_spec="MMD_AT_PLUS_A")
-            factorizations += 1
-            sol = lu.solve(rhs)
-        p[n, 1:-1, 1:-1] = sol.reshape(n1 - 2, n2 - 2)
+            krylov_steps += 1
+            sol, reached = _gmres(apply, precondition, rhs, start, bound)
+            if reached > bound:
+                raise RuntimeError(
+                    f"density step {n} (t={t:.6g}) did not converge: residual "
+                    f"{reached:.3e} against the bound {bound:.3e} after {SWEEP_CAP} "
+                    f"sweeps and {GMRES_MATVECS} GMRES matvecs"
+                )
+        p[n, 1:-1, 1:-1] = sol
         min_abs = np.minimum(min_abs, np.abs(p[n]).min())
 
-    return DensitySolution(p.transpose(1, 2, 0), float(min_abs), factorizations, sweeps)
+    return DensitySolution(p.transpose(1, 2, 0), float(min_abs), sweeps, krylov_steps)
 
 
 def make_s(
@@ -462,8 +527,8 @@ def generate(spec: ForwardSpec, coarse: SpaceTimeGrid) -> GeneratedData:
         cost_coarse=s,
         cost_rate_coarse=st,
         min_density=solution.min_density,
-        factorizations=solution.factorizations,
-        refinement_sweeps=solution.refinement_sweeps,
+        preconditioned_sweeps=solution.preconditioned_sweeps,
+        krylov_steps=solution.krylov_steps,
     )
 
 

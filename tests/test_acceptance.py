@@ -3,8 +3,8 @@
 Criteria 5 through 9 run the full benchmark: fine-grid generation,
 restriction, descent on the inversion grid, scoring.  They share
 generated datasets through module fixtures but are otherwise
-independent.  One more test reads the forward solve's linear-algebra
-counts off the shared benchmark generation.  Expected runtime for the
+independent.  One more test reads the forward solve's sweep counts off
+the shared benchmark generation.  Expected runtime for the
 whole module is around ten minutes, dominated by the reconstruction
 sweeps.
 """
@@ -99,12 +99,13 @@ def test_criterion_04_forward_scheme_orders():
     verdict(4, ok, f"observed orders: temporal {temporal:.2f}, spatial {spatial:.2f}")
 
 
-def test_benchmark_generation_keeps_one_factor(bench):
-    # every step after the first is refined from its extrapolated start
-    # with two solves of the one kept factor
+def test_benchmark_generation_needs_no_krylov_step(bench):
+    # the benchmark's drift is weak next to 1/ht - lap_h, so every step
+    # meets its stop test in a few preconditioned sweeps from its
+    # extrapolated start and none falls back to GMRES
     cfg, data = bench
-    assert data.factorizations == 1
-    assert data.refinement_sweeps <= 2 * (cfg.fine_grid().nt - 2)
+    assert data.krylov_steps == 0
+    assert data.preconditioned_sweeps <= 3 * (cfg.fine_grid().nt - 1)
 
 
 def test_criterion_05_noiseless_benchmark_reconstruction(bench_outcome):

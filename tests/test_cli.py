@@ -47,8 +47,8 @@ def test_generate_writes_dataset_and_manifest(workspace):
     assert manifest["command"] == "generate"
     assert manifest["config"]["coarse"] == [21, 21, 5]
     assert manifest["measurements"]["min_density"] > 0
-    assert manifest["measurements"]["factorizations"] >= 1
-    assert isinstance(manifest["measurements"]["refinement_sweeps"], int)
+    assert manifest["measurements"]["preconditioned_sweeps"] >= 1
+    assert manifest["measurements"]["krylov_steps"] == 0
     assert set(manifest["outputs"]) == {
         "v0", "p0", "g01", "g02", "g11", "g12", "cost", "cost_rate",
     }
@@ -67,7 +67,8 @@ def test_generate_rerun_is_bit_identical(workspace):
     hashes = [{k: v["sha256"] for k, v in m["outputs"].items()} for m in manifests]
     assert len(hashes[0]) == 8
     assert hashes[0] == hashes[1]
-    # the refactor decisions repeat too, not just the bytes they produce
+    # the sweep counts and fallback decisions repeat too, not just the
+    # bytes they produce
     assert a["measurements"] == b["measurements"]
 
 
@@ -78,6 +79,18 @@ def test_generate_rejects_grids_that_do_not_nest_before_solving(tmp_path, capsys
     assert code == EXIT_PRECONDITION
     assert "does not nest" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_generate_step_that_does_not_converge_writes_no_dataset(tmp_path, capsys):
+    # the value function grows like t^2, so over a long horizon the drift
+    # dwarfs 1/ht - lap_h: the sweeps diverge, and restarted GMRES stalls
+    # about 100-fold above the residual bound within its budget
+    config = tmp_path / "long.ini"
+    config.write_text("[geometry]\nhorizon = 100\n\n[grid]\nfine = 41,41,9\ncoarse = 21,21,5\n")
+    out = tmp_path / "ds"
+    assert main(["generate", "--config", str(config), "--out", str(out)]) == EXIT_NUMERICAL
+    assert "density step 3 (t=37.5) did not converge" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_generate_refuses_nonempty_dir_without_force(workspace):
@@ -356,27 +369,25 @@ def _run_child(code: str, cwd: Path) -> subprocess.CompletedProcess:
     )
 
 
-def test_scipy_solvers_load_only_for_commands_that_call_them(tmp_path):
-    # only the density solve of generation calls a scipy solver; the
-    # certification and the noisy-data fit use none, so a fresh interpreter
-    # running them must not pay for importing scipy.sparse or scipy.linalg
+def test_no_command_loads_scipy(tmp_path):
+    # every solver is numpy-only, so a fresh interpreter running any
+    # command, generation included, must not pay for importing scipy
     data = Path(__file__).resolve().parents[1] / "benchmarks" / "data"
     smoke = str(data / "smoke.ini")
 
-    def solvers_loaded(argv):
+    def scipy_loaded(argv):
         child = _run_child(
             "import sys\n"
             "import mfgcoef.cli as cli\n"
             f"assert cli.main({argv!r}) == 0\n"
-            "print(sorted(m for m in ('scipy.sparse', 'scipy.linalg') if m in sys.modules))\n",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n",
             tmp_path,
         )
         assert child.returncode == 0, child.stderr
         return child.stdout.splitlines()[-1]
 
     certify = ["verify-carleman", "--trials", "2", "--seed", "1", "--out", "carl"]
-    assert solvers_loaded(certify) == "[]"
+    assert scipy_loaded(certify) == "[]"
     noisy = ["invert", str(data / "smoke"), "--delta", "0.03", "--config", smoke, "--out", "inv"]
-    assert solvers_loaded(noisy) == "[]"
-    # generation solves the density, so the import still happens there
-    assert "'scipy.sparse'" in solvers_loaded(["generate", "--config", smoke, "--out", "ds"])
+    assert scipy_loaded(noisy) == "[]"
+    assert scipy_loaded(["generate", "--config", smoke, "--out", "ds"]) == "[]"

@@ -4,8 +4,8 @@ import scipy.sparse as sp
 import sympy
 from scipy.sparse.linalg import spsolve
 
+from mfgcoef import forward
 from mfgcoef.forward import (
-    MAX_SWEEPS,
     ForwardSpec,
     extract_observations,
     generate,
@@ -142,8 +142,8 @@ def max_rel_diff(density, expected):
 def test_interior_step_matches_full_node_operator():
     # non-square grid and a drift without x1/x2 symmetry, so swapped
     # neighbours or a transposed interior numbering change the answer;
-    # refinement with a kept factor rounds differently from a fresh
-    # direct solve, so agreement is to a few ulps, not bit for bit
+    # preconditioned sweeps round differently from a direct solve, so
+    # agreement is to a few ulps, not bit for bit
     g = grid(13, 9, 5)
     fp, fv, fsrc = manufactured(
         "(1 + t) * (2 + sin(pi*x1) * x2)", "cos(pi*x1) * (x2 + x2**2) * (1 + t) / 3"
@@ -156,22 +156,41 @@ def test_interior_step_matches_full_node_operator():
     assert solution.min_density == pytest.approx(float(np.min(np.abs(expected))), rel=1e-13)
 
 
-def test_drift_jump_forces_a_fresh_factor():
-    # a steady drift that grows 50-fold past mid-horizon: the first factor
-    # serves the first half, cannot refine the first step after the jump,
-    # and the fresh factor made there serves the rest
+def drift_jump_spec(factor):
+    """A steady drift that grows ``factor``-fold past mid-horizon."""
     g = grid(13, 9, 9)
     fp, fv, _ = manufactured("2 + sin(pi*x1) * x2", "cos(pi*x1) * (x2 + x2**2) / 3")
 
     def jumping(a1, a2, t):
-        return fv(a1, a2, t) * (50.0 if t > 0.5 * g.horizon else 1.0)
+        return fv(a1, a2, t) * (factor if t > 0.5 * g.horizon else 1.0)
 
-    spec = spec_for(g, jumping, fp)
+    return spec_for(g, jumping, fp)
+
+
+def test_drift_free_of_jumps_needs_no_krylov_step():
+    spec = drift_jump_spec(1.0)
     solution = solve_density(spec, spec.value_on_grid())
-    assert solution.factorizations == 2
-    # the step after the jump used up every sweep before refactoring
-    assert solution.refinement_sweeps >= MAX_SWEEPS
+    assert solution.krylov_steps == 0
+    assert 0 < solution.preconditioned_sweeps <= forward.SWEEP_CAP * (spec.grid.nt - 1)
     assert max_rel_diff(solution.density, reference_density(spec)) <= 1e-13
+
+
+@pytest.mark.parametrize("factor", [50.0, 200.0])
+def test_drift_jump_falls_back_to_gmres(factor):
+    # the sweeps diverge after the jump, so those steps are solved by GMRES
+    # with the same preconditioner, to the same residual bound
+    spec = drift_jump_spec(factor)
+    solution = solve_density(spec, spec.value_on_grid())
+    assert solution.krylov_steps >= 1
+    assert max_rel_diff(solution.density, reference_density(spec)) <= 1e-13
+
+
+def test_step_that_converges_under_neither_method_raises(monkeypatch):
+    monkeypatch.setattr(forward, "SWEEP_CAP", 1)
+    monkeypatch.setattr(forward, "GMRES_MATVECS", 1)
+    spec = drift_jump_spec(50.0)
+    with pytest.raises(RuntimeError, match=r"density step \d+ \(t=[0-9.]+\) did not converge"):
+        solve_density(spec, spec.value_on_grid())
 
 
 def test_constant_density_is_preserved():
