@@ -80,7 +80,7 @@ def _prepare_out(path: str, force: bool) -> None:
 def _write_manifest(out_dir: str, payload: dict) -> str:
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -214,6 +214,7 @@ def _invert_core(cfg: ExperimentConfig, obs, cost, cost_rate, out: str) -> dict:
         "m": os.path.join(out, "m.field"),
         "metrics": os.path.join(out, "metrics.csv"),
         "objective_history": os.path.join(out, "objective_history.csv"),
+        "objective_parts": os.path.join(out, "objective_parts.csv"),
         "gradient_history": os.path.join(out, "gradient_history.csv"),
     }
     grid = obs.grid
@@ -236,6 +237,10 @@ def _invert_core(cfg: ExperimentConfig, obs, cost, cost_rate, out: str) -> dict:
         fh.write("step,objective\n")
         for i, value in enumerate(result.objective_history):
             fh.write(f"{i},{value:.17g}\n")
+    with open(paths["objective_parts"], "w", encoding="ascii") as fh:
+        fh.write("step,first,second,smoothness\n")
+        for i, (first, second, smooth) in enumerate(result.parts_history):
+            fh.write(f"{i},{first:.17g},{second:.17g},{smooth:.17g}\n")
     with open(paths["gradient_history"], "w", encoding="ascii") as fh:
         fh.write("iteration,gradient_max\n")
         for i, value in enumerate(result.gradient_history):
@@ -287,6 +292,9 @@ def cmd_sweep_lambda(args) -> int:
     cfg = _config_from_args(args)
     if not args.lam_list:
         raise ValueError("--lambda needs at least one value")
+    for lam in args.lam_list:
+        if not np.isfinite(lam):
+            raise ValueError(f"--lambda values must be finite, got {lam:g}")
     # each run is stored under its lambda's name, so names must not repeat
     names = [f"{lam:g}" for lam in args.lam_list]
     repeated = sorted({name for name in names if names.count(name) > 1})
@@ -336,8 +344,8 @@ def cmd_verify_carleman(args) -> int:
     cfg = _config_from_args(args)
     lambdas = args.lam_list if args.lam_list else [1.0, 2.0, 4.0, 8.0]
     for lam in lambdas:
-        if lam <= 0:
-            raise ValueError(f"certification needs lam > 0, got {lam:g}")
+        if not (np.isfinite(lam) and lam > 0):
+            raise ValueError(f"certification needs a finite lam > 0, got {lam:g}")
     if args.trials < 1:
         raise ValueError(f"certification needs --trials >= 1, got {args.trials}")
     validate_exponent(cfg.alpha)
@@ -385,12 +393,16 @@ def cmd_verify_carleman(args) -> int:
 def cmd_render(args) -> int:
     field = read_field(args.field)
     if field.rank == SPATIAL:
+        if args.slice is not None:
+            raise ValueError("--slice applies to space-time fields; this field is spatial")
         values = field.values
         suffix = ""
     elif field.rank == SPACE_TIME:
         if args.slice is None:
             raise ValueError("a space-time field needs --slice t=VALUE")
         t = args.slice
+        if not 0.0 <= t <= field.grid.horizon:
+            raise ValueError(f"--slice t={t:g} lies outside [0, {field.grid.horizon:g}]")
         idx = int(np.argmin(np.abs(field.grid.t - t)))
         values = field.values[:, :, idx]
         suffix = f"_t{field.grid.t[idx]:g}"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 from typing import Tuple
@@ -104,8 +105,15 @@ class ExperimentConfig:
 
         The coarse grid must nest in the fine one and resolve the letter's
         strokes, or generation would fail after the forward solve and
-        inversion after the dataset is written.
+        inversion after the dataset is written.  Every float must be
+        finite, except ``sigma = inf``, the flat kernel: a NaN slips past
+        every ordered comparison below.
         """
+        for name, value in dataclasses.asdict(self).items():
+            if not isinstance(value, float) or math.isfinite(value):
+                continue
+            if not (name == "sigma" and value == math.inf):
+                raise ValueError(f"{name} must be finite, got {value}")
         coarse = self.coarse_grid()
         restriction_strides(self.fine_grid(), coarse)
         self.carleman_params()

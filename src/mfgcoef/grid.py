@@ -5,8 +5,9 @@ space crossed with (0, horizon) in time.  Everything downstream (kernel
 quadrature, residual stencils, the objective gradient) is built from the
 small dense difference matrices defined here, so that transposing a matrix
 is all it takes to get an exact adjoint.  The H2 penalty of the objective
-is defined here too, once, as ``H2Form``: the list of its terms, from
-which its value, its gradient and its diagonal are all read.
+is defined here too, once, as ``H2Form``: the per-axis difference
+operators and Gram matrices from which its value, its gradient and its
+diagonal are all read.
 
 Array layout is row-major (x1, x2) for spatial fields and (x1, x2, t) for
 space-time fields.
@@ -344,59 +345,87 @@ class H2Form:
     stencil, mixed ones as nested first differences).  Each of these ten
     terms is |Op z|^2 for a difference operator acting along one or two
     axes, so H is the node weight times the sum of the tensor products of
-    the 1-D Gram matrices D^T D.  ``terms`` lists them once, each as its
-    (axis, D, D^T D) factors, the value term as the empty product.
+    the 1-D Gram matrices.
 
     The value sums |Op z|^2, which stays accurate for fields close to the
     null space of the difference operators (z . (H z) would lose about
-    cond(D)^2 digits there); the gradient 2 H z and the diagonal of H use
-    the Gram factors.  Exact on the closed slab: a constant c gives
-    c^2 * volume.
+    cond(D)^2 digits there).  Along each axis the first and second
+    differences are row-stacked into one operator [D; S], and the mixed
+    terms are taken from its first-difference block.  H z sums, per axis,
+    the Gram of every term acting along that axis alone (I + D^T D + S^T S
+    on x1, D^T D + S^T S on x2 and t), plus the three mixed products of
+    the first-difference Grams G; the diagonal of H is read off the same
+    factors.  Exact on the closed slab: a constant c gives c^2 * volume.
+
+    ``norm_sq`` and ``apply`` act on the last three axes, so one call
+    serves u and m stacked as (2, n1, n2, nt), and a single field works
+    too.
     """
 
     def __init__(self, grid: SpaceTimeGrid) -> None:
         self.grid = grid
         axes = ((grid.n1, grid.h1), (grid.n2, grid.h2), (grid.nt, grid.ht))
-        first = [(ax, d, d.T @ d) for ax, d in enumerate(first_diff_matrix(*a) for a in axes)]
-        second = [(ax, d, d.T @ d) for ax, d in enumerate(second_diff_matrix(*a) for a in axes)]
-        self.terms = (
-            ((),)
-            + tuple((f,) for f in first)
-            + tuple((f,) for f in second)
-            + tuple((first[a], first[b]) for a, b in ((0, 1), (0, 2), (1, 2)))
-        )
+        firsts = [first_diff_matrix(*a) for a in axes]
+        seconds = [second_diff_matrix(*a) for a in axes]
+        self._sizes = tuple(n for n, _ in axes)
+        self._first = tuple(firsts)
+        self._stacked = tuple(np.vstack((d, s)) for d, s in zip(firsts, seconds))
+        self._grams = tuple(d.T @ d for d in firsts)
+        summed = [g + s.T @ s for g, s in zip(self._grams, seconds)]
+        summed[0] += np.eye(grid.n1)
+        self._summed = tuple(summed)
+        # H z as four products, with A an axis's summed Gram: [A; G] along
+        # x1 and along x2, G along x2 on G_x1 z, and [A, G] along t on the
+        # concatenation (z, G_x1 z + G_x2 z)
+        self._apply_x1 = np.vstack((summed[0], self._grams[0]))
+        self._apply_x2 = np.vstack((summed[1], self._grams[1]))
+        self._apply_t = np.hstack((summed[2], self._grams[2]))
 
     def norm_sq(self, values: np.ndarray) -> float:
-        """The squared H2 norm of node values on the space-time grid."""
-        total = 0.0
-        for term in self.terms:
-            arr = values
-            for ax, op, _ in term:
-                arr = apply_along_axis(op, arr, ax)
-            total += np.sum(arr * arr)
+        """The squared H2 norm of node values, summed over any leading axes."""
+        lead = values.ndim - 3
+        total = np.sum(values * values)
+        firsts = []
+        for ax, (n, op) in enumerate(zip(self._sizes, self._stacked)):
+            out = apply_along_axis(op, values, lead + ax)
+            total += np.sum(out * out)
+            firsts.append(_head(out, lead + ax, n))
+        mixed = apply_along_axis(self._first[1], firsts[0], lead + 1)
+        total += np.sum(mixed * mixed)
+        mixed = apply_along_axis(self._first[2], np.stack(firsts[:2]), lead + 3)
+        total += np.sum(mixed * mixed)
         return float(self.grid.node_weight * total)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """H z, so that the gradient of ``norm_sq`` is 2 H z."""
-        out = np.zeros_like(values)
-        for term in self.terms:
-            arr = values
-            for ax, _, gram in term:
-                arr = apply_along_axis(gram, arr, ax)
-            out += arr
+        """H z on the last three axes, so that the gradient of ``norm_sq`` is 2 H z."""
+        lead = values.ndim - 3
+        n1, n2, _ = self._sizes
+        along_x1 = apply_along_axis(self._apply_x1, values, lead)
+        along_x2 = apply_along_axis(self._apply_x2, values, lead + 1)
+        gram_x1 = _tail(along_x1, lead, n1)
+        out = _head(along_x1, lead, n1) + _head(along_x2, lead + 1, n2)
+        out += apply_along_axis(self._grams[1], gram_x1, lead + 1)
+        joined = np.concatenate((values, gram_x1 + _tail(along_x2, lead + 1, n2)), axis=lead + 2)
+        out += apply_along_axis(self._apply_t, joined, lead + 2)
         return self.grid.node_weight * out
 
     def diagonal(self) -> np.ndarray:
-        """diag(H) on the space-time grid: products of the Gram diagonals."""
-        out = np.zeros(self.grid.spacetime_shape())
-        for term in self.terms:
-            prod = np.ones(1)
-            for ax, _, gram in term:
-                shape = [1, 1, 1]
-                shape[ax] = -1
-                prod = prod * np.diag(gram).reshape(shape)
-            out += prod
+        """diag(H) on the space-time grid: sums and products of the Gram diagonals."""
+        shapes = ((-1, 1, 1), (1, -1, 1), (1, 1, -1))
+        a1, a2, at = (np.diag(m).reshape(s) for m, s in zip(self._summed, shapes))
+        g1, g2, gt = (np.diag(m).reshape(s) for m, s in zip(self._grams, shapes))
+        out = a1 + a2 + at + g1 * g2 + g1 * gt + g2 * gt
         return self.grid.node_weight * out
+
+
+def _head(values: np.ndarray, axis: int, n: int) -> np.ndarray:
+    """The first ``n`` entries along ``axis``: the top block of a row-stacked operator."""
+    return values[(slice(None),) * axis + (slice(None, n),)]
+
+
+def _tail(values: np.ndarray, axis: int, n: int) -> np.ndarray:
+    """The entries past the first ``n`` along ``axis``: the bottom block."""
+    return values[(slice(None),) * axis + (slice(n, None),)]
 
 
 def restriction_strides(fine: SpaceTimeGrid, coarse: SpaceTimeGrid) -> Tuple[int, int, int]:

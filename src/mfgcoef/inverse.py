@@ -51,14 +51,16 @@ class SolverConfig:
     below ``grad_tol``; a step below ``min_step`` raises ``StallError``.
 
     With ``precondition`` on (the default) the initial inverse Hessian
-    of the recursion is the reciprocal of a fixed curvature estimate,
-    node by node; otherwise it is a multiple of the identity.  The
-    stopping test always reads the unscaled gradient.  The weight spans
-    many orders of magnitude across the slab, and without this scaling
-    the weakly weighted region relaxes slowly: on the reference dataset
-    (clean, lam = 3) the unscaled descent meets ``grad_tol`` after 3842
-    iterations and 4015 objective passes (rel_l2 0.0101), the scaled one
-    after 276 iterations and 285 passes (rel_l2 0.0094).
+    of the recursion is the reciprocal of ``curvature_diagonal`` taken at
+    the start, node by node; otherwise it is a multiple of the identity.
+    The stopping test always reads the unscaled gradient.  The weight
+    spans many orders of magnitude across the slab, and without this
+    scaling the weakly weighted region relaxes slowly: on the reference
+    dataset (lam = 3) the unscaled descent meets ``grad_tol`` after 3028
+    iterations and 3180 objective passes (rel_l2 0.0105), the scaled one
+    after 156 iterations and 164 passes (rel_l2 0.0095); with noise
+    (delta 0.03, seed 17) the scaled one takes 138 iterations and 145
+    passes.
     """
 
     step0: float = 0.1
@@ -165,11 +167,15 @@ class ReconstructionResult:
     tolerance and ``"max_iter"`` when the budget ran out first (a stall
     raises instead).  ``objective_passes`` counts the fused value and
     gradient passes, one per trial point plus one for the start.
+    ``parts_history`` splits each entry of ``objective_history`` into its
+    first residual, second residual and smoothness, one row per accepted
+    iterate.
     """
 
     iterate: Iterate
     coefficient: np.ndarray
     objective_history: np.ndarray
+    parts_history: np.ndarray
     gradient_history: np.ndarray
     converged: bool
     iterations: int
@@ -215,7 +221,7 @@ def descend(ctx: ObjectiveContext, start: Iterate, config: SolverConfig) -> Reco
     if not np.isfinite(value):
         raise ValueError(f"objective is not finite at the start: {value}")
     if config.precondition:
-        curv = curvature_diagonal(ctx)
+        curv = curvature_diagonal(ctx, z)
         floor = 1e-12 * max(float(curv.u.max()), float(curv.m.max()), 1.0)
         inv_curv = 1.0 / np.maximum(constraints.free(curv), floor)
     else:
@@ -224,6 +230,7 @@ def descend(ctx: ObjectiveContext, start: Iterate, config: SolverConfig) -> Reco
     pairs: deque = deque(maxlen=MEMORY)
     step = 1.0
     obj_hist = [value]
+    parts_hist = [(parts.first, parts.second, parts.smoothness)]
     grad_hist = []
     stop_reason = "max_iter"
     for _ in range(config.max_iter):
@@ -265,10 +272,12 @@ def descend(ctx: ObjectiveContext, start: Iterate, config: SolverConfig) -> Reco
             pairs.append((s, y, 1.0 / sy))
         z, x, value, red = trial, trial_x, trial_value, trial_red
         obj_hist.append(value)
+        parts_hist.append((trial_parts.first, trial_parts.second, trial_parts.smoothness))
     return ReconstructionResult(
         iterate=z,
         coefficient=recover_coefficient(ctx, z),
         objective_history=np.asarray(obj_hist),
+        parts_history=np.asarray(parts_hist),
         gradient_history=np.asarray(grad_hist),
         converged=stop_reason == "grad_tol",
         iterations=len(obj_hist) - 1,

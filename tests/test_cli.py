@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mfgcoef
-from mfgcoef.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, main
+from mfgcoef.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, _write_manifest, main
 from mfgcoef.fieldio import read_field, read_pgm, write_field
 from mfgcoef.grid import SPATIAL, Field, SpaceTimeGrid
 
@@ -124,6 +124,15 @@ def test_invert_reconstructs_and_reports(inverted):
     assert k.values.shape == (21, 21)
     header = (out / "metrics.csv").read_text().splitlines()[0]
     assert header == "rel_l2,mask_rel_l2,contrast,converged,iterations"
+    # the objective's split at every accepted iterate, a hashed output
+    assert "objective_parts" in manifest["outputs"]
+    parts = np.loadtxt(out / "objective_parts.csv", delimiter=",", skiprows=1, ndmin=2)
+    totals = np.loadtxt(out / "objective_history.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert (out / "objective_parts.csv").read_text().startswith("step,first,second,smoothness\n")
+    assert parts.shape == (manifest["iterations"] + 1, 4)
+    assert np.array_equal(parts[:, 0], totals[:, 0])
+    assert np.allclose(parts[:, 1:].sum(axis=1), totals[:, 1], rtol=1e-15, atol=0.0)
+    assert np.all(parts[:, 1:] >= 0.0)
     levels = read_pgm(out / "k_comp.pgm")
     assert levels.shape == (21, 21)
 
@@ -232,6 +241,9 @@ def test_sweep_lambda_writes_summary_and_continues_on_failure(workspace, tmp_pat
     assert manifest["runs"]["3"]["objective_passes"] > 20
     assert manifest["runs"]["-1"]["status"] == "failed"
     assert (out / "lam_3" / "k_comp.field").exists()
+    assert "objective_parts" in manifest["runs"]["3"]["outputs"]
+    rows = (out / "lam_3" / "objective_parts.csv").read_text().splitlines()
+    assert len(rows) == 1 + 21
 
 
 def test_sweep_lambda_rejects_empty_list(workspace):
@@ -316,6 +328,21 @@ def test_render_spatial_and_time_slice(workspace, inverted, tmp_path):
     ]) == EXIT_PRECONDITION
 
 
+@pytest.mark.parametrize("field,raw", [
+    ("u.field", "t=7"),
+    ("u.field", "t=-0.1"),
+    ("u.field", "t=nan"),
+    ("k_comp.field", "t=0.5"),
+])
+def test_render_rejects_a_slice_it_cannot_honour(inverted, tmp_path, field, raw):
+    # a time outside [0, horizon] used to render the nearest end slice, and
+    # a spatial field used to ignore --slice
+    _, inv = inverted
+    out = tmp_path / "render"
+    assert main(["render", str(inv / field), "--out", str(out), "--slice", raw]) == EXIT_PRECONDITION
+    assert not out.exists()
+
+
 def test_render_rejects_malformed_slice(inverted):
     _, inv = inverted
     with pytest.raises(SystemExit):
@@ -358,6 +385,28 @@ def test_override_flags_a_command_would_ignore_are_rejected(argv, tmp_path, caps
     assert exc.value.code == 2
     assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["invert", "DATASET", "--delta", "nan"],
+    ["generate", "--contrast", "nan"],
+    ["generate", "--contrast", "inf"],
+    ["verify-carleman", "--lambda", "nan"],
+    ["verify-carleman", "--lambda", "1,inf"],
+    ["sweep-lambda", "DATASET", "--lambda", "3,nan"],
+])
+def test_non_finite_values_are_rejected_before_any_output(argv, tmp_path, capsys):
+    # a NaN passes every ordered comparison, so each of these used to run
+    # (and write NaN into a dataset or a manifest) or fail late with exit 3
+    assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_PRECONDITION
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_manifest_refuses_non_finite_numbers(tmp_path):
+    # NaN and Infinity are not JSON; a manifest must stay parseable
+    with pytest.raises(ValueError):
+        _write_manifest(str(tmp_path), {"delta": float("nan")})
 
 
 def _run_child(code: str, cwd: Path) -> subprocess.CompletedProcess:

@@ -90,12 +90,25 @@ def test_ini_rejects_unknown_or_malformed_entries(tmp_path, body, match):
         {"shrink": 1.5},
         {"coarse": (21, 21, 13)},
         {"fine": (41, 41, 9), "coarse": (11, 11, 5)},
+        {"delta": float("nan")},
+        {"contrast": float("inf")},
+        {"lam": float("nan")},
+        {"beta": float("inf")},
+        {"horizon": float("-inf")},
+        {"step0": float("nan")},
+        {"sigma": float("nan")},
+        {"sigma": float("-inf")},
     ],
 )
 def test_validate_rejects_bad_combinations(changes):
     cfg = ExperimentConfig(**changes)
     with pytest.raises(ValueError):
         cfg.validate()
+
+
+def test_validate_accepts_the_flat_kernel():
+    # sigma = inf is the kernel's own flat limit, the one non-finite float allowed
+    ExperimentConfig(sigma=float("inf")).validate()
 
 
 def test_to_dict_round_trips_through_constructor():

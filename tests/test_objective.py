@@ -114,7 +114,7 @@ def test_curvature_diagonal_is_the_hessian_diagonal_of_the_penalty():
     ctx = make_context(g, beta=0.5, residual_scale=0.0)
     rng = np.random.default_rng(8)
     it = random_iterate(g, rng)
-    curv = curvature_diagonal(ctx)
+    curv = curvature_diagonal(ctx, it)
     base = evaluate(ctx, it)
     nodes = ((0, 0, 0), (3, 2, 1), (6, 5, 4), (1, 4, 2), (5, 1, 3), (2, 3, 4))
     for node in nodes:
@@ -126,6 +126,35 @@ def test_curvature_diagonal_is_the_hessian_diagonal_of_the_penalty():
         ):
             second = evaluate(ctx, plus) - 2.0 * base + evaluate(ctx, minus)
             assert getattr(curv, slot)[node] == pytest.approx(second, rel=1e-10)
+
+
+def test_curvature_diagonal_tracks_the_gauss_newton_diagonal():
+    # the residuals are quadratic in (u, m), so a central difference with a
+    # unit step reads the exact Jacobian column of each node; the exact
+    # Gauss-Newton diagonal plus the penalty's must stay within a small
+    # factor of the estimate for both fields, and in particular the density
+    # flux -div(p~ grad u) must not be missing from u's part
+    g = grid(9, 8, 5)
+    ctx = make_context(g)
+    it = random_iterate(g, np.random.default_rng(4))
+    curv = curvature_diagonal(ctx, it)
+    shape = g.spacetime_shape()
+    for slot in ("u", "m"):
+        exact = np.zeros(shape)
+        for node in np.ndindex(shape):
+            e = np.zeros(shape)
+            e[node] = 1.0
+            if slot == "u":
+                plus, minus = Iterate(it.u + e, it.m), Iterate(it.u - e, it.m)
+            else:
+                plus, minus = Iterate(it.u, it.m + e), Iterate(it.u, it.m - e)
+            (p1, p2), (m1, m2) = residuals(ctx, plus), residuals(ctx, minus)
+            j1, j2 = 0.5 * (p1 - m1), 0.5 * (p2 - m2)
+            exact[node] = 2.0 * (
+                np.sum(ctx.weight_first * j1**2) + np.sum(ctx.weight_second * j2**2)
+            ) + 2.0 * ctx.beta * ctx.h2.apply(e)[node]
+        ratio = exact / getattr(curv, slot)
+        assert 1.0 / 8.0 <= ratio.min() and ratio.max() <= 4.0, (slot, ratio.min(), ratio.max())
 
 
 def test_weight_structure():

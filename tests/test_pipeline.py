@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from mfgcoef.cli import _adopt_dataset_config, _read_dataset
 from mfgcoef.config import ExperimentConfig
 from mfgcoef.forward import stencil_bundle
 from mfgcoef.pipeline import (
@@ -10,6 +13,7 @@ from mfgcoef.pipeline import (
     run_inversion,
 )
 
+REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "data" / "reference"
 DESK = dict(fine=(41, 41, 43), coarse=(21, 21, 7), max_iter=4000)
 
 
@@ -62,3 +66,16 @@ def test_inversion_outcome_scores_against_the_configured_phantom(desk_data):
     assert out.metrics.rel_l2 < 0.05
     assert abs(out.metrics.contrast - cfg.contrast) < 0.1
     assert out.denominator_min > 0
+
+
+@pytest.mark.parametrize("delta,budget", [(0.0, 200), (0.03, 180)])
+def test_reference_descent_stops_on_grad_tol_within_budget(delta, budget):
+    # the committed reference dataset at lam = 3; the noisy case is the
+    # benchmark's invert-noisy run (noise seed 17).  Without the density
+    # flux in the curvature estimate these took 276 and 273 iterations
+    obs, cost, cost_rate, manifest, _ = _read_dataset(str(REFERENCE))
+    cfg = _adopt_dataset_config(ExperimentConfig(delta=delta, seed=17), manifest)
+    assert cfg.lam == 3.0
+    result = run_inversion(cfg, obs, cost, cost_rate).result
+    assert result.stop_reason == "grad_tol"
+    assert result.iterations <= budget
