@@ -224,8 +224,8 @@ def _invert_core(cfg: ExperimentConfig, obs, cost, cost_rate, out: str) -> dict:
     write_pgm(paths["k_comp_pgm"], result.coefficient)
     paths["k_comp_pgm_sidecar"] = paths["k_comp_pgm"] + ".json"
     write_field(paths["k_true"], outcome.k_true)
-    write_field(paths["u"], Field(grid, SPACE_TIME, result.iterate.u))
-    write_field(paths["m"], Field(grid, SPACE_TIME, result.iterate.m))
+    write_field(paths["u"], Field(grid, SPACE_TIME, result.iterate[0]))
+    write_field(paths["m"], Field(grid, SPACE_TIME, result.iterate[1]))
     metrics = outcome.metrics
     with open(paths["metrics"], "w", encoding="ascii") as fh:
         fh.write("rel_l2,mask_rel_l2,contrast,converged,iterations\n")
@@ -293,8 +293,8 @@ def cmd_sweep_lambda(args) -> int:
     if not args.lam_list:
         raise ValueError("--lambda needs at least one value")
     for lam in args.lam_list:
-        if not np.isfinite(lam):
-            raise ValueError(f"--lambda values must be finite, got {lam:g}")
+        if not (np.isfinite(lam) and lam >= 0):
+            raise ValueError(f"--lambda values must be finite and nonnegative, got {lam:g}")
     # each run is stored under its lambda's name, so names must not repeat
     names = [f"{lam:g}" for lam in args.lam_list]
     repeated = sorted({name for name in names if names.count(name) > 1})

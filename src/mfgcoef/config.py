@@ -122,6 +122,8 @@ class ExperimentConfig:
         raster_letter(self.letter, coarse)
         if self.contrast <= 0:
             raise ValueError(f"contrast must be positive, got {self.contrast}")
+        if self.beta < 0:
+            raise ValueError(f"beta must be nonnegative, got {self.beta}")
         if self.delta < 0:
             raise ValueError(f"noise level must be nonnegative, got {self.delta}")
         if self.seed < 0:
@@ -176,15 +178,19 @@ def _parse_value(kind, raw: str):
 
 
 def load_config(path) -> ExperimentConfig:
-    """Defaults overlaid with an INI file; unknown keys are errors."""
+    """Defaults overlaid with an INI file; unknown keys and malformed files are errors."""
     parser = configparser.ConfigParser()
-    with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+        sections = {name: parser.items(name) for name in parser.sections()}
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config file {path}: {exc}") from None
     changes = {}
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in _SCHEMA:
             raise ValueError(f"unknown config section [{section}] in {path}")
-        for key, raw in parser.items(section):
+        for key, raw in items:
             if key not in _SCHEMA[section]:
                 raise ValueError(f"unknown key {key!r} in section [{section}] of {path}")
             name = _FIELD_NAMES.get((section, key), key)

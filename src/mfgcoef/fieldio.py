@@ -57,15 +57,17 @@ def _header(field: Field) -> str:
         "axes " + " ".join(axes),
         "counts " + " ".join(str(n) for n in field.values.shape),
         ("extents " + " ".join(_fmt(x) for x in extents)) if extents else "extents none",
-        "grid "
-        + " ".join(
-            [_fmt(g.a), _fmt(g.b), _fmt(g.half_width), _fmt(g.horizon)]
-            + [str(n) for n in (g.n1, g.n2, g.nt)]
-        ),
+        _grid_line(g),
         f"payload {field.values.size * 8}",
         "end",
     ]
     return "\n".join(lines) + "\n"
+
+
+def _grid_line(g: SpaceTimeGrid) -> str:
+    """The grid geometry as one header line, the inverse of ``_parse_grid``."""
+    numbers = [_fmt(g.a), _fmt(g.b), _fmt(g.half_width), _fmt(g.horizon)]
+    return "grid " + " ".join(numbers + [str(n) for n in (g.n1, g.n2, g.nt)])
 
 
 def _parse_grid(tokens) -> SpaceTimeGrid:
@@ -120,14 +122,7 @@ def write_csv(path, field: Field) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# {MAGIC} {VERSION}\n")
         fh.write(f"# rank {field.rank}\n")
-        fh.write(
-            "# grid "
-            + " ".join(
-                [_fmt(g.a), _fmt(g.b), _fmt(g.half_width), _fmt(g.horizon)]
-                + [str(n) for n in (g.n1, g.n2, g.nt)]
-            )
-            + "\n"
-        )
+        fh.write(f"# {_grid_line(g)}\n")
         fh.write(",".join(axes) + ",value\n")
         vals = field.values
         for index in np.ndindex(vals.shape):

@@ -9,9 +9,10 @@ layer to the one below it through a three-point closure,
 
 with D the Dirichlet rate and N the Neumann rate on the face: the
 one-sided Neumann stencil solved for the first interior layer with the
-boundary node pinned to D.  Descent happens in the remaining free nodes;
-the objective gradient is reduced onto them by the chain rule of that
-affine closure (slope 1/4).
+boundary node pinned to D.  The iterate (u, m) is one (2, n1, n2, nt)
+array and descent happens in its remaining free nodes; the objective
+gradient is reduced onto them by the chain rule of that affine closure
+(slope 1/4).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 from .forward import DerivativeBundle
 from .grid import SpaceTimeGrid
 from .objective import (
-    Iterate,
     ObjectiveContext,
     curvature_diagonal,
     recover_coefficient,
@@ -83,9 +83,9 @@ class SolverConfig:
             raise ValueError(f"min_step must be positive, got {self.min_step}")
 
 
-# free nodes of each field: off the inflow, outflow and x2 faces and the
+# free nodes of both fields: off the inflow, outflow and x2 faces and the
 # layer the outflow closure ties; the one place these slabs are listed
-FREE = (slice(1, -2), slice(1, -1))
+FREE = (slice(None), slice(1, -2), slice(1, -1))
 
 
 class DataConstraints:
@@ -100,40 +100,35 @@ class DataConstraints:
     """
 
     def __init__(self, grid: SpaceTimeGrid, bundle: DerivativeBundle) -> None:
-        self._fields = []
-        for trace, gamma in ((bundle.dt_g01, bundle.dt_g11), (bundle.dt_g02, bundle.dt_g12)):
-            pinned = np.zeros(grid.spacetime_shape())
-            pinned[:, 0, :] = trace.face("x2lo")
-            pinned[:, -1, :] = trace.face("x2hi")
-            pinned[0, :, :] = trace.face("x1a")
-            pinned[-1, :, :] = trace.face("x1b")
-            closure = (3.0 * trace.face("x1b"), 2.0 * grid.h1 * gamma.values)
-            self._fields.append((pinned, closure))
-        self._free_shape = pinned[FREE].shape
-        self.nfree = pinned[FREE].size
+        def faces(name: str) -> np.ndarray:
+            return np.stack((bundle.dt_g01.face(name), bundle.dt_g02.face(name)))
 
-    def embed(self, x: np.ndarray) -> Iterate:
+        self._pinned = np.zeros((2,) + grid.spacetime_shape())
+        self._pinned[:, :, 0] = faces("x2lo")
+        self._pinned[:, :, -1] = faces("x2hi")
+        self._pinned[:, 0] = faces("x1a")
+        self._pinned[:, -1] = faces("x1b")
+        self._dirichlet = 3.0 * faces("x1b")
+        self._neumann = 2.0 * grid.h1 * np.stack((bundle.dt_g11.values, bundle.dt_g12.values))
+        self._free_shape = self._pinned[FREE].shape
+        self.nfree = self._pinned[FREE][0].size  # per field
+
+    def embed(self, x: np.ndarray) -> np.ndarray:
         """The iterate with free values ``x`` and the data everywhere else."""
-        arrays = []
-        for (pinned, (dirichlet, neumann)), part in zip(self._fields, np.split(x, 2)):
-            arr = pinned.copy()
-            arr[FREE] = part.reshape(self._free_shape)
-            arr[-2, :, :] = 0.25 * (dirichlet + arr[-3, :, :] - neumann)
-            arrays.append(arr)
-        return Iterate(*arrays)
+        z = self._pinned.copy()
+        z[FREE] = x.reshape(self._free_shape)
+        z[:, -2] = 0.25 * (self._dirichlet + z[:, -3] - self._neumann)
+        return z
 
-    def free(self, it: Iterate) -> np.ndarray:
+    def free(self, z: np.ndarray) -> np.ndarray:
         """Free-node values of an iterate, u's then m's."""
-        return np.concatenate((it.u[FREE], it.m[FREE]), axis=None)
+        return z[FREE].ravel()
 
-    def pullback(self, grad: Iterate) -> np.ndarray:
+    def pullback(self, grad: np.ndarray) -> np.ndarray:
         """Objective gradient in the free vector: the chain rule through ``embed``."""
-        parts = []
-        for arr in (grad.u, grad.m):
-            tied = arr.copy()
-            tied[-3, :, :] += 0.25 * tied[-2, :, :]
-            parts.append(tied[FREE])
-        return np.concatenate(parts, axis=None)
+        tied = grad.copy()
+        tied[:, -3] += 0.25 * tied[:, -2]
+        return tied[FREE].ravel()
 
 
 def _face_blend(grid: SpaceTimeGrid, trace) -> np.ndarray:
@@ -152,10 +147,10 @@ def _face_blend(grid: SpaceTimeGrid, trace) -> np.ndarray:
     return 0.5 * (along_x1 + along_x2)
 
 
-def initial_guess(grid: SpaceTimeGrid, bundle: DerivativeBundle) -> Iterate:
+def initial_guess(grid: SpaceTimeGrid, bundle: DerivativeBundle) -> np.ndarray:
     """Boundary-consistent start: blended face data on the free nodes."""
     constraints = DataConstraints(grid, bundle)
-    blend = Iterate(_face_blend(grid, bundle.dt_g01), _face_blend(grid, bundle.dt_g02))
+    blend = np.stack((_face_blend(grid, bundle.dt_g01), _face_blend(grid, bundle.dt_g02)))
     return constraints.embed(constraints.free(blend))
 
 
@@ -167,21 +162,32 @@ class ReconstructionResult:
     tolerance and ``"max_iter"`` when the budget ran out first (a stall
     raises instead).  ``objective_passes`` counts the fused value and
     gradient passes, one per trial point plus one for the start.
-    ``parts_history`` splits each entry of ``objective_history`` into its
-    first residual, second residual and smoothness, one row per accepted
-    iterate.
+    ``parts_history`` holds the objective's ``ObjectiveParts``, one row
+    per accepted iterate; the other histories and counts derive from it
+    and ``stop_reason``.
     """
 
-    iterate: Iterate
+    iterate: np.ndarray
     coefficient: np.ndarray
-    objective_history: np.ndarray
     parts_history: np.ndarray
     gradient_history: np.ndarray
-    converged: bool
-    iterations: int
     final_step: float
     stop_reason: str
     objective_passes: int
+
+    @property
+    def objective_history(self) -> np.ndarray:
+        """Objective per accepted iterate, summed as ``ObjectiveParts.total`` sums."""
+        first, second, smoothness = self.parts_history.T
+        return first + second + smoothness
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "grad_tol"
+
+    @property
+    def iterations(self) -> int:
+        return len(self.parts_history) - 1
 
 
 def _two_loop(grad: np.ndarray, pairs, h0: np.ndarray) -> np.ndarray:
@@ -198,7 +204,7 @@ def _two_loop(grad: np.ndarray, pairs, h0: np.ndarray) -> np.ndarray:
     return r
 
 
-def descend(ctx: ObjectiveContext, start: Iterate, config: SolverConfig) -> ReconstructionResult:
+def descend(ctx: ObjectiveContext, start: np.ndarray, config: SolverConfig) -> ReconstructionResult:
     """Monotone projected L-BFGS descent from ``start`` on the free nodes.
 
     The direction is the two-loop recursion over the last ``MEMORY``
@@ -208,9 +214,9 @@ def descend(ctx: ObjectiveContext, start: Iterate, config: SolverConfig) -> Reco
     step 1 and shrinks until the objective strictly decreases; before it
     gives up it clears the memory once and retries along the
     preconditioned gradient.  Every accepted iterate strictly decreases
-    the objective; the history arrays record the objective per accepted
-    step and the raw reduced gradient max-norm per iteration, which is
-    also what the stopping test reads.
+    the objective; the histories record the objective's parts per
+    accepted step and the raw reduced gradient max-norm per iteration,
+    which is also what the stopping test reads.
     """
     constraints = DataConstraints(ctx.grid, ctx.bundle)
     x = constraints.free(start)
@@ -222,15 +228,14 @@ def descend(ctx: ObjectiveContext, start: Iterate, config: SolverConfig) -> Reco
         raise ValueError(f"objective is not finite at the start: {value}")
     if config.precondition:
         curv = curvature_diagonal(ctx, z)
-        floor = 1e-12 * max(float(curv.u.max()), float(curv.m.max()), 1.0)
+        floor = 1e-12 * max(float(curv.max()), 1.0)
         inv_curv = 1.0 / np.maximum(constraints.free(curv), floor)
     else:
         inv_curv = np.ones_like(x)
     red = constraints.pullback(grad)
     pairs: deque = deque(maxlen=MEMORY)
     step = 1.0
-    obj_hist = [value]
-    parts_hist = [(parts.first, parts.second, parts.smoothness)]
+    parts_hist = [parts]
     grad_hist = []
     stop_reason = "max_iter"
     for _ in range(config.max_iter):
@@ -271,16 +276,12 @@ def descend(ctx: ObjectiveContext, start: Iterate, config: SolverConfig) -> Reco
         if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y)):
             pairs.append((s, y, 1.0 / sy))
         z, x, value, red = trial, trial_x, trial_value, trial_red
-        obj_hist.append(value)
-        parts_hist.append((trial_parts.first, trial_parts.second, trial_parts.smoothness))
+        parts_hist.append(trial_parts)
     return ReconstructionResult(
         iterate=z,
         coefficient=recover_coefficient(ctx, z),
-        objective_history=np.asarray(obj_hist),
         parts_history=np.asarray(parts_hist),
         gradient_history=np.asarray(grad_hist),
-        converged=stop_reason == "grad_tol",
-        iterations=len(obj_hist) - 1,
         final_step=step,
         stop_reason=stop_reason,
         objective_passes=passes,

@@ -16,10 +16,10 @@ Each residual is squared against an exponential weight that peaks at the
 observation corner (x1 = b, t = T/2); the value residual carries an
 extra lam^(3/2) factor balancing the running-integral bound.  A small H2
 penalty beta * (z . H z) on each of u and m (``grid.H2Form``, built once
-per context and applied to the pair stacked in one call) makes the
-functional strictly convex on the affine subspace of iterates sharing
-the boundary data; its gradient is 2 beta H z and its curvature
-2 beta diag(H), read off the same form.
+per context) makes the functional strictly convex on the affine subspace
+of iterates sharing the boundary data; its gradient is 2 beta H z and
+its curvature 2 beta diag(H), read off the same form.  The iterate z is
+one (2, n1, n2, nt) array, z[0] = u and z[1] = m, and so is its gradient.
 
 Every operator involved is a dense matrix applied along one axis, so each
 term of the gradient is an exact transpose scatter.  ``value_and_gradient``
@@ -32,7 +32,7 @@ approximation, and the tests hold it against central differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -51,30 +51,7 @@ from .grid import (
 from .kernels import InteractionOperator, LineGaussianKernel, denominator_field
 
 
-@dataclass
-class Iterate:
-    """One point of the optimization: the pair (u, m) on the full grid."""
-
-    u: np.ndarray
-    m: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.u = np.asarray(self.u, dtype=float)
-        self.m = np.asarray(self.m, dtype=float)
-        if self.u.shape != self.m.shape:
-            raise ValueError(f"u and m must share a shape, got {self.u.shape} vs {self.m.shape}")
-
-    def copy(self) -> "Iterate":
-        return Iterate(self.u.copy(), self.m.copy())
-
-
-def dot(x: Iterate, y: Iterate) -> float:
-    """Plain node inner product pairing gradients with displacements."""
-    return float(np.sum(x.u * y.u) + np.sum(x.m * y.m))
-
-
-@dataclass
-class ObjectiveParts:
+class ObjectiveParts(NamedTuple):
     """Additive pieces of one objective evaluation."""
 
     first: float
@@ -170,12 +147,10 @@ class ObjectiveContext:
         self._volt = volterra_matrix(grid.nt, grid.ht, grid.mid_index)
         self.h2 = H2Form(grid)
 
-    def _check(self, it: Iterate) -> None:
-        if it.u.shape != self.grid.spacetime_shape():
-            raise ValueError(
-                f"iterate shape {it.u.shape} does not match the grid "
-                f"{self.grid.spacetime_shape()}"
-            )
+    def _check(self, z: np.ndarray) -> None:
+        shape = (2,) + self.grid.spacetime_shape()
+        if np.shape(z) != shape:
+            raise ValueError(f"iterate shape {np.shape(z)} does not match {shape}")
 
 
 @dataclass
@@ -193,10 +168,10 @@ class _Parts:
     second: np.ndarray
 
 
-def _forward_parts(ctx: ObjectiveContext, it: Iterate) -> _Parts:
-    ctx._check(it)
+def _forward_parts(ctx: ObjectiveContext, z: np.ndarray) -> _Parts:
+    ctx._check(z)
     g = ctx.grid
-    u, m = it.u, it.m
+    u, m = z
     dx1, dx2, dt = ctx._d1
     dxx1, dxx2, _ = ctx._d2
 
@@ -230,37 +205,32 @@ def _forward_parts(ctx: ObjectiveContext, it: Iterate) -> _Parts:
     return _Parts(ux1, ux2, vx1, vx2, ptil, ksub, inter_m, first, second)
 
 
-def residuals(ctx: ObjectiveContext, it: Iterate) -> Tuple[np.ndarray, np.ndarray]:
+def residuals(ctx: ObjectiveContext, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The two pointwise residual fields at one iterate."""
-    p = _forward_parts(ctx, it)
+    p = _forward_parts(ctx, z)
     return p.first, p.second
 
 
-def _split(ctx: ObjectiveContext, pair: np.ndarray, p: _Parts) -> ObjectiveParts:
+def _split(ctx: ObjectiveContext, z: np.ndarray, p: _Parts) -> ObjectiveParts:
     first = ctx.residual_scale * float(np.sum(ctx.weight_first * p.first**2))
     second = ctx.residual_scale * float(np.sum(ctx.weight_second * p.second**2))
-    smooth = ctx.beta * ctx.h2.norm_sq(pair)
+    smooth = ctx.beta * ctx.h2.norm_sq(z)
     return ObjectiveParts(first=first, second=second, smoothness=smooth)
 
 
-def _pair(it: Iterate) -> np.ndarray:
-    """u and m stacked as (2, n1, n2, nt), the layout ``H2Form`` takes both in."""
-    return np.stack((it.u, it.m))
-
-
-def evaluate(ctx: ObjectiveContext, it: Iterate) -> float:
+def evaluate(ctx: ObjectiveContext, z: np.ndarray) -> float:
     """Objective value alone, the reference for the fused pass."""
-    return _split(ctx, _pair(it), _forward_parts(ctx, it)).total
+    return _split(ctx, z, _forward_parts(ctx, z)).total
 
 
-def value_and_gradient(ctx: ObjectiveContext, it: Iterate) -> Tuple[ObjectiveParts, Iterate]:
+def value_and_gradient(ctx: ObjectiveContext, z: np.ndarray) -> Tuple[ObjectiveParts, np.ndarray]:
     """The objective's pieces and its exact gradient from one residual pass.
 
     The split's total equals ``evaluate`` bit for bit.  Every gradient
     term is a transpose scatter of the forward operators.
     """
     g = ctx.grid
-    p = _forward_parts(ctx, it)
+    p = _forward_parts(ctx, z)
     dx1, dx2, dt = ctx._d1
     dxx1, dxx2, _ = ctx._d2
     voltT = ctx._volt.T
@@ -294,17 +264,15 @@ def value_and_gradient(ctx: ObjectiveContext, it: Iterate) -> Tuple[ObjectivePar
     gm += axt(dt.T, r2) - ax0(dxx1.T, r2) - ax1(dxx2.T, r2)
     gm -= p.vx1 * s1 + p.vx2 * s2
     gm -= axt(voltT, p.ux1 * s1 + p.ux2 * s2)
-    gu -= ax0(dx1.T, axt(voltT, it.m * s1)) + ax1(dx2.T, axt(voltT, it.m * s2))
+    gu -= ax0(dx1.T, axt(voltT, z[1] * s1)) + ax1(dx2.T, axt(voltT, z[1] * s2))
     gu -= ax0(dx1.T, p.ptil * s1) + ax1(dx2.T, p.ptil * s2)
 
-    pair = _pair(it)
-    smooth = (2.0 * ctx.beta) * ctx.h2.apply(pair)
-    gu += smooth[0]
-    gm += smooth[1]
-    return _split(ctx, pair, p), Iterate(gu, gm)
+    grad = np.stack((gu, gm))
+    grad += (2.0 * ctx.beta) * ctx.h2.apply(z)
+    return _split(ctx, z, p), grad
 
 
-def curvature_diagonal(ctx: ObjectiveContext, start: Iterate) -> Iterate:
+def curvature_diagonal(ctx: ObjectiveContext, start: np.ndarray) -> np.ndarray:
     """Per-node curvature estimate of ``evaluate`` at ``start``, for step scaling.
 
     Separate-squares diagonal of the Gauss-Newton Hessian: each linear
@@ -347,32 +315,32 @@ def curvature_diagonal(ctx: ObjectiveContext, start: Iterate) -> Iterate:
     def sq(mat: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
         return apply_along_axis((mat * mat).T, values, axis)
 
-    ptil_sq = (apply_along_axis(ctx._volt, start.m, 2) + ctx.p0[:, :, None]) ** 2
+    ptil_sq = (apply_along_axis(ctx._volt, start[1], 2) + ctx.p0[:, :, None]) ** 2
     w2 = np.broadcast_to(ctx.weight_second, shape)
     flux = sq(dx1, sq(dx1, w2, 0) * ptil_sq, 0) + sq(dx2, sq(dx2, w2, 1) * ptil_sq, 1)
 
     smooth = (2.0 * ctx.beta) * ctx.h2.diagonal()
-    return Iterate(
+    return np.stack((
         residual_part(ctx.weight_first) + scale * flux + smooth,
         residual_part(ctx.weight_second) + smooth,
-    )
+    ))
 
 
-def recover_coefficient(ctx: ObjectiveContext, it: Iterate) -> np.ndarray:
+def recover_coefficient(ctx: ObjectiveContext, z: np.ndarray) -> np.ndarray:
     """The coefficient a converged iterate implies: f * u(., T/2) + F."""
-    ctx._check(it)
-    return ctx.f * it.u[:, :, ctx.grid.mid_index] + ctx.F
+    ctx._check(z)
+    return ctx.f * z[0, :, :, ctx.grid.mid_index] + ctx.F
 
 
-def convexity_gap(ctx: ObjectiveContext, first: Iterate, second: Iterate) -> Tuple[float, float]:
-    """Bregman gap J(second) - J(first) - <grad J(first), second - first>.
+def convexity_gap(ctx: ObjectiveContext, z0: np.ndarray, z1: np.ndarray) -> Tuple[float, float]:
+    """Bregman gap J(z1) - J(z0) - <grad J(z0), z1 - z0>.
 
     Returns the gap together with the squared H2 norm of the difference.
     For iterates sharing the boundary data the gap dominates
     (beta / 2) * ||difference||_H2^2; with a weight strength large enough
     the residual terms only help.
     """
-    diff = Iterate(second.u - first.u, second.m - first.m)
-    parts, grad = value_and_gradient(ctx, first)
-    gap = value_and_gradient(ctx, second)[0].total - parts.total - dot(grad, diff)
-    return float(gap), ctx.h2.norm_sq(_pair(diff))
+    diff = z1 - z0
+    parts, grad = value_and_gradient(ctx, z0)
+    gap = value_and_gradient(ctx, z1)[0].total - parts.total - np.vdot(grad, diff)
+    return float(gap), ctx.h2.norm_sq(diff)

@@ -222,9 +222,11 @@ def test_sweep_lambda_writes_summary_and_continues_on_failure(workspace, tmp_pat
     short = tmp_path / "short.ini"
     short.write_text(SMALL_INI.replace("max_iter = 2500", "max_iter = 20"))
     out = root / "sweep"
+    # lam = 1e100 weights the residuals far past what the line search can
+    # resolve in double precision, so its descent stalls
     code = main([
         "sweep-lambda", "--config", str(short), str(dataset),
-        "--out", str(out), "--lambda", "3,-1",
+        "--out", str(out), "--lambda", "3,1e100",
     ])
     assert code == EXIT_OK
     rows = (out / "summary.csv").read_text().splitlines()
@@ -232,14 +234,15 @@ def test_sweep_lambda_writes_summary_and_continues_on_failure(workspace, tmp_pat
     # max_iter = 20 stops lam=3 short of grad_tol on this grid
     assert rows[1].startswith("3,unconverged,")
     assert rows[1].endswith(",0")
-    assert rows[2].startswith("-1,failed,")
+    assert rows[2].startswith("1e+100,failed,")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["runs"]["3"]["status"] == "unconverged"
     assert manifest["runs"]["3"]["converged"] is False
     assert manifest["runs"]["3"]["stop_reason"] == "max_iter"
     assert manifest["runs"]["3"]["iterations"] == 20
     assert manifest["runs"]["3"]["objective_passes"] > 20
-    assert manifest["runs"]["-1"]["status"] == "failed"
+    assert manifest["runs"]["1e+100"]["status"] == "failed"
+    assert "stalled" in manifest["runs"]["1e+100"]["error"]
     assert (out / "lam_3" / "k_comp.field").exists()
     assert "objective_parts" in manifest["runs"]["3"]["outputs"]
     rows = (out / "lam_3" / "objective_parts.csv").read_text().splitlines()
@@ -265,6 +268,17 @@ def test_sweep_lambda_rejects_lambdas_with_one_run_name(workspace, tmp_path):
         ])
         assert code == EXIT_PRECONDITION
         assert not out.exists()
+
+
+@pytest.mark.parametrize("raw", ["-1", "3,-0.5"])
+def test_sweep_lambda_rejects_negative_lambda_before_any_output(workspace, tmp_path, raw):
+    root, config, dataset = workspace
+    out = tmp_path / "sweep"
+    code = main([
+        "sweep-lambda", "--config", str(config), str(dataset), "--out", str(out), "--lambda", raw,
+    ])
+    assert code == EXIT_PRECONDITION
+    assert not out.exists()
 
 
 def test_verify_carleman_passes_and_reports(workspace, tmp_path):
@@ -400,6 +414,29 @@ def test_non_finite_values_are_rejected_before_any_output(argv, tmp_path, capsys
     # (and write NaN into a dataset or a manifest) or fail late with exit 3
     assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_PRECONDITION
     assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "invert"])
+@pytest.mark.parametrize("text, named", [
+    ("[weight]\nlam = 1\nlam = 2\n", "bad.ini"),
+    ("lam = 1\n", "bad.ini"),
+    ("[objective]\nbeta = -1\n", "beta"),
+], ids=["duplicate-key", "no-section-header", "negative-beta"])
+def test_bad_config_file_is_rejected_before_any_output(
+    workspace, tmp_path, capsys, command, text, named
+):
+    # each is a precondition error found while the config is read and
+    # validated, before any output directory exists
+    root, config, dataset = workspace
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "o")]
+    if command == "invert":
+        argv.append(str(dataset))
+    assert main(argv) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

@@ -94,6 +94,7 @@ def test_ini_rejects_unknown_or_malformed_entries(tmp_path, body, match):
         {"contrast": float("inf")},
         {"lam": float("nan")},
         {"beta": float("inf")},
+        {"beta": -1.0},
         {"horizon": float("-inf")},
         {"step0": float("nan")},
         {"sigma": float("nan")},

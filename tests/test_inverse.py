@@ -13,7 +13,7 @@ from mfgcoef.inverse import (
     initial_guess,
     invert,
 )
-from mfgcoef.objective import Iterate, dot, evaluate, value_and_gradient
+from mfgcoef.objective import evaluate, value_and_gradient
 
 from test_objective import grid, make_context, random_iterate
 
@@ -48,22 +48,21 @@ def test_projection_scatters_data_and_is_idempotent():
     b = ctx.bundle
     # the tied layer owns its whole row, so the x2 faces hold data elsewhere
     keep = np.arange(g.n1) != g.n1 - 2
-    assert np.array_equal(proj.u[keep, 0, :], b.dt_g01.face("x2lo")[keep])
-    assert np.array_equal(proj.u[0, 1:-1, :], b.dt_g01.face("x1a")[1:-1])
-    assert np.array_equal(proj.u[-1, :, :], b.dt_g01.face("x1b"))
-    assert np.array_equal(proj.m[-1, :, :], b.dt_g02.face("x1b"))
+    assert np.array_equal(proj[0, keep, 0, :], b.dt_g01.face("x2lo")[keep])
+    assert np.array_equal(proj[0, 0, 1:-1, :], b.dt_g01.face("x1a")[1:-1])
+    assert np.array_equal(proj[0, -1, :, :], b.dt_g01.face("x1b"))
+    assert np.array_equal(proj[1, -1, :, :], b.dt_g02.face("x1b"))
     # corners belong to the x1 faces
-    assert proj.u[0, 0, 2] == b.dt_g01.face("x1a")[0, 2]
+    assert proj[0, 0, 0, 2] == b.dt_g01.face("x1a")[0, 2]
     # tied layer follows the default closure from the layer below
     expected = 0.25 * (
-        3.0 * b.dt_g01.face("x1b") + proj.u[-3, :, :] - 2.0 * g.h1 * b.dt_g11.values
+        3.0 * b.dt_g01.face("x1b") + proj[0, -3, :, :] - 2.0 * g.h1 * b.dt_g11.values
     )
-    assert np.allclose(proj.u[-2, :, :], expected, atol=1e-14)
+    assert np.allclose(proj[0, -2, :, :], expected, atol=1e-14)
     again = c.embed(c.free(proj))
-    assert np.array_equal(again.u, proj.u)
-    assert np.array_equal(again.m, proj.m)
+    assert np.array_equal(again, proj)
     # interior nodes pass through untouched
-    assert np.array_equal(proj.u[1:-3, 1:-1, :], z.u[1:-3, 1:-1, :])
+    assert np.array_equal(proj[:, 1:-3, 1:-1, :], z[:, 1:-3, 1:-1, :])
 
 
 def test_outflow_closure_worked_values():
@@ -72,8 +71,8 @@ def test_outflow_closure_worked_values():
     bundle = hand_bundle(g, x1b_u=1.0, neumann_u=0.0)
     c = DataConstraints(g, bundle)
     proj = c.embed(np.zeros(2 * c.nfree))
-    assert np.allclose(proj.u[-1, :, :], 1.0, atol=1e-15)
-    assert np.allclose(proj.u[-2, :, :], 0.75, atol=1e-15)
+    assert np.allclose(proj[0, -1, :, :], 1.0, atol=1e-15)
+    assert np.allclose(proj[0, -2, :, :], 0.75, atol=1e-15)
 
 
 def test_embed_inverts_free_and_pullback_is_its_transpose():
@@ -86,8 +85,7 @@ def test_embed_inverts_free_and_pullback_is_its_transpose():
         y = random_iterate(g, rng, amplitude=1.0)
         assert np.array_equal(c.free(c.embed(x)), x)
         moved, base = c.embed(x), c.embed(np.zeros_like(x))
-        linear = Iterate(moved.u - base.u, moved.m - base.m)
-        assert c.pullback(y) @ x == pytest.approx(dot(y, linear), rel=1e-12)
+        assert c.pullback(y) @ x == pytest.approx(np.vdot(y, moved - base), rel=1e-12)
 
 
 def test_reduced_gradient_is_the_constrained_derivative():
@@ -97,15 +95,16 @@ def test_reduced_gradient_is_the_constrained_derivative():
     rng = np.random.default_rng(4)
     z = c.embed(c.free(random_iterate(g, rng)))
     red = c.pullback(value_and_gradient(ctx, z)[1])
-    # its u half laid out on the nodes, zero where pinned
-    red_u = np.zeros(g.spacetime_shape())
-    red_u[FREE] = red[: c.nfree].reshape(red_u[FREE].shape)
+    # laid out on the nodes, zero where pinned; the probes read its u half
+    red_z = np.zeros_like(z)
+    red_z[FREE] = red.reshape(red_z[FREE].shape)
+    red_u = red_z[0]
     eps = 1e-5
 
     def nudged(node, amount):
-        e = np.zeros(g.spacetime_shape())
-        e[node] = amount
-        return Iterate(z.u + e, z.m)
+        e = np.zeros_like(z)
+        e[(0,) + node] = amount
+        return z + e
 
     def constrained_diff(node):
         plus = c.embed(c.free(nudged(node, eps)))
@@ -245,8 +244,8 @@ def test_initial_guess_blends_faces():
     start = initial_guess(g, ctx.bundle)
     b = ctx.bundle
     keep = np.arange(g.n1) != g.n1 - 2
-    assert np.array_equal(start.u[keep, 0, :], b.dt_g01.face("x2lo")[keep])
-    assert np.array_equal(start.u[-1, :, :], b.dt_g01.face("x1b"))
+    assert np.array_equal(start[0, keep, 0, :], b.dt_g01.face("x2lo")[keep])
+    assert np.array_equal(start[0, -1, :, :], b.dt_g01.face("x1b"))
     # untied interior node carries the mean of the two face interpolations
     i1, i2, n = 2, 3, 1
     w1 = i1 / (g.n1 - 1)
@@ -257,7 +256,7 @@ def test_initial_guess_blends_faces():
         + (1 - w2) * b.dt_g01.face("x2lo")[i1, n]
         + w2 * b.dt_g01.face("x2hi")[i1, n]
     )
-    assert start.u[i1, i2, n] == pytest.approx(expected, rel=1e-14)
+    assert start[0, i1, i2, n] == pytest.approx(expected, rel=1e-14)
 
 
 def test_invert_runs_end_to_end():

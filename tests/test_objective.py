@@ -7,11 +7,9 @@ from mfgcoef.grid import H2Form, SpaceTimeGrid, apply_along_axis, first_diff_mat
 from mfgcoef.inverse import DataConstraints
 from mfgcoef.kernels import LineGaussianKernel
 from mfgcoef.objective import (
-    Iterate,
     ObjectiveContext,
     convexity_gap,
     curvature_diagonal,
-    dot,
     evaluate,
     recover_coefficient,
     residuals,
@@ -63,7 +61,7 @@ def make_context(g, lam=3.0, beta=1e-3, residual_scale=1.0):
 
 def random_iterate(g, rng, amplitude=0.1):
     shape = g.spacetime_shape()
-    return Iterate(amplitude * rng.standard_normal(shape), amplitude * rng.standard_normal(shape))
+    return np.stack((amplitude * rng.standard_normal(shape), amplitude * rng.standard_normal(shape)))
 
 
 def test_gradient_matches_central_differences():
@@ -74,13 +72,10 @@ def test_gradient_matches_central_differences():
     grad = value_and_gradient(ctx, it)[1]
     for _ in range(5):
         d = random_iterate(g, rng, amplitude=1.0)
-        scale = max(np.max(np.abs(d.u)), np.max(np.abs(d.m)))
-        d = Iterate(d.u / scale, d.m / scale)
+        d = d / np.max(np.abs(d))
         eps = 1e-5
-        plus = Iterate(it.u + eps * d.u, it.m + eps * d.m)
-        minus = Iterate(it.u - eps * d.u, it.m - eps * d.m)
-        fd = (evaluate(ctx, plus) - evaluate(ctx, minus)) / (2.0 * eps)
-        assert fd == pytest.approx(dot(grad, d), rel=1e-6)
+        fd = (evaluate(ctx, it + eps * d) - evaluate(ctx, it - eps * d)) / (2.0 * eps)
+        assert fd == pytest.approx(np.vdot(grad, d), rel=1e-6)
 
 
 def test_fused_pass_value_is_evaluate_bit_for_bit():
@@ -98,11 +93,11 @@ def test_beta_only_mode_is_the_smoothness_quadratic():
     rng = np.random.default_rng(5)
     it = random_iterate(g, rng)
     h2 = H2Form(g)
-    expected = 0.5 * (h2.norm_sq(it.u) + h2.norm_sq(it.m))
+    expected = 0.5 * (h2.norm_sq(it[0]) + h2.norm_sq(it[1]))
     assert evaluate(ctx, it) == pytest.approx(expected, rel=1e-12)
     # Euler identity of the pure quadratic
     parts, grad = value_and_gradient(ctx, it)
-    assert dot(grad, it) == pytest.approx(2.0 * expected, rel=1e-12)
+    assert np.vdot(grad, it) == pytest.approx(2.0 * expected, rel=1e-12)
     assert parts.first == 0.0 and parts.second == 0.0
 
 
@@ -118,14 +113,11 @@ def test_curvature_diagonal_is_the_hessian_diagonal_of_the_penalty():
     base = evaluate(ctx, it)
     nodes = ((0, 0, 0), (3, 2, 1), (6, 5, 4), (1, 4, 2), (5, 1, 3), (2, 3, 4))
     for node in nodes:
-        e = np.zeros(g.spacetime_shape())
-        e[node] = 1.0
-        for slot, plus, minus in (
-            ("u", Iterate(it.u + e, it.m), Iterate(it.u - e, it.m)),
-            ("m", Iterate(it.u, it.m + e), Iterate(it.u, it.m - e)),
-        ):
-            second = evaluate(ctx, plus) - 2.0 * base + evaluate(ctx, minus)
-            assert getattr(curv, slot)[node] == pytest.approx(second, rel=1e-10)
+        for slot in (0, 1):
+            e = np.zeros_like(it)
+            e[(slot,) + node] = 1.0
+            second = evaluate(ctx, it + e) - 2.0 * base + evaluate(ctx, it - e)
+            assert curv[(slot,) + node] == pytest.approx(second, rel=1e-10)
 
 
 def test_curvature_diagonal_tracks_the_gauss_newton_diagonal():
@@ -139,21 +131,17 @@ def test_curvature_diagonal_tracks_the_gauss_newton_diagonal():
     it = random_iterate(g, np.random.default_rng(4))
     curv = curvature_diagonal(ctx, it)
     shape = g.spacetime_shape()
-    for slot in ("u", "m"):
+    for slot in (0, 1):
         exact = np.zeros(shape)
         for node in np.ndindex(shape):
-            e = np.zeros(shape)
-            e[node] = 1.0
-            if slot == "u":
-                plus, minus = Iterate(it.u + e, it.m), Iterate(it.u - e, it.m)
-            else:
-                plus, minus = Iterate(it.u, it.m + e), Iterate(it.u, it.m - e)
-            (p1, p2), (m1, m2) = residuals(ctx, plus), residuals(ctx, minus)
+            e = np.zeros_like(it)
+            e[(slot,) + node] = 1.0
+            (p1, p2), (m1, m2) = residuals(ctx, it + e), residuals(ctx, it - e)
             j1, j2 = 0.5 * (p1 - m1), 0.5 * (p2 - m2)
             exact[node] = 2.0 * (
                 np.sum(ctx.weight_first * j1**2) + np.sum(ctx.weight_second * j2**2)
-            ) + 2.0 * ctx.beta * ctx.h2.apply(e)[node]
-        ratio = exact / getattr(curv, slot)
+            ) + 2.0 * ctx.beta * ctx.h2.apply(e)[(slot,) + node]
+        ratio = exact / curv[slot]
         assert 1.0 / 8.0 <= ratio.min() and ratio.max() <= 4.0, (slot, ratio.min(), ratio.max())
 
 
@@ -208,7 +196,7 @@ def test_coefficient_identity_on_consistent_data():
     # truth iterate: u analytic, m by fine stencil then restriction
     u_true = np.stack([0.2 * t * np.cos(np.pi * x1c) * np.sin(np.pi * x2c) for t in coarse.t], axis=2)
     m_fine = apply_along_axis(first_diff_matrix(fine.nt, fine.ht), density, 2)
-    truth = Iterate(u_true, m_fine[::s1, ::s2, ::st_stride])
+    truth = np.stack((u_true, m_fine[::s1, ::s2, ::st_stride]))
 
     k_rec = recover_coefficient(ctx, truth)
     err = np.abs(k_rec - k_true)
@@ -220,7 +208,7 @@ def test_coefficient_identity_on_consistent_data():
     # the truth nearly zeroes the residuals; a generic bump does not
     rng = np.random.default_rng(7)
     bump = random_iterate(coarse, rng, amplitude=0.3)
-    bumped = Iterate(truth.u + bump.u, truth.m + bump.m)
+    bumped = truth + bump
     parts_truth = value_and_gradient(ctx, truth)[0]
     parts_bumped = value_and_gradient(ctx, bumped)[0]
     res_truth = parts_truth.first + parts_truth.second
@@ -238,7 +226,7 @@ def admissible_difference(ctx, rng, amplitude):
     constraints = DataConstraints(ctx.grid, ctx.bundle)
     x = amplitude * rng.standard_normal(2 * constraints.nfree)
     moved, origin = constraints.embed(x), constraints.embed(np.zeros_like(x))
-    return Iterate(moved.u - origin.u, moved.m - origin.m)
+    return moved - origin
 
 
 def test_convexity_gap_dominates_h2():
@@ -249,7 +237,7 @@ def test_convexity_gap_dominates_h2():
     for _ in range(10):
         base = random_iterate(g, rng, amplitude=0.25 * scale)
         d = admissible_difference(ctx, rng, amplitude=0.25 * scale)
-        other = Iterate(base.u + d.u, base.m + d.m)
+        other = base + d
         gap, h2 = convexity_gap(ctx, base, other)
         assert gap >= 0.5 * ctx.beta * h2
 
@@ -262,7 +250,7 @@ def test_residual_shapes_and_validation():
     l1, l2 = residuals(ctx, it)
     assert l1.shape == g.spacetime_shape()
     assert l2.shape == g.spacetime_shape()
-    bad = Iterate(np.zeros((3, 3, 3)), np.zeros((3, 3, 3)))
+    bad = np.zeros((2, 3, 3, 3))
     with pytest.raises(ValueError, match="iterate shape"):
         evaluate(ctx, bad)
     with pytest.raises(ValueError, match="beta"):
