@@ -8,23 +8,25 @@ by lam^(-3/2) times the weighted integrand, with the explicit constant
     d^((1-3*alpha)/2) / (sqrt(2) * (1 + alpha)^(3/2)).
 
 That lam^(-3/2) decay (against the lam^(-1) of the conventional weight) is
-what the certification suite checks numerically, trial by trial.
+what the certification suite checks numerically, for every random profile
+and every lam.
 
-Each trial evaluates both sides by trapezoid quadrature on 2^L intervals,
-doubling L until two levels agree.  The profile f is piecewise linear in
-its knot values v, and so is its running integral, so at each level the
-two trapezoid sums are exact quadratic forms v^T K_L v and v^T G_L v whose
-(m, m) matrices depend only on the knots, alpha, lam and L.
-``VolterraForms`` builds them lazily, one level at a time, in O(2^L) work;
-a certification run shares one set across all its profiles and lam, so a
-trial costs two m-by-m quadratic forms per level.
+Both sides are evaluated by trapezoid quadrature on 2^L intervals,
+doubling L until two levels agree.  A profile f is piecewise linear in its
+knot values v, and so is its running integral, so at each level the two
+trapezoid sums are exact quadratic forms v^T K_L v and v^T G_L v whose
+(m, m) matrices depend only on the knots, alpha, lam and L.  The profiles
+of a run share their knots, so ``certify`` builds (G_L, K_L) once per level
+for every lam that still has an unsettled profile, in O(2^L) work each,
+and evaluates both forms for all profiles at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -62,6 +64,13 @@ class CarlemanParams:
     def __post_init__(self) -> None:
         if self.lam < 0:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        # the objective scales its first residual by lam^(3/2)
+        try:
+            scale = self.lam**1.5
+        except OverflowError:
+            scale = math.inf
+        if not math.isfinite(scale):
+            raise ValueError(f"lam={self.lam:g} is too large: lam^(3/2) is not a finite float")
         validate_exponent(self.alpha)
         if self.b <= 0 or self.horizon <= 0:
             raise ValueError("b and horizon must be positive")
@@ -75,10 +84,6 @@ class CarlemanParams:
         t = np.asarray(t, dtype=float)
         shift = np.abs(t - 0.5 * self.horizon) ** (1.0 + self.alpha)
         return 2.0 * self.lam * (x1 * x1 - shift)
-
-    def max_over_slab(self) -> float:
-        """Maximum of the weight on the closed slab: exp(2*lam*b^2), at (b, T/2)."""
-        return float(np.exp(2.0 * self.lam * self.b * self.b))
 
     def balanced_log_weight(self, x1, t) -> np.ndarray:
         """log of weight/max: 2*lam*(x1^2 - b^2 - |t - T/2|^(1+alpha)), always <= 0.
@@ -107,68 +112,6 @@ def conventional_vs_new_ratio(lam: float, d: float, alpha: float) -> float:
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
     return bound_constant(d, alpha) / np.sqrt(lam)
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one certified inequality evaluation."""
-
-    lhs: float
-    rhs: float
-    holds: bool
-    converged: bool
-    levels: int
-    lam: float
-    d: float
-    alpha: float
-
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
-
-    @property
-    def status(self) -> str:
-        if not self.converged:
-            return "inconclusive"
-        return "holds" if self.holds else "violated"
-
-
-class VolterraForms:
-    """The two trapezoid sums of the check at each level, as quadratic forms.
-
-    f = interp(t, knots, v) is sum_k v_k phi_k(t) with phi_k the hat of knot
-    k, and its running trapezoid integral from the midpoint node is
-    sum_k v_k psi_k, so the level-L sums are exactly
-
-        rhs_int_L = v^T G_L v,    lhs_L = v^T K_L v,
-
-    with (m, m) matrices that depend on (knots, alpha, lam, level) only.
-    Forms are built the first time a (lam, level) pair is asked for, each
-    level once for the requested lam together with every lam the object
-    was created for, and kept for the object's lifetime.
-    """
-
-    def __init__(self, knots: np.ndarray, alpha: float, lambdas: Iterable[float] = ()):
-        self.knots = np.asarray(knots, dtype=float)
-        self.alpha = float(alpha)
-        self._lambdas = tuple(dict.fromkeys(float(lam) for lam in lambdas))
-        self._forms: Dict[Tuple[float, int], Tuple[np.ndarray, np.ndarray]] = {}
-
-    def fits(self, knots: np.ndarray, alpha: float) -> bool:
-        return self.alpha == alpha and np.array_equal(self.knots, knots)
-
-    def at(self, lam: float, level: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(G_L, K_L) for weight strength lam on the 2^level-interval grid."""
-        lam = float(lam)
-        if (lam, level) not in self._forms:
-            lams = [lam] + [
-                other for other in self._lambdas
-                if other != lam and (other, level) not in self._forms
-            ]
-            gram, kern = _level_forms(self.knots, self.alpha, level, np.array(lams))
-            for i, other in enumerate(lams):
-                self._forms[(other, level)] = (gram[i], kern[i])
-        return self._forms[(lam, level)]
 
 
 def _level_forms(knots: np.ndarray, alpha: float, level: int, lams: np.ndarray):
@@ -242,89 +185,120 @@ def _level_forms(knots: np.ndarray, alpha: float, level: int, lams: np.ndarray):
     return gram, kern
 
 
-def volterra_carleman_check(
+def validate_lambdas(lambdas: Sequence[float]) -> np.ndarray:
+    """The weight strengths of a certification as a 1-d float array.
+
+    Each must be finite and positive, and so must lam^(-3/2), the factor
+    the bound carries; below about 3e-206 that factor overflows and every
+    bound would hold vacuously.
+    """
+    lams = np.asarray(lambdas, dtype=float)
+    if lams.ndim != 1:
+        raise ValueError(f"lambdas must be a 1-d sequence, got shape {lams.shape}")
+    with np.errstate(all="ignore"):
+        ok = np.isfinite(lams) & (lams > 0) & np.isfinite(lams ** (-1.5))
+    if not ok.all():
+        raise ValueError(
+            f"certification needs a finite lam > 0 with a finite lam^(-3/2), "
+            f"got {lams[~ok][0]:g}"
+        )
+    return lams
+
+
+@dataclass(frozen=True)
+class Certification:
+    """Outcome of a certification, one row per profile, one column per lam.
+
+    ``levels`` is the level at which each pair's two sides settled, or
+    ``max_level`` for a pair that never did; ``status`` is "holds",
+    "violated" or, for a pair that never settled, "inconclusive".
+    """
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    levels: np.ndarray
+    converged: np.ndarray
+    status: np.ndarray
+
+
+def _quadratic_forms(profiles: np.ndarray, forms: np.ndarray) -> np.ndarray:
+    """v^T F v for every profile v and every form F, shape (profiles, forms)."""
+    return np.einsum("li,kij,lj->lk", profiles, forms, profiles)
+
+
+def certify(
     knots: np.ndarray,
-    values: np.ndarray,
-    lam: float,
+    profiles: np.ndarray,
+    lambdas: Sequence[float],
     alpha: float,
     start_level: int = 6,
     max_level: int = 24,
-    *,
-    forms: Optional[VolterraForms] = None,
-) -> CheckResult:
-    """Certify the weighted Volterra inequality for one piecewise-linear profile.
+) -> Certification:
+    """Certify the weighted Volterra inequality for piecewise-linear profiles.
 
     Both sides are evaluated by trapezoid quadrature with interval doubling
-    until two successive levels agree to 1e-8 relative; a trial that never
-    settles is reported as inconclusive rather than as a pass or fail.
+    from ``start_level``; each (profile, lam) pair is frozen at the first
+    level whose two sides agree with the previous level's to 1e-8
+    relative.  A pair that never settles by ``max_level`` is reported as
+    inconclusive rather than as a pass or fail.
 
     Parameters
     ----------
-    knots, values : arrays
-        Piecewise-linear profile f on a symmetric interval [-d, d]; the
-        knot array must be increasing with knots[0] = -knots[-1] < 0.
-    lam : float
-        Weight strength; any positive value is admissible (the inequality
-        carries no large-lam threshold).
+    knots : array
+        Knots shared by every profile, on a symmetric interval [-d, d]:
+        increasing, with knots[0] = -knots[-1] < 0.
+    profiles : array, shape (profiles, knots)
+        Each row is one profile's values at the knots.
+    lambdas : sequence of float
+        Weight strengths; any value ``validate_lambdas`` accepts is
+        admissible (the inequality carries no large-lam threshold).
     alpha : float
         Temporal exponent, odd/odd in (0, 1/3).
-    forms : VolterraForms, optional
-        Level forms for these knots and alpha, shared between checks;
-        built for this check alone when omitted.
     """
     knots = np.asarray(knots, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if knots.ndim != 1 or knots.shape != values.shape or knots.size < 2:
-        raise ValueError("knots and values must be matching 1-d arrays")
+    profiles = np.asarray(profiles, dtype=float)
+    lams = validate_lambdas(lambdas)
+    if knots.ndim != 1 or knots.size < 2:
+        raise ValueError("knots must be a 1-d array of at least two values")
+    if profiles.ndim != 2 or profiles.shape[1] != knots.size:
+        raise ValueError(
+            f"profiles must be a 2-d array with one column per knot ({knots.size}), "
+            f"got shape {profiles.shape}"
+        )
     if np.any(np.diff(knots) <= 0):
         raise ValueError("knots must be strictly increasing")
     d = float(knots[-1])
     if not np.isclose(knots[0], -d) or d <= 0:
         raise ValueError("profile must live on a symmetric interval [-d, d]")
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
     const = bound_constant(d, alpha)
-    if forms is None:
-        forms = VolterraForms(knots, alpha)
-    elif not forms.fits(knots, alpha):
-        raise ValueError("forms were built for other knots or another alpha")
 
-    prev = None
-    lhs = rhs_int = np.nan
-    converged = False
-    level = start_level
+    shape = (profiles.shape[0], lams.size)
+    lhs = np.full(shape, np.nan)
+    rhs_int = np.full(shape, np.nan)
+    levels = np.full(shape, start_level)
+    converged = np.zeros(shape, dtype=bool)
     for level in range(start_level, max_level + 1):
-        gram, kern = forms.at(lam, level)
-        lhs = float(values @ kern @ values)
-        rhs_int = float(values @ gram @ values)
-        if prev is not None:
-            scale = max(abs(lhs), abs(rhs_int), 1e-300)
-            if (
-                abs(lhs - prev[0]) <= QUAD_AGREE_RTOL * scale
-                and abs(rhs_int - prev[1]) <= QUAD_AGREE_RTOL * scale
-            ):
-                converged = True
-                break
-        prev = (lhs, rhs_int)
+        # forms only for the lam with a pair still open
+        cols = np.flatnonzero(~converged.all(axis=0))
+        if cols.size == 0:
+            break
+        gram, kern = _level_forms(knots, alpha, level, lams[cols])
+        cur_lhs = _quadratic_forms(profiles, kern)
+        cur_rhs = _quadratic_forms(profiles, gram)
+        open_ = ~converged[:, cols]
+        if level > start_level:
+            scale = np.maximum(np.maximum(np.abs(cur_lhs), np.abs(cur_rhs)), 1e-300)
+            converged[:, cols] |= (
+                np.abs(cur_lhs - lhs[:, cols]) <= QUAD_AGREE_RTOL * scale
+            ) & (np.abs(cur_rhs - rhs_int[:, cols]) <= QUAD_AGREE_RTOL * scale)
+        lhs[:, cols] = np.where(open_, cur_lhs, lhs[:, cols])
+        rhs_int[:, cols] = np.where(open_, cur_rhs, rhs_int[:, cols])
+        levels[:, cols] = np.where(open_, level, levels[:, cols])
 
-    rhs = lam ** (-1.5) * const * rhs_int
-    holds = bool(lhs <= rhs * (1.0 + HOLDS_REL_SLACK))
-    return CheckResult(
-        lhs=lhs,
-        rhs=rhs,
-        holds=holds,
-        converged=converged,
-        levels=level,
-        lam=lam,
-        d=d,
-        alpha=alpha,
-    )
-
-
-def random_profile(rng: np.random.Generator, d: float, n_knots: int = 17):
-    """Random piecewise-linear profile on [-d, d] with values in [-1, 1]."""
-    knots = np.linspace(-d, d, n_knots)
-    return knots, rng.uniform(-1.0, 1.0, size=n_knots)
+    rhs = lams ** (-1.5) * const * rhs_int
+    holds = lhs <= rhs * (1.0 + HOLDS_REL_SLACK)
+    status = np.where(converged, np.where(holds, "holds", "violated"), "inconclusive")
+    return Certification(lhs=lhs, rhs=rhs, levels=levels, converged=converged, status=status)
 
 
 def run_certification(
@@ -334,19 +308,15 @@ def run_certification(
     d: float = 0.5,
     alpha: float = 0.2,
     n_knots: int = 17,
-) -> List[CheckResult]:
-    """Certify the inequality over a seeded ensemble of random profiles."""
+) -> Certification:
+    """Certify the inequality over a seeded ensemble of random profiles.
+
+    Each profile is piecewise linear on n_knots equispaced knots in [-d, d]
+    with values drawn uniformly from [-1, 1], one row per trial.
+    """
     rng = np.random.default_rng(seed)
-    forms: Optional[VolterraForms] = None
-    out: List[CheckResult] = []
-    for _ in range(n_trials):
-        knots, values = random_profile(rng, d, n_knots)
-        if forms is None:
-            # every profile shares the knots, so one set of forms serves all
-            forms = VolterraForms(knots, alpha, lambdas)
-        for lam in lambdas:
-            out.append(volterra_carleman_check(knots, values, lam, alpha, forms=forms))
-    return out
+    profiles = rng.uniform(-1.0, 1.0, size=(n_trials, n_knots))
+    return certify(np.linspace(-d, d, n_knots), profiles, lambdas, alpha)
 
 
 def ratio_log_slope(

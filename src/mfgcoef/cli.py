@@ -26,10 +26,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .carleman import ratio_log_slope, run_certification, validate_exponent
+from .carleman import ratio_log_slope, run_certification, validate_exponent, validate_lambdas
 from .config import ExperimentConfig, load_config
 from .fieldio import read_field, write_csv, write_field, write_pgm
-from .forward import ObservationData
+from .forward import OBSERVATION_FIELDS, ObservationData
 from .grid import SPACE_TIME, SPATIAL, Field
 from .kernels import DenominatorError, denominator_field
 from .phantoms import LETTERS
@@ -39,7 +39,7 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_NUMERICAL = 3
 
-DATASET_FIELDS = ("v0", "p0", "g01", "g02", "g11", "g12", "cost", "cost_rate")
+DATASET_FIELDS = OBSERVATION_FIELDS + ("cost", "cost_rate")
 
 # config fields an inversion must inherit from the dataset it reads,
 # so the two halves of a run cannot silently disagree
@@ -134,15 +134,8 @@ def _read_dataset(dataset_dir: str):
         if not os.path.exists(path):
             raise ValueError(f"dataset {dataset_dir!r} is missing {name}.field")
         fields[name] = read_field(path)
-    grid = fields["v0"].grid
     obs = ObservationData(
-        grid=grid,
-        v0=fields["v0"],
-        p0=fields["p0"],
-        g01=fields["g01"],
-        g02=fields["g02"],
-        g11=fields["g11"],
-        g12=fields["g12"],
+        grid=fields["v0"].grid, **{name: fields[name] for name in OBSERVATION_FIELDS}
     )
     return obs, fields["cost"].values, fields["cost_rate"].values, manifest, paths
 
@@ -295,6 +288,7 @@ def cmd_sweep_lambda(args) -> int:
     for lam in args.lam_list:
         if not (np.isfinite(lam) and lam >= 0):
             raise ValueError(f"--lambda values must be finite and nonnegative, got {lam:g}")
+        cfg.replace(lam=lam).carleman_params()
     # each run is stored under its lambda's name, so names must not repeat
     names = [f"{lam:g}" for lam in args.lam_list]
     repeated = sorted({name for name in names if names.count(name) > 1})
@@ -343,30 +337,31 @@ def cmd_sweep_lambda(args) -> int:
 def cmd_verify_carleman(args) -> int:
     cfg = _config_from_args(args)
     lambdas = args.lam_list if args.lam_list else [1.0, 2.0, 4.0, 8.0]
-    for lam in lambdas:
-        if not (np.isfinite(lam) and lam > 0):
-            raise ValueError(f"certification needs a finite lam > 0, got {lam:g}")
+    validate_lambdas(lambdas)
     if args.trials < 1:
         raise ValueError(f"certification needs --trials >= 1, got {args.trials}")
     validate_exponent(cfg.alpha)
     out = _out_dir(args, cfg, "carleman")
     _prepare_out(out, args.force)
-    results = run_certification(
+    result = run_certification(
         seed=cfg.seed, n_trials=args.trials, lambdas=lambdas,
         d=cfg.half_width, alpha=cfg.alpha,
     )
     slope = ratio_log_slope(lambdas, d=cfg.half_width, alpha=cfg.alpha)
     report_path = os.path.join(out, "report.txt")
-    counts = {"holds": 0, "violated": 0, "inconclusive": 0}
+    counts = {
+        status: int(np.count_nonzero(result.status == status))
+        for status in ("holds", "violated", "inconclusive")
+    }
     with open(report_path, "w", encoding="ascii") as fh:
         fh.write("trial lam lhs rhs margin status\n")
-        for i, r in enumerate(results):
-            counts[r.status] += 1
-            # rows run profile-major, so a profile's lam rows share its number
-            fh.write(
-                f"{i // len(lambdas)} {r.lam:g} {r.lhs:.12e} {r.rhs:.12e} "
-                f"{r.margin:.12e} {r.status}\n"
-            )
+        # rows run profile-major, so a profile's lam rows share its number
+        for trial, row in enumerate(zip(result.lhs, result.rhs, result.status)):
+            for lam, lhs, rhs, status in zip(lambdas, *row):
+                fh.write(
+                    f"{trial} {lam:g} {lhs:.12e} {rhs:.12e} "
+                    f"{rhs - lhs:.12e} {status}\n"
+                )
         fh.write(
             f"# {counts['holds']} hold, {counts['violated']} violated, "
             f"{counts['inconclusive']} inconclusive\n"

@@ -133,31 +133,6 @@ def write_csv(path, field: Field) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def read_csv(path) -> Field:
-    rank = None
-    grid = None
-    values = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("rank "):
-                    rank = body[len("rank "):]
-                elif body.startswith("grid "):
-                    grid = _parse_grid(body[len("grid "):].split())
-                continue
-            if line[0].isalpha():
-                continue
-            values.append(float(line.rsplit(",", 1)[1]))
-    if rank is None or grid is None:
-        raise ValueError(f"missing rank/grid header comments: {path}")
-    shape = Field.expected_shape(grid, rank)
-    return Field(grid, rank, np.asarray(values).reshape(shape))
-
-
 def write_pgm(path, values: np.ndarray) -> None:
     """8-bit grayscale heatmap of a spatial array, plus a JSON sidecar.
 

@@ -101,6 +101,10 @@ class ForwardSpec:
         return out.transpose(1, 2, 0)
 
 
+# the observation set, in the order that fixes each field's noise stream
+OBSERVATION_FIELDS = ("v0", "p0", "g01", "g02", "g11", "g12")
+
+
 @dataclass
 class ObservationData:
     """Single-measurement data the inversion is allowed to see.
@@ -134,14 +138,7 @@ class ObservationData:
                 raise ValueError("all observation fields must share the grid")
 
     def fields(self):
-        return {
-            "v0": self.v0,
-            "p0": self.p0,
-            "g01": self.g01,
-            "g02": self.g02,
-            "g11": self.g11,
-            "g12": self.g12,
-        }
+        return {name: getattr(self, name) for name in OBSERVATION_FIELDS}
 
 
 @dataclass

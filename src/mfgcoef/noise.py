@@ -28,10 +28,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .forward import DerivativeBundle, ObservationData, stencil_bundle
+from .forward import OBSERVATION_FIELDS, DerivativeBundle, ObservationData, stencil_bundle
 from .grid import FACES, GAMMA_TRACE, SPATIAL, Field
-
-FIELD_ORDER = ("v0", "p0", "g01", "g02", "g11", "g12")
 
 # penalty orders, two above the highest derivative read off each surface:
 # the Laplacian of the midpoint slices, the time derivative of the traces
@@ -58,8 +56,8 @@ class NoiseSpec:
 
 
 def _field_generator(seed: int, name: str) -> np.random.Generator:
-    children = np.random.SeedSequence(seed).spawn(len(FIELD_ORDER))
-    return np.random.Generator(np.random.Philox(children[FIELD_ORDER.index(name)]))
+    children = np.random.SeedSequence(seed).spawn(len(OBSERVATION_FIELDS))
+    return np.random.Generator(np.random.Philox(children[OBSERVATION_FIELDS.index(name)]))
 
 
 def inject(obs: ObservationData, spec: NoiseSpec) -> ObservationData:
@@ -71,7 +69,7 @@ def inject(obs: ObservationData, spec: NoiseSpec) -> ObservationData:
     """
     fields = obs.fields()
     noisy = {}
-    for name in FIELD_ORDER:
+    for name in OBSERVATION_FIELDS:
         f = fields[name]
         if spec.level == 0.0:
             noisy[name] = f.copy()

@@ -5,16 +5,16 @@ import pytest
 from scipy.integrate import quad
 
 from mfgcoef.carleman import (
+    HOLDS_REL_SLACK,
     QUAD_AGREE_RTOL,
     CarlemanParams,
-    VolterraForms,
+    _level_forms,
     bound_constant,
+    certify,
     conventional_vs_new_ratio,
-    random_profile,
     ratio_log_slope,
     run_certification,
     validate_exponent,
-    volterra_carleman_check,
 )
 
 
@@ -65,8 +65,8 @@ def test_weight_peak_location_and_value():
     peak = np.unravel_index(np.argmax(w), w.shape)
     assert x1[peak[0]] == 2.0
     assert t[peak[1]] == 0.5
-    assert w.max() == pytest.approx(np.exp(2.0 * 3.0 * 4.0), rel=1e-12)
-    assert w.max() == pytest.approx(p.max_over_slab(), rel=1e-12)
+    # exp(2 lam b^2), the weight at (b, T/2)
+    assert w.max() == pytest.approx(np.exp(2.0 * p.lam * p.b * p.b), rel=1e-12)
 
 
 def test_weight_monotone_in_each_direction():
@@ -102,50 +102,54 @@ def test_check_against_quad_oracle_constant_profile():
     # independent route: adaptive quad on the two integrands for f = 1
     lam, alpha, d = 1.0, 0.2, 0.5
     knots = np.linspace(-d, d, 17)
-    r = volterra_carleman_check(knots, np.ones(17), lam, alpha)
+    r = certify(knots, np.ones((1, 17)), [lam], alpha)
     w = lambda t: np.exp(-2.0 * lam * abs(t) ** (1.0 + alpha))
     lhs_oracle = 2.0 * quad(lambda t: w(t) * t * t, 0.0, d, epsabs=1e-13)[0]
     rhs_int_oracle = 2.0 * quad(w, 0.0, d, epsabs=1e-13)[0]
-    assert r.lhs == pytest.approx(lhs_oracle, rel=1e-7)
-    assert r.rhs == pytest.approx(lam**-1.5 * bound_constant(d, alpha) * rhs_int_oracle, rel=1e-7)
-    assert r.holds and r.converged
+    assert r.lhs[0, 0] == pytest.approx(lhs_oracle, rel=1e-7)
+    expect = lam**-1.5 * bound_constant(d, alpha) * rhs_int_oracle
+    assert r.rhs[0, 0] == pytest.approx(expect, rel=1e-7)
+    assert r.status[0, 0] == "holds" and r.converged[0, 0]
 
 
 def test_check_against_quad_oracle_linear_profile():
     lam, alpha, d = 4.0, 0.2, 0.5
     knots = np.linspace(-d, d, 17)
-    r = volterra_carleman_check(knots, knots.copy(), lam, alpha)
+    r = certify(knots, knots[None, :], [lam], alpha)
     w = lambda t: np.exp(-2.0 * lam * abs(t) ** (1.0 + alpha))
     # inner integral of f(t) = t from 0 is t^2/2
     lhs_oracle = 2.0 * quad(lambda t: w(t) * (t * t / 2.0) ** 2, 0.0, d, epsabs=1e-14)[0]
-    assert r.lhs == pytest.approx(lhs_oracle, rel=1e-7)
-    assert r.holds
+    assert r.lhs[0, 0] == pytest.approx(lhs_oracle, rel=1e-7)
+    assert r.status[0, 0] == "holds"
 
 
 def test_inequality_holds_across_lambda_range():
     knots = np.linspace(-0.5, 0.5, 17)
     rng = np.random.default_rng(42)
     values = rng.uniform(-1.0, 1.0, 17)
-    for lam in (0.5, 1.0, 3.0, 10.0, 30.0, 100.0):
-        r = volterra_carleman_check(knots, values, lam, 0.2)
-        assert r.converged
-        assert r.holds, f"violated at lam={lam}: lhs={r.lhs}, rhs={r.rhs}"
+    lams = (0.5, 1.0, 3.0, 10.0, 30.0, 100.0)
+    r = certify(knots, values[None, :], lams, 0.2)
+    assert r.converged.all()
+    for j, lam in enumerate(lams):
+        assert r.status[0, j] == "holds", (
+            f"violated at lam={lam}: lhs={r.lhs[0, j]}, rhs={r.rhs[0, j]}"
+        )
 
 
 def test_margin_never_reverses_as_lambda_grows():
     knots = np.linspace(-0.5, 0.5, 17)
     rng = np.random.default_rng(3)
     values = rng.uniform(-1.0, 1.0, 17)
-    results = [volterra_carleman_check(knots, values, lam, 0.2) for lam in (1, 2, 4, 8, 16)]
-    assert all(r.holds for r in results)
+    r = certify(knots, values[None, :], (1, 2, 4, 8, 16), 0.2)
+    assert (r.lhs <= r.rhs * (1.0 + HOLDS_REL_SLACK)).all()
 
 
 def test_certification_suite_seeded():
-    results = run_certification(seed=123, n_trials=10, lambdas=(1.0, 8.0))
-    assert len(results) == 20
-    assert all(r.status == "holds" for r in results)
+    r = run_certification(seed=123, n_trials=10, lambdas=(1.0, 8.0))
+    assert r.status.shape == (10, 2)
+    assert (r.status == "holds").all()
     again = run_certification(seed=123, n_trials=10, lambdas=(1.0, 8.0))
-    assert [(r.lhs, r.rhs) for r in results] == [(r.lhs, r.rhs) for r in again]
+    assert np.array_equal(r.lhs, again.lhs) and np.array_equal(r.rhs, again.rhs)
 
 
 def test_ratio_closed_form_and_slope():
@@ -171,39 +175,60 @@ def test_ratio_dips_below_one_for_large_lambda():
 
 
 def test_profile_input_validation():
+    knots = np.linspace(-0.5, 0.5, 17)
+    profiles = np.random.default_rng(0).uniform(-1.0, 1.0, size=(1, 17))
     with pytest.raises(ValueError):
-        volterra_carleman_check(np.array([0.0, 0.5]), np.ones(2), 1.0, 0.2)
+        certify(np.array([0.0, 0.5]), np.ones((1, 2)), [1.0], 0.2)
     with pytest.raises(ValueError):
-        volterra_carleman_check(np.linspace(-0.5, 0.5, 5), np.ones(5), 0.0, 0.2)
-    knots, values = random_profile(np.random.default_rng(0), 0.5)
+        certify(np.linspace(-0.5, 0.5, 5), np.ones((1, 5)), [0.0], 0.2)
+    with pytest.raises(ValueError, match="finite"):
+        certify(knots, profiles, [1.0, 1e-300], 0.2)
     with pytest.raises(ValueError):
-        volterra_carleman_check(knots, values, 1.0, 0.25)
+        certify(knots, profiles, [1.0], 0.25)
     with pytest.raises(ValueError):
-        volterra_carleman_check(knots, values, 1.0, 0.2, forms=VolterraForms(knots, 1.0 / 7.0))
-    with pytest.raises(ValueError):
-        volterra_carleman_check(
-            knots, values, 1.0, 0.2, forms=VolterraForms(symmetric_unaligned_knots(), 0.2)
-        )
+        certify(knots[::-1], profiles, [1.0], 0.2)
+    with pytest.raises(ValueError, match="one column per knot"):
+        certify(knots, np.ones((1, 16)), [1.0], 0.2)
+    with pytest.raises(ValueError, match="one column per knot"):
+        certify(knots, np.ones(17), [1.0], 0.2)
 
 
 @pytest.mark.parametrize("knots", [np.linspace(-0.5, 0.5, 17), symmetric_unaligned_knots()])
 def test_forms_match_direct_trapezoid_sums(knots):
     rng = np.random.default_rng(11)
-    forms = VolterraForms(knots, 0.2, lambdas=(1.0, 8.0))
-    for lam in (1.0, 8.0, 100.0):
-        for level in range(6, 13):
-            gram, kern = forms.at(lam, level)
+    lams = (1.0, 8.0, 100.0)
+    for level in range(6, 13):
+        gram, kern = _level_forms(knots, 0.2, level, np.array(lams))
+        for i, lam in enumerate(lams):
             for values in (rng.uniform(-1.0, 1.0, knots.size), knots.copy(), np.ones(knots.size)):
                 lhs, rhs_int = direct_sums(knots, values, lam, 0.2, level)
-                assert values @ kern @ values == pytest.approx(lhs, rel=1e-12, abs=0.0)
-                assert values @ gram @ values == pytest.approx(rhs_int, rel=1e-12, abs=0.0)
+                assert values @ kern[i] @ values == pytest.approx(lhs, rel=1e-12, abs=0.0)
+                assert values @ gram[i] @ values == pytest.approx(rhs_int, rel=1e-12, abs=0.0)
 
 
 def test_certification_stops_where_the_direct_sums_settle():
-    results = run_certification(seed=0, n_trials=10, lambdas=(1.0, 8.0))
-    rng = np.random.default_rng(0)
-    expected = []
-    for _ in range(10):
-        knots, values = random_profile(rng, 0.5)
-        expected += [direct_levels(knots, values, lam, 0.2) for lam in (1.0, 8.0)]
-    assert [r.levels for r in results] == expected
+    lams = (1.0, 8.0)
+    r = run_certification(seed=0, n_trials=10, lambdas=lams)
+    knots = np.linspace(-0.5, 0.5, 17)
+    profiles = np.random.default_rng(0).uniform(-1.0, 1.0, size=(10, 17))
+    expected = [[direct_levels(knots, v, lam, 0.2) for lam in lams] for v in profiles]
+    assert r.levels.tolist() == expected
+
+    knots = symmetric_unaligned_knots()
+    profiles = np.random.default_rng(5).uniform(-1.0, 1.0, size=(4, knots.size))
+    r = certify(knots, profiles, lams, 0.2)
+    expected = [[direct_levels(knots, v, lam, 0.2) for lam in lams] for v in profiles]
+    assert r.levels.tolist() == expected
+    assert (r.status == "holds").all()
+
+
+def test_one_profile_certifies_alike_alone_and_in_a_batch():
+    lams = (1.0, 8.0)
+    profiles = np.random.default_rng(9).uniform(-1.0, 1.0, size=(10, 17))
+    knots = np.linspace(-0.5, 0.5, 17)
+    batch = certify(knots, profiles, lams, 0.2)
+    for i in range(profiles.shape[0]):
+        alone = certify(knots, profiles[i : i + 1], lams, 0.2)
+        assert np.array_equal(alone.levels[0], batch.levels[i])
+        np.testing.assert_allclose(alone.lhs[0], batch.lhs[i], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(alone.rhs[0], batch.rhs[i], rtol=1e-13, atol=0.0)

@@ -270,7 +270,7 @@ def test_sweep_lambda_rejects_lambdas_with_one_run_name(workspace, tmp_path):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("raw", ["-1", "3,-0.5"])
+@pytest.mark.parametrize("raw", ["-1", "3,-0.5", "3,1e250"])
 def test_sweep_lambda_rejects_negative_lambda_before_any_output(workspace, tmp_path, raw):
     root, config, dataset = workspace
     out = tmp_path / "sweep"
@@ -407,6 +407,7 @@ def test_override_flags_a_command_would_ignore_are_rejected(argv, tmp_path, caps
     ["generate", "--contrast", "inf"],
     ["verify-carleman", "--lambda", "nan"],
     ["verify-carleman", "--lambda", "1,inf"],
+    ["verify-carleman", "--lambda", "1,1e-300"],
     ["sweep-lambda", "DATASET", "--lambda", "3,nan"],
 ])
 def test_non_finite_values_are_rejected_before_any_output(argv, tmp_path, capsys):
@@ -422,7 +423,8 @@ def test_non_finite_values_are_rejected_before_any_output(argv, tmp_path, capsys
     ("[weight]\nlam = 1\nlam = 2\n", "bad.ini"),
     ("lam = 1\n", "bad.ini"),
     ("[objective]\nbeta = -1\n", "beta"),
-], ids=["duplicate-key", "no-section-header", "negative-beta"])
+    ("[weight]\nlam = 1e250\n", "lam"),
+], ids=["duplicate-key", "no-section-header", "negative-beta", "overflowing-lambda"])
 def test_bad_config_file_is_rejected_before_any_output(
     workspace, tmp_path, capsys, command, text, named
 ):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mfgcoef.fieldio import (
-    read_csv,
     read_field,
     read_pgm,
     write_csv,
@@ -19,6 +18,29 @@ from mfgcoef.grid import (
 )
 
 RANKS = (SPATIAL, SPACE_TIME, GAMMA_TRACE, BOUNDARY_TRACE)
+
+
+def read_csv(path) -> Field:
+    """Reference reader for ``write_csv``: the rank and grid comments, then the values."""
+    rank = grid = None
+    values = []
+    with open(path, "r", encoding="ascii") as fh:
+        for line in fh:
+            line = line.strip()
+            if line.startswith("# rank "):
+                rank = line[len("# rank "):]
+            elif line.startswith("# grid "):
+                tokens = line[len("# grid "):].split()
+                a, b, hw, horizon = (float(x) for x in tokens[:4])
+                n1, n2, nt = (int(x) for x in tokens[4:])
+                grid = SpaceTimeGrid(
+                    a=a, b=b, half_width=hw, horizon=horizon, n1=n1, n2=n2, nt=nt
+                )
+            elif line and not line.startswith("#") and not line[0].isalpha():
+                values.append(float(line.rsplit(",", 1)[1]))
+    if rank is None or grid is None:
+        raise ValueError(f"missing rank/grid header comments: {path}")
+    return Field(grid, rank, np.asarray(values).reshape(Field.expected_shape(grid, rank)))
 
 
 def small_grid():
