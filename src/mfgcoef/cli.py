@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .carleman import ratio_log_slope, run_certification, validate_exponent, validate_lambdas
+from .carleman import ratio_log_slope, run_certification, validate_lambdas
 from .config import ExperimentConfig, load_config
 from .fieldio import read_field, write_csv, write_field, write_pgm
 from .forward import OBSERVATION_FIELDS, ObservationData
@@ -83,6 +83,25 @@ def _write_manifest(out_dir: str, payload: dict) -> str:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
+
+
+def _write_rows(path: str, header: str, rows) -> None:
+    """A CSV file: the header line, then one line per row.
+
+    A string cell is written as it is, an integer in decimal and any other
+    number to 17 significant digits, so every float reads back exactly.
+    """
+    def cell(value) -> str:
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (int, np.integer)):
+            return str(value)
+        return f"{value:.17g}"
+
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(cell(value) for value in row) + "\n")
 
 
 def _hash_map(paths: dict) -> dict:
@@ -220,24 +239,18 @@ def _invert_core(cfg: ExperimentConfig, obs, cost, cost_rate, out: str) -> dict:
     write_field(paths["u"], Field(grid, SPACE_TIME, result.iterate[0]))
     write_field(paths["m"], Field(grid, SPACE_TIME, result.iterate[1]))
     metrics = outcome.metrics
-    with open(paths["metrics"], "w", encoding="ascii") as fh:
-        fh.write("rel_l2,mask_rel_l2,contrast,converged,iterations\n")
-        fh.write(
-            f"{metrics.rel_l2:.17g},{metrics.mask_rel_l2:.17g},"
-            f"{metrics.contrast:.17g},{int(result.converged)},{result.iterations}\n"
-        )
-    with open(paths["objective_history"], "w", encoding="ascii") as fh:
-        fh.write("step,objective\n")
-        for i, value in enumerate(result.objective_history):
-            fh.write(f"{i},{value:.17g}\n")
-    with open(paths["objective_parts"], "w", encoding="ascii") as fh:
-        fh.write("step,first,second,smoothness\n")
-        for i, (first, second, smooth) in enumerate(result.parts_history):
-            fh.write(f"{i},{first:.17g},{second:.17g},{smooth:.17g}\n")
-    with open(paths["gradient_history"], "w", encoding="ascii") as fh:
-        fh.write("iteration,gradient_max\n")
-        for i, value in enumerate(result.gradient_history):
-            fh.write(f"{i},{value:.17g}\n")
+    _write_rows(paths["metrics"], "rel_l2,mask_rel_l2,contrast,converged,iterations", [(
+        metrics.rel_l2, metrics.mask_rel_l2, metrics.contrast,
+        int(result.converged), result.iterations,
+    )])
+    _write_rows(paths["objective_history"], "step,objective", enumerate(result.objective_history))
+    _write_rows(
+        paths["objective_parts"], "step,first,second,smoothness",
+        ((i, *row) for i, row in enumerate(result.parts_history)),
+    )
+    _write_rows(
+        paths["gradient_history"], "iteration,gradient_max", enumerate(result.gradient_history)
+    )
 
     return {
         "metrics": {
@@ -245,6 +258,7 @@ def _invert_core(cfg: ExperimentConfig, obs, cost, cost_rate, out: str) -> dict:
             "mask_rel_l2": metrics.mask_rel_l2,
             "contrast": metrics.contrast,
         },
+        "start_rel_l2": outcome.start_rel_l2,
         "converged": result.converged,
         "stop_reason": result.stop_reason,
         "iterations": result.iterations,
@@ -301,26 +315,21 @@ def cmd_sweep_lambda(args) -> int:
     _prepare_out(out, args.force)
     rows = []
     per_lam = {}
-    for lam in args.lam_list:
-        sub = os.path.join(out, f"lam_{lam:g}")
+    for lam, name in zip(args.lam_list, names):
+        sub = os.path.join(out, f"lam_{name}")
         os.makedirs(sub, exist_ok=True)
         try:
             summary = _invert_core(cfg.replace(lam=lam), obs, cost, cost_rate, sub)
         except (ValueError, RuntimeError) as exc:
-            rows.append((lam, "failed", "", "", ""))
-            per_lam[f"{lam:g}"] = {"status": "failed", "error": str(exc)}
+            rows.append((name, "failed", "", "", ""))
+            per_lam[name] = {"status": "failed", "error": str(exc)}
             continue
         m = summary["metrics"]
         status = "ok" if summary["converged"] else "unconverged"
-        rows.append((lam, status, m["rel_l2"], m["contrast"], int(summary["converged"])))
-        per_lam[f"{lam:g}"] = {"status": status, **summary}
+        rows.append((name, status, m["rel_l2"], m["contrast"], int(summary["converged"])))
+        per_lam[name] = {"status": status, **summary}
     summary_path = os.path.join(out, "summary.csv")
-    with open(summary_path, "w", encoding="ascii") as fh:
-        fh.write("lambda,status,rel_l2,contrast,converged\n")
-        for lam, status, rel, contrast, conv in rows:
-            rel_s = f"{rel:.17g}" if rel != "" else ""
-            con_s = f"{contrast:.17g}" if contrast != "" else ""
-            fh.write(f"{lam:g},{status},{rel_s},{con_s},{conv}\n")
+    _write_rows(summary_path, "lambda,status,rel_l2,contrast,converged", rows)
     _write_manifest(out, {
         "command": "sweep-lambda",
         "config": cfg.to_dict(),
@@ -340,7 +349,6 @@ def cmd_verify_carleman(args) -> int:
     validate_lambdas(lambdas)
     if args.trials < 1:
         raise ValueError(f"certification needs --trials >= 1, got {args.trials}")
-    validate_exponent(cfg.alpha)
     out = _out_dir(args, cfg, "carleman")
     _prepare_out(out, args.force)
     result = run_certification(

@@ -25,8 +25,12 @@ Every operator involved is a dense matrix applied along one axis, so each
 term of the gradient is an exact transpose scatter.  ``value_and_gradient``
 returns the objective's additive pieces and its gradient from one pass of
 the residual operators, which is what the descent calls at every trial
-point; the gradient is the derivative of ``evaluate`` to rounding, not an
-approximation, and the tests hold it against central differences.
+point.  Each operator acts once per pass: dt, Dxx1 and Dxx2 on the
+stacked z, the running integral V on (u_x1, u_x2, m), and each transpose
+on the stack or the sum of everything it scatters (27 products along an
+axis per pass, H2 penalty included).  The gradient is the derivative of
+``evaluate`` to rounding, and the tests hold it against central
+differences.
 """
 
 from __future__ import annotations
@@ -109,12 +113,11 @@ class ObjectiveContext:
         self.cost_rate = cost_rate
         self.operator = InteractionOperator(grid, kernel)
 
-        self.v0_x1 = np.asarray(bundle.v0_x1, dtype=float)
-        self.v0_x2 = np.asarray(bundle.v0_x2, dtype=float)
+        for name in ("v0_x1", "v0_x2", "p0"):
+            if np.shape(getattr(bundle, name)) != grid.spatial_shape():
+                raise ValueError(f"bundle field {name} must be spatial")
+        self.v0_x = np.array((bundle.v0_x1, bundle.v0_x2), dtype=float)
         self.p0 = np.asarray(bundle.p0, dtype=float)
-        for name, arr in (("v0_x1", self.v0_x1), ("v0_x2", self.v0_x2), ("p0", self.p0)):
-            if arr.shape != grid.spatial_shape():
-                raise ValueError(f"bundle field {name} must be spatial, got {arr.shape}")
 
         # coefficient elimination: k = f * u(., T/2) + F
         den = denominator_field(kernel, Field(grid, SPATIAL, self.p0))
@@ -123,7 +126,7 @@ class ObjectiveContext:
         s_mid = cost[:, :, grid.mid_index]
         self.F = self.f * (
             np.asarray(bundle.v0_lap, dtype=float)
-            - 0.5 * (self.v0_x1**2 + self.v0_x2**2)
+            - 0.5 * np.sum(self.v0_x**2, axis=0)
             - s_mid * self.p0
         )
 
@@ -155,12 +158,10 @@ class ObjectiveContext:
 
 @dataclass
 class _Parts:
-    """Intermediates shared between the residuals and the gradient."""
+    """Intermediates of one pass; ``ux`` and ``vx`` stack the x1 and x2 parts."""
 
-    ux1: np.ndarray
-    ux2: np.ndarray
-    vx1: np.ndarray
-    vx2: np.ndarray
+    ux: np.ndarray
+    vx: np.ndarray
     ptil: np.ndarray
     ksub: np.ndarray
     inter_m: np.ndarray
@@ -175,34 +176,32 @@ def _forward_parts(ctx: ObjectiveContext, z: np.ndarray) -> _Parts:
     dx1, dx2, dt = ctx._d1
     dxx1, dxx2, _ = ctx._d2
 
-    ux1 = apply_along_axis(dx1, u, 0)
-    ux2 = apply_along_axis(dx2, u, 1)
-    vx1 = apply_along_axis(ctx._volt, ux1, 2) + ctx.v0_x1[:, :, None]
-    vx2 = apply_along_axis(ctx._volt, ux2, 2) + ctx.v0_x2[:, :, None]
-    ptil = apply_along_axis(ctx._volt, m, 2) + ctx.p0[:, :, None]
+    ux = np.stack((apply_along_axis(dx1, u, 0), apply_along_axis(dx2, u, 1)))
+    integrals = apply_along_axis(ctx._volt, np.concatenate((ux, m[None])), 3)
+    vx = integrals[:2] + ctx.v0_x[..., None]
+    ptil = integrals[2] + ctx.p0[:, :, None]
+    zt = apply_along_axis(dt, z, 3)
+    lap = apply_along_axis(dxx1, z, 1) + apply_along_axis(dxx2, z, 2)
 
     ksub = ctx.f * u[:, :, g.mid_index] + ctx.F
     inter_m = ctx.operator.apply(m)
     first = (
-        apply_along_axis(dt, u, 2)
-        + apply_along_axis(dxx1, u, 0)
-        + apply_along_axis(dxx2, u, 1)
-        - (ux1 * vx1 + ux2 * vx2)
+        zt[0]
+        + lap[0]
+        - np.sum(ux * vx, axis=0)
         - ksub[:, :, None] * inter_m
         - ctx.cost * m
         - ctx.cost_rate * ptil
     )
 
-    flux1 = m * vx1 + ptil * ux1
-    flux2 = m * vx2 + ptil * ux2
+    flux = m * vx + ptil * ux
     second = (
-        apply_along_axis(dt, m, 2)
-        - apply_along_axis(dxx1, m, 0)
-        - apply_along_axis(dxx2, m, 1)
-        - apply_along_axis(dx1, flux1, 0)
-        - apply_along_axis(dx2, flux2, 1)
+        zt[1]
+        - lap[1]
+        - apply_along_axis(dx1, flux[0], 0)
+        - apply_along_axis(dx2, flux[1], 1)
     )
-    return _Parts(ux1, ux2, vx1, vx2, ptil, ksub, inter_m, first, second)
+    return _Parts(ux, vx, ptil, ksub, inter_m, first, second)
 
 
 def residuals(ctx: ObjectiveContext, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -226,46 +225,33 @@ def evaluate(ctx: ObjectiveContext, z: np.ndarray) -> float:
 def value_and_gradient(ctx: ObjectiveContext, z: np.ndarray) -> Tuple[ObjectiveParts, np.ndarray]:
     """The objective's pieces and its exact gradient from one residual pass.
 
-    The split's total equals ``evaluate`` bit for bit.  Every gradient
-    term is a transpose scatter of the forward operators.
+    The split's total equals ``evaluate`` bit for bit.  The adjoint
+    mirrors the forward pass: each transpose acts once, on the stack or
+    the sum of everything it scatters.
     """
-    g = ctx.grid
     p = _forward_parts(ctx, z)
     dx1, dx2, dt = ctx._d1
     dxx1, dxx2, _ = ctx._d2
-    voltT = ctx._volt.T
 
-    r1 = (2.0 * ctx.residual_scale) * ctx.weight_first * p.first
-    r2 = (2.0 * ctx.residual_scale) * ctx.weight_second * p.second
+    scale = 2.0 * ctx.residual_scale
+    r = scale * np.stack((ctx.weight_first * p.first, ctx.weight_second * p.second))
+    r1, r2 = r
+    # the flux adjoints; what V scatters into u_x1, u_x2 and m; and the
+    # sum of everything that reaches u through its x1 and x2 derivatives
+    s = np.stack((apply_along_axis(dx1.T, r2, 0), apply_along_axis(dx2.T, r2, 1)))
+    into_m = ctx.cost_rate * r1 + np.sum(p.ux * s, axis=0)
+    into_u = p.ux * r1 + z[1] * s
+    scattered = apply_along_axis(ctx._volt.T, np.concatenate((into_u, into_m[None])), 3)
+    a = p.vx * r1 + scattered[:2] + p.ptil * s
 
-    def ax0(mat, arr):
-        return apply_along_axis(mat, arr, 0)
-
-    def ax1(mat, arr):
-        return apply_along_axis(mat, arr, 1)
-
-    def axt(mat, arr):
-        return apply_along_axis(mat, arr, 2)
-
-    # first residual, u slots
-    gu = axt(dt.T, r1) + ax0(dxx1.T, r1) + ax1(dxx2.T, r1)
-    gu -= ax0(dx1.T, p.vx1 * r1) + ax1(dx2.T, p.vx2 * r1)
-    gu -= ax0(dx1.T, axt(voltT, p.ux1 * r1)) + ax1(dx2.T, axt(voltT, p.ux2 * r1))
-    gu[:, :, g.mid_index] -= ctx.f * np.sum(r1 * p.inter_m, axis=2)
-
-    # first residual, m slots
-    gm = -ctx.operator.apply_transpose(p.ksub[:, :, None] * r1)
+    zt = apply_along_axis(dt.T, r, 3)
+    lap = apply_along_axis(dxx1.T, r, 1) + apply_along_axis(dxx2.T, r, 2)
+    gu = zt[0] + lap[0] - apply_along_axis(dx1.T, a[0], 0) - apply_along_axis(dx2.T, a[1], 1)
+    gu[:, :, ctx.grid.mid_index] -= ctx.f * np.sum(r1 * p.inter_m, axis=2)
+    gm = zt[1] - lap[1] - ctx.operator.apply_transpose(p.ksub[:, :, None] * r1)
     gm -= ctx.cost * r1
-    gm -= axt(voltT, ctx.cost_rate * r1)
-
-    # second residual; s1/s2 are the flux adjoints
-    s1 = ax0(dx1.T, r2)
-    s2 = ax1(dx2.T, r2)
-    gm += axt(dt.T, r2) - ax0(dxx1.T, r2) - ax1(dxx2.T, r2)
-    gm -= p.vx1 * s1 + p.vx2 * s2
-    gm -= axt(voltT, p.ux1 * s1 + p.ux2 * s2)
-    gu -= ax0(dx1.T, axt(voltT, z[1] * s1)) + ax1(dx2.T, axt(voltT, z[1] * s2))
-    gu -= ax0(dx1.T, p.ptil * s1) + ax1(dx2.T, p.ptil * s2)
+    gm -= scattered[2]
+    gm -= np.sum(p.vx * s, axis=0)
 
     grad = np.stack((gu, gm))
     grad += (2.0 * ctx.beta) * ctx.h2.apply(z)

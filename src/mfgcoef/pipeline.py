@@ -25,9 +25,9 @@ from .forward import (
     stencil_bundle,
 )
 from .grid import Field
-from .inverse import ReconstructionResult, invert
+from .inverse import ReconstructionResult, initial_guess, invert
 from .noise import NoiseSpec, inject, smooth_observations
-from .objective import ObjectiveContext
+from .objective import ObjectiveContext, recover_coefficient
 from .phantoms import Metrics, letter_phantom, make_k, score
 
 
@@ -99,11 +99,16 @@ def build_context(
 
 @dataclass
 class InversionOutcome:
-    """Everything an inversion run reports."""
+    """Everything an inversion run reports.
+
+    ``start_rel_l2`` scores the coefficient that the descent's start
+    iterate implies, so a run says what the descent added.
+    """
 
     result: ReconstructionResult
     k_true: Field
     metrics: Metrics
+    start_rel_l2: float
     denominator_min: float
 
 
@@ -119,9 +124,11 @@ def run_inversion(
     phantom = letter_phantom(cfg.letter, obs.grid, cfg.contrast)
     k_true = make_k(phantom)
     metrics = score(result.coefficient, k_true, phantom.mask)
+    start = recover_coefficient(ctx, initial_guess(ctx.grid, ctx.bundle))
     return InversionOutcome(
         result=result,
         k_true=k_true,
         metrics=metrics,
+        start_rel_l2=score(start, k_true, phantom.mask).rel_l2,
         denominator_min=float(np.abs(ctx.denominator).min()),
     )

@@ -79,7 +79,7 @@ def test_criterion_02_gradient_matches_central_differences():
 def test_criterion_03_convexity_gap_dominates_h2():
     ctx = make_context(make_grid(21, 21, 11), lam=3.0, beta=1e-3)
     rng = np.random.default_rng(30)
-    scale = float(np.max(np.abs(ctx.v0_x1)))
+    scale = float(np.max(np.abs(ctx.v0_x[0])))
     worst = np.inf
     for _ in range(50):
         base = random_iterate(ctx.grid, rng, amplitude=0.25 * scale)

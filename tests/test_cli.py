@@ -93,6 +93,19 @@ def test_generate_step_that_does_not_converge_writes_no_dataset(tmp_path, capsys
     assert list(out.iterdir()) == []
 
 
+def test_generate_step_solved_to_rounding_writes_the_dataset(tmp_path):
+    # at t = 40 the last step's GMRES iterate misses the 1e-14 relative
+    # residual bound (1.98e-8 against 1.83e-8) because ||b|| is far below
+    # || |A| |x| ||; its backward error is about 1e-15, so it is solved
+    config = tmp_path / "h40.ini"
+    config.write_text("[geometry]\nhorizon = 40\n\n[grid]\nfine = 41,41,41\n")
+    out = tmp_path / "ds"
+    assert main(["generate", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    measured = json.loads((out / "manifest.json").read_text())["measurements"]
+    assert measured["krylov_steps"] >= 1
+    assert len(list(out.glob("*.field"))) == 8
+
+
 def test_generate_refuses_nonempty_dir_without_force(workspace):
     root, config, dataset = workspace
     assert main(["generate", "--config", str(config), "--out", str(dataset)]) == EXIT_PRECONDITION
@@ -120,6 +133,8 @@ def test_invert_reconstructs_and_reports(inverted):
     assert "inputs" in manifest
     assert manifest["stop_reason"] == "grad_tol"
     assert manifest["objective_passes"] > manifest["iterations"]
+    # the score of the start iterate, beside the final one
+    assert 0.0 < manifest["start_rel_l2"] < 0.10
     k = read_field(out / "k_comp.field")
     assert k.values.shape == (21, 21)
     header = (out / "metrics.csv").read_text().splitlines()[0]
@@ -241,6 +256,7 @@ def test_sweep_lambda_writes_summary_and_continues_on_failure(workspace, tmp_pat
     assert manifest["runs"]["3"]["stop_reason"] == "max_iter"
     assert manifest["runs"]["3"]["iterations"] == 20
     assert manifest["runs"]["3"]["objective_passes"] > 20
+    assert manifest["runs"]["3"]["start_rel_l2"] > 0.0
     assert manifest["runs"]["1e+100"]["status"] == "failed"
     assert "stalled" in manifest["runs"]["1e+100"]["error"]
     assert (out / "lam_3" / "k_comp.field").exists()

@@ -233,7 +233,7 @@ def test_convexity_gap_dominates_h2():
     g = grid(9, 9, 5)
     ctx = make_context(g, lam=3.0, beta=1e-3)
     rng = np.random.default_rng(21)
-    scale = float(np.max(np.abs(ctx.v0_x1)))
+    scale = float(np.max(np.abs(ctx.v0_x[0])))
     for _ in range(10):
         base = random_iterate(g, rng, amplitude=0.25 * scale)
         d = admissible_difference(ctx, rng, amplitude=0.25 * scale)

@@ -79,3 +79,15 @@ def test_reference_descent_stops_on_grad_tol_within_budget(delta, budget):
     result = run_inversion(cfg, obs, cost, cost_rate).result
     assert result.stop_reason == "grad_tol"
     assert result.iterations <= budget
+
+
+@pytest.mark.parametrize("delta,expected", [(0.0, 0.0113), (0.03, 0.0685)])
+def test_outcome_scores_the_start_iterate(delta, expected):
+    # the coefficient the data-blended start implies, before any descent;
+    # the full descent takes the clean score to 0.0095 and the noisy one
+    # (seed 17) to 0.0692, so only the clean descent improves on it
+    obs, cost, cost_rate, manifest, _ = _read_dataset(str(REFERENCE))
+    cfg = _adopt_dataset_config(ExperimentConfig(delta=delta, seed=17, max_iter=1), manifest)
+    out = run_inversion(cfg, obs, cost, cost_rate)
+    assert out.result.iterations == 1
+    assert out.start_rel_l2 == pytest.approx(expected, abs=1e-4)
