@@ -30,8 +30,15 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .grid import SpaceTimeGrid
+
 QUAD_AGREE_RTOL = 1e-8
 HOLDS_REL_SLACK = 1e-10
+# the quadrature doubles from 2^START_LEVEL intervals up to 2^MAX_LEVEL
+START_LEVEL = 6
+MAX_LEVEL = 24
+# equispaced knots of each random profile of ``run_certification``
+N_KNOTS = 17
 
 
 def validate_exponent(alpha: float) -> Fraction:
@@ -54,12 +61,14 @@ def validate_exponent(alpha: float) -> Fraction:
 
 @dataclass(frozen=True)
 class CarlemanParams:
-    """Weight parameters: strength lam, temporal exponent alpha, geometry."""
+    """Weight parameters: strength lam and temporal exponent alpha.
+
+    The geometry, b and the midpoint T/2, comes from the grid the weight
+    is sampled on.
+    """
 
     lam: float
     alpha: float
-    b: float
-    horizon: float
 
     def __post_init__(self) -> None:
         if self.lam < 0:
@@ -72,26 +81,22 @@ class CarlemanParams:
         if not math.isfinite(scale):
             raise ValueError(f"lam={self.lam:g} is too large: lam^(3/2) is not a finite float")
         validate_exponent(self.alpha)
-        if self.b <= 0 or self.horizon <= 0:
-            raise ValueError("b and horizon must be positive")
 
-    def weight(self, x1, t) -> np.ndarray:
-        """exp[2*lam*(x1^2 - |t - T/2|^(1+alpha))]."""
-        return np.exp(self.log_weight(x1, t))
+    def balanced_log_weight(self, grid: SpaceTimeGrid) -> np.ndarray:
+        """log of weight/max at the grid's (x1, t) nodes, shape (n1, nt).
 
-    def log_weight(self, x1, t) -> np.ndarray:
-        x1 = np.asarray(x1, dtype=float)
-        t = np.asarray(t, dtype=float)
-        shift = np.abs(t - 0.5 * self.horizon) ** (1.0 + self.alpha)
-        return 2.0 * self.lam * (x1 * x1 - shift)
-
-    def balanced_log_weight(self, x1, t) -> np.ndarray:
-        """log of weight/max: 2*lam*(x1^2 - b^2 - |t - T/2|^(1+alpha)), always <= 0.
-
-        Folding the balance factor into the exponent keeps the combined
-        weight in (0, 1] for any lam, so no overflow is possible.
+        The weight is exp[2*lam*(x1^2 - |t - T/2|^(1+alpha))]; its log
+        less its peak 2*lam*b^2 at (b, T/2) is always <= 0.  Folding the
+        balance factor into the exponent keeps the combined weight in
+        (0, 1] for any lam, so no overflow is possible.
         """
-        return self.log_weight(x1, t) - 2.0 * self.lam * self.b * self.b
+        if grid.b <= 0:
+            raise ValueError(
+                f"b must be positive, since the weight peaks at x1 = b; got b={grid.b}"
+            )
+        x1 = grid.x1[:, None]
+        shift = np.abs(grid.t[None, :] - 0.5 * grid.horizon) ** (1.0 + self.alpha)
+        return 2.0 * self.lam * (x1 * x1 - shift) - 2.0 * self.lam * grid.b * grid.b
 
 
 def bound_constant(d: float, alpha: float) -> float:
@@ -210,7 +215,7 @@ class Certification:
     """Outcome of a certification, one row per profile, one column per lam.
 
     ``levels`` is the level at which each pair's two sides settled, or
-    ``max_level`` for a pair that never did; ``status`` is "holds",
+    ``MAX_LEVEL`` for a pair that never did; ``status`` is "holds",
     "violated" or, for a pair that never settled, "inconclusive".
     """
 
@@ -231,16 +236,15 @@ def certify(
     profiles: np.ndarray,
     lambdas: Sequence[float],
     alpha: float,
-    start_level: int = 6,
-    max_level: int = 24,
 ) -> Certification:
     """Certify the weighted Volterra inequality for piecewise-linear profiles.
 
-    Both sides are evaluated by trapezoid quadrature with interval doubling
-    from ``start_level``; each (profile, lam) pair is frozen at the first
-    level whose two sides agree with the previous level's to 1e-8
-    relative.  A pair that never settles by ``max_level`` is reported as
-    inconclusive rather than as a pass or fail.
+    Both sides are evaluated by trapezoid quadrature on 2^L intervals, L
+    doubling from ``START_LEVEL``; each (profile, lam) pair is frozen at the
+    first level whose two sides agree with the previous level's to
+    ``QUAD_AGREE_RTOL`` relative.  A pair that never settles by
+    ``MAX_LEVEL`` is reported as inconclusive rather than as a pass or
+    fail.
 
     Parameters
     ----------
@@ -275,9 +279,9 @@ def certify(
     shape = (profiles.shape[0], lams.size)
     lhs = np.full(shape, np.nan)
     rhs_int = np.full(shape, np.nan)
-    levels = np.full(shape, start_level)
+    levels = np.full(shape, START_LEVEL)
     converged = np.zeros(shape, dtype=bool)
-    for level in range(start_level, max_level + 1):
+    for level in range(START_LEVEL, MAX_LEVEL + 1):
         # forms only for the lam with a pair still open
         cols = np.flatnonzero(~converged.all(axis=0))
         if cols.size == 0:
@@ -286,7 +290,7 @@ def certify(
         cur_lhs = _quadratic_forms(profiles, kern)
         cur_rhs = _quadratic_forms(profiles, gram)
         open_ = ~converged[:, cols]
-        if level > start_level:
+        if level > START_LEVEL:
             scale = np.maximum(np.maximum(np.abs(cur_lhs), np.abs(cur_rhs)), 1e-300)
             converged[:, cols] |= (
                 np.abs(cur_lhs - lhs[:, cols]) <= QUAD_AGREE_RTOL * scale
@@ -307,16 +311,15 @@ def run_certification(
     lambdas: Sequence[float],
     d: float = 0.5,
     alpha: float = 0.2,
-    n_knots: int = 17,
 ) -> Certification:
     """Certify the inequality over a seeded ensemble of random profiles.
 
-    Each profile is piecewise linear on n_knots equispaced knots in [-d, d]
+    Each profile is piecewise linear on N_KNOTS equispaced knots in [-d, d]
     with values drawn uniformly from [-1, 1], one row per trial.
     """
     rng = np.random.default_rng(seed)
-    profiles = rng.uniform(-1.0, 1.0, size=(n_trials, n_knots))
-    return certify(np.linspace(-d, d, n_knots), profiles, lambdas, alpha)
+    profiles = rng.uniform(-1.0, 1.0, size=(n_trials, N_KNOTS))
+    return certify(np.linspace(-d, d, N_KNOTS), profiles, lambdas, alpha)
 
 
 def ratio_log_slope(

@@ -54,11 +54,8 @@ class ExperimentConfig:
     delta: float = 0.0
     seed: int = 0
     # solver
-    step0: float = 0.1
     grad_tol: float = 1e-2
     max_iter: int = 20000
-    shrink: float = 0.5
-    precondition: bool = True
     # output
     output_root: str = ""
 
@@ -84,18 +81,10 @@ class ExperimentConfig:
         return self._grid(self.coarse)
 
     def carleman_params(self) -> CarlemanParams:
-        return CarlemanParams(
-            lam=self.lam, alpha=self.alpha, b=self.b, horizon=self.horizon
-        )
+        return CarlemanParams(lam=self.lam, alpha=self.alpha)
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            step0=self.step0,
-            grad_tol=self.grad_tol,
-            max_iter=self.max_iter,
-            shrink=self.shrink,
-            precondition=self.precondition,
-        )
+        return SolverConfig(grad_tol=self.grad_tol, max_iter=self.max_iter)
 
     def kernel(self) -> LineGaussianKernel:
         return LineGaussianKernel(sigma=self.sigma)
@@ -104,8 +93,9 @@ class ExperimentConfig:
         """Construct everything cheap once; raises on any bad combination.
 
         The coarse grid must nest in the fine one and resolve the letter's
-        strokes, or generation would fail after the forward solve and
-        inversion after the dataset is written.  Every float must be
+        strokes, and the weight sampled on it needs b > 0, or generation
+        would fail after the forward solve and inversion after the dataset
+        is written.  Every float must be
         finite, except ``sigma = inf``, the flat kernel: a NaN slips past
         every ordered comparison below.
         """
@@ -116,7 +106,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         coarse = self.coarse_grid()
         restriction_strides(self.fine_grid(), coarse)
-        self.carleman_params()
+        self.carleman_params().balanced_log_weight(coarse)
         self.solver_config()
         self.kernel()
         raster_letter(self.letter, coarse)
@@ -148,13 +138,7 @@ _SCHEMA = {
     "phantom": {"letter": str, "contrast": float},
     "benchmark": {"density_offset": float},
     "noise": {"delta": float, "seed": int},
-    "solver": {
-        "step0": float,
-        "grad_tol": float,
-        "max_iter": int,
-        "shrink": float,
-        "precondition": bool,
-    },
+    "solver": {"grad_tol": float, "max_iter": int},
     "output": {"root": str},
 }
 
@@ -167,13 +151,6 @@ def _parse_value(kind, raw: str):
         if len(parts) != 3:
             raise ValueError(f"expected three node counts, got {raw!r}")
         return tuple(int(p) for p in parts)
-    if kind is bool:
-        lowered = raw.strip().lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
-        raise ValueError(f"expected a boolean, got {raw!r}")
     return kind(raw)
 
 

@@ -67,8 +67,8 @@ SWEEP_CAP = 10
 # GMRES restart length, and its budget of products with the step matrix
 GMRES_RESTART = 30
 GMRES_MATVECS = 600
-# a step that misses REFINE_RTOL still passes when its normwise backward
-# error ||b - Ax|| / || |A| |x| || is at this rounding floor
+# a GMRES step that misses REFINE_RTOL is solved, and stops, once its
+# normwise backward error ||b - Ax|| / || |A| |x| || is at this rounding floor
 BACKWARD_ERROR_FLOOR = 64 * np.finfo(float).eps
 
 SpaceTimeFn = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
@@ -257,21 +257,29 @@ def _richardson(apply, precondition, rhs: np.ndarray, x: np.ndarray, bound: floa
     return x, made
 
 
-def _gmres(apply, precondition, rhs: np.ndarray, x: np.ndarray, bound: float):
+def _gmres(apply, magnitude, precondition, rhs: np.ndarray, x: np.ndarray, bound: float):
     """Right-preconditioned restarted GMRES(GMRES_RESTART) from x.
 
     Each cycle builds an Arnoldi basis of A P^-1 (Gram-Schmidt applied
     twice) and reduces its Hessenberg matrix with Givens rotations; it
-    ends early once the rotated residual estimate meets ``bound``.  The
-    stop test is on the true residual, formed after every cycle, and at
-    most GMRES_MATVECS products with A are spent.  Returns the last
-    iterate and its true residual norm.
+    ends early once the rotated residual estimate meets ``bound``.  After
+    every cycle the iterate's true residual is formed, and the solve
+    stops once it meets ``bound`` or once the normwise backward error
+    ||b - Ax|| / || |A| |x| || is at most BACKWARD_ERROR_FLOOR;
+    ``magnitude`` applies |A|.  At most GMRES_MATVECS products with A are
+    spent.  Returns the last iterate, its true residual norm and its
+    backward error.
     """
     shape = x.shape
+
+    def backward_error(x: np.ndarray, rnorm: float) -> float:
+        return rnorm / np.linalg.norm(magnitude(np.abs(x)))
+
     residual = rhs - apply(x)
     rnorm = np.linalg.norm(residual)
+    backward = backward_error(x, rnorm)
     used = 0
-    while rnorm > bound and used < GMRES_MATVECS:
+    while rnorm > bound and backward > BACKWARD_ERROR_FLOOR and used < GMRES_MATVECS:
         m = min(GMRES_RESTART, GMRES_MATVECS - used)
         basis = np.zeros((m + 1, residual.size))
         hess = np.zeros((m + 1, m))
@@ -305,7 +313,8 @@ def _gmres(apply, precondition, rhs: np.ndarray, x: np.ndarray, bound: float):
         x = x + precondition((y @ basis[:k]).reshape(shape))
         residual = rhs - apply(x)
         rnorm = np.linalg.norm(residual)
-    return x, rnorm
+        backward = backward_error(x, rnorm)
+    return x, rnorm, backward
 
 
 def solve_density(
@@ -339,12 +348,13 @@ def solve_density(
     at the second) and sweeps x += P^-1 (b - Ax) until
     ||b - Ax|| <= REFINE_RTOL ||b||.  A step whose drift is too strong
     for SWEEP_CAP sweeps restarts from the same start with GMRES,
-    preconditioned by the same P^-1, under the same stop test.  A step
-    that meets it under neither raises RuntimeError, unless the GMRES
-    iterate is solved to rounding.  Rounding alone leaves a residual of a
-    few ulps of || |A| |x| ||, which exceeds REFINE_RTOL ||b|| when ||b||
-    is much smaller, so the step passes when its normwise backward error
-    ||b - Ax|| / || |A| |x| || is at most BACKWARD_ERROR_FLOOR.
+    preconditioned by the same P^-1, under the same stop test or solved
+    to rounding.  Rounding alone leaves a residual of a few ulps of
+    || |A| |x| ||, which exceeds REFINE_RTOL ||b|| when ||b|| is much
+    smaller, so GMRES also stops, after any cycle, once the normwise
+    backward error ||b - Ax|| / || |A| |x| || is at most
+    BACKWARD_ERROR_FLOOR.  A step that meets neither test within the
+    GMRES budget raises RuntimeError.
 
     Value samples and density are kept time-major, (nt, n1, n2), while
     stepping, so each step reads and writes contiguous slabs; the density
@@ -406,6 +416,10 @@ def solve_density(
             inner[...] = x
             return center * x + _five_point(off, framed)
 
+        def magnitude(x: np.ndarray) -> np.ndarray:
+            inner[...] = x
+            return np.abs(center) * x + _five_point([np.abs(c) for c in off], framed)
+
         # Dirichlet data; the zeroed interior drops interior neighbours
         # from the coupling
         p[n] = spec.density_boundary_fn(x1, x2, t)
@@ -422,18 +436,14 @@ def solve_density(
         sweeps += made
         if sol is None:
             krylov_steps += 1
-            sol, reached = _gmres(apply, precondition, rhs, start, bound)
-            if reached > bound:
-                inner[...] = np.abs(sol)
-                size = np.abs(center) * inner + _five_point([np.abs(c) for c in off], framed)
-                backward = reached / np.linalg.norm(size)
-                if backward > BACKWARD_ERROR_FLOOR:
-                    raise RuntimeError(
-                        f"density step {n} (t={t:.6g}) did not converge: residual "
-                        f"{reached:.3e} against the bound {bound:.3e} after {SWEEP_CAP} "
-                        f"sweeps and {GMRES_MATVECS} GMRES matvecs (backward error "
-                        f"{backward:.2e})"
-                    )
+            sol, reached, backward = _gmres(apply, magnitude, precondition, rhs, start, bound)
+            if reached > bound and backward > BACKWARD_ERROR_FLOOR:
+                raise RuntimeError(
+                    f"density step {n} (t={t:.6g}) did not converge: residual "
+                    f"{reached:.3e} against the bound {bound:.3e} after {SWEEP_CAP} "
+                    f"sweeps and {GMRES_MATVECS} GMRES matvecs (backward error "
+                    f"{backward:.2e})"
+                )
         p[n, 1:-1, 1:-1] = sol
         min_abs = np.minimum(min_abs, np.abs(p[n]).min())
 

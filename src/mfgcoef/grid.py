@@ -359,7 +359,8 @@ class H2Form:
 
     ``norm_sq`` and ``apply`` act on the last three axes, so one call
     serves u and m stacked as (2, n1, n2, nt), and a single field works
-    too.
+    too.  ``first`` and ``second`` hold the x1, x2 and t difference
+    matrices, which the objective's residuals use as well.
     """
 
     def __init__(self, grid: SpaceTimeGrid) -> None:
@@ -368,7 +369,8 @@ class H2Form:
         firsts = [first_diff_matrix(*a) for a in axes]
         seconds = [second_diff_matrix(*a) for a in axes]
         self._sizes = tuple(n for n, _ in axes)
-        self._first = tuple(firsts)
+        self.first = tuple(firsts)
+        self.second = tuple(seconds)
         self._stacked = tuple(np.vstack((d, s)) for d, s in zip(firsts, seconds))
         self._grams = tuple(d.T @ d for d in firsts)
         summed = [g + s.T @ s for g, s in zip(self._grams, seconds)]
@@ -390,9 +392,9 @@ class H2Form:
             out = apply_along_axis(op, values, lead + ax)
             total += np.sum(out * out)
             firsts.append(_head(out, lead + ax, n))
-        mixed = apply_along_axis(self._first[1], firsts[0], lead + 1)
+        mixed = apply_along_axis(self.first[1], firsts[0], lead + 1)
         total += np.sum(mixed * mixed)
-        mixed = apply_along_axis(self._first[2], np.stack(firsts[:2]), lead + 3)
+        mixed = apply_along_axis(self.first[2], np.stack(firsts[:2]), lead + 3)
         total += np.sum(mixed * mixed)
         return float(self.grid.node_weight * total)
 

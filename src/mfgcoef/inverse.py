@@ -33,6 +33,10 @@ from .objective import (
 
 # L-BFGS memory: displacement/gradient-change pairs kept for the direction
 MEMORY = 10
+# the line search shrinks its step by SHRINK until the objective decreases,
+# and a step below MIN_STEP means the descent has stalled
+SHRINK = 0.5
+MIN_STEP = 1e-14
 
 
 class StallError(RuntimeError):
@@ -43,31 +47,32 @@ class StallError(RuntimeError):
 class SolverConfig:
     """Descent controls.
 
-    ``step0`` scales the first direction (and the one after a memory
-    reset): the gradient times ``step0``, divided by the curvature when
-    preconditioned.  Each line search tries step 1 along the L-BFGS
-    direction and shrinks by the ``shrink`` factor until the objective
-    decreases.  Iterations stop when the reduced gradient max-norm drops
-    below ``grad_tol``; a step below ``min_step`` raises ``StallError``.
+    Iterations stop when the reduced gradient max-norm drops below
+    ``grad_tol``, or after ``max_iter``; these two are the ``[solver]``
+    keys of a config file.  Each line search tries step 1 along the
+    L-BFGS direction and shrinks by ``SHRINK`` until the objective
+    decreases; a step below ``MIN_STEP`` raises ``StallError``.
 
-    With ``precondition`` on (the default) the initial inverse Hessian
-    of the recursion is the reciprocal of ``curvature_diagonal`` taken at
-    the start, node by node; otherwise it is a multiple of the identity.
-    The stopping test always reads the unscaled gradient.  The weight
-    spans many orders of magnitude across the slab, and without this
-    scaling the weakly weighted region relaxes slowly: on the reference
-    dataset (lam = 3) the unscaled descent meets ``grad_tol`` after 3028
-    iterations and 3180 objective passes (rel_l2 0.0105), the scaled one
-    after 156 iterations and 164 passes (rel_l2 0.0095); with noise
-    (delta 0.03, seed 17) the scaled one takes 138 iterations and 145
-    passes.
+    ``step0`` and ``precondition`` are for tests, which use them to
+    follow the descent on an exactly solvable quadratic; runs keep the
+    defaults.  ``step0`` scales the first direction (and the one after a
+    memory reset): the gradient times ``step0``, divided by the
+    curvature when preconditioned.  With ``precondition`` on, the initial
+    inverse Hessian of the recursion is the reciprocal of
+    ``curvature_diagonal`` taken at the start, node by node; otherwise it
+    is a multiple of the identity.  The stopping test always reads the
+    unscaled gradient.  The weight spans many orders of magnitude across
+    the slab, and without this scaling the weakly weighted region relaxes
+    slowly: on the reference dataset (lam = 3) the unscaled descent meets
+    ``grad_tol`` after 3028 iterations and 3180 objective passes (rel_l2
+    0.0105), the scaled one after 156 iterations and 164 passes (rel_l2
+    0.0095); with noise (delta 0.03, seed 17) the scaled one takes 138
+    iterations and 145 passes.
     """
 
     step0: float = 0.1
     grad_tol: float = 1e-2
     max_iter: int = 20000
-    shrink: float = 0.5
-    min_step: float = 1e-14
     precondition: bool = True
 
     def __post_init__(self) -> None:
@@ -77,10 +82,6 @@ class SolverConfig:
             raise ValueError(f"grad_tol must be nonnegative, got {self.grad_tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError(f"shrink must lie in (0, 1), got {self.shrink}")
-        if self.min_step <= 0:
-            raise ValueError(f"min_step must be positive, got {self.min_step}")
 
 
 # free nodes of both fields: off the inflow, outflow and x2 faces and the
@@ -259,8 +260,8 @@ def descend(ctx: ObjectiveContext, start: np.ndarray, config: SolverConfig) -> R
             passes += 1
             if trial_value < value:
                 break
-            step *= config.shrink
-            if step < config.min_step:
+            step *= SHRINK
+            if step < MIN_STEP:
                 if not pairs:
                     raise StallError(
                         f"line search stalled at step {step:.3e} with reduced gradient "
@@ -287,8 +288,3 @@ def descend(ctx: ObjectiveContext, start: np.ndarray, config: SolverConfig) -> R
         objective_passes=passes,
     )
 
-
-def invert(ctx: ObjectiveContext, config: SolverConfig) -> ReconstructionResult:
-    """Full reconstruction: data-blended start, descent, coefficient."""
-    start = initial_guess(ctx.grid, ctx.bundle)
-    return descend(ctx, start, config)

@@ -25,6 +25,11 @@ from .grid import (
 )
 
 
+# the smallest |interaction integral| of the midpoint density that the
+# coefficient elimination may divide by
+DENOMINATOR_FLOOR = 1e-8
+
+
 class DenominatorError(ValueError):
     """The interaction integral of a density slice vanishes at some node."""
 
@@ -77,22 +82,22 @@ def interaction_integral(kernel: LineGaussianKernel, f: Field) -> Field:
     return Field(f.grid, f.rank, op.apply(f.values))
 
 
-def denominator_field(kernel: LineGaussianKernel, p0: Field, floor: float = 1e-8) -> Field:
+def denominator_field(kernel: LineGaussianKernel, p0: Field) -> Field:
     """Interaction integral of the midpoint density; used as a reciprocal later.
 
-    Raises ``DenominatorError`` if any node falls below ``floor`` in
-    magnitude, naming the worst offender: downstream code divides by this
-    field.
+    Raises ``DenominatorError`` if any node falls below
+    ``DENOMINATOR_FLOOR`` in magnitude, naming the worst offender:
+    downstream code divides by this field.
     """
     if p0.rank != SPATIAL:
         raise ValueError(f"denominator needs a spatial density slice, got {p0.rank!r}")
     out = interaction_integral(kernel, p0)
     mags = np.abs(out.values)
-    if mags.min() < floor:
+    if mags.min() < DENOMINATOR_FLOOR:
         i, j = np.unravel_index(int(np.argmin(mags)), mags.shape)
         raise DenominatorError(
             f"interaction denominator is {out.values[i, j]:.3e} at node "
             f"(x1={p0.grid.x1[i]:.4f}, x2={p0.grid.x2[j]:.4f}), below the "
-            f"{floor:.1e} floor; the density slice is too close to zero"
+            f"{DENOMINATOR_FLOOR:.1e} floor; the density slice is too close to zero"
         )
     return out

@@ -21,7 +21,6 @@ weight of the discrepancy rule is a closed-form sum in its eigenbasis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Tuple
@@ -43,27 +42,15 @@ _LOG_ALPHA_RANGE = (-6.0, 9.0)
 _BISECTIONS = 32
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Relative noise level and stream seed."""
-
-    level: float
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValueError(f"noise level must be nonnegative, got {self.level}")
-
-
 def _field_generator(seed: int, name: str) -> np.random.Generator:
     children = np.random.SeedSequence(seed).spawn(len(OBSERVATION_FIELDS))
     return np.random.Generator(np.random.Philox(children[OBSERVATION_FIELDS.index(name)]))
 
 
-def inject(obs: ObservationData, spec: NoiseSpec) -> ObservationData:
-    """Return a noisy copy of the observations; level 0 is the exact identity.
+def inject(obs: ObservationData, level: float, seed: int) -> ObservationData:
+    """A copy of the observations with noise of relative ``level`` from ``seed``.
 
-    Corner samples of a boundary trace are stored once per adjacent face
+    Level 0 is the exact identity.  Corner samples of a boundary trace are stored once per adjacent face
     and noised independently; the projection's fixed face order decides
     which copy wins on the grid, keeping the pipeline deterministic.
     """
@@ -71,11 +58,11 @@ def inject(obs: ObservationData, spec: NoiseSpec) -> ObservationData:
     noisy = {}
     for name in OBSERVATION_FIELDS:
         f = fields[name]
-        if spec.level == 0.0:
+        if level == 0.0:
             noisy[name] = f.copy()
             continue
-        zeta = _field_generator(spec.seed, name).random(size=f.values.shape)
-        noisy[name] = Field(f.grid, f.rank, f.values * (1.0 + spec.level * zeta))
+        zeta = _field_generator(seed, name).random(size=f.values.shape)
+        noisy[name] = Field(f.grid, f.rank, f.values * (1.0 + level * zeta))
     return ObservationData(grid=obs.grid, **noisy)
 
 

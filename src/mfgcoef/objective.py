@@ -48,8 +48,6 @@ from .grid import (
     H2Form,
     SpaceTimeGrid,
     apply_along_axis,
-    first_diff_matrix,
-    second_diff_matrix,
     volterra_matrix,
 )
 from .kernels import InteractionOperator, LineGaussianKernel, denominator_field
@@ -89,11 +87,6 @@ class ObjectiveContext:
         cost_rate: np.ndarray,
         residual_scale: float = 1.0,
     ) -> None:
-        if params.b != grid.b or params.horizon != grid.horizon:
-            raise ValueError(
-                f"weight geometry (b={params.b}, horizon={params.horizon}) does not "
-                f"match the grid (b={grid.b}, horizon={grid.horizon})"
-            )
         if beta < 0:
             raise ValueError(f"beta must be nonnegative, got {beta}")
         if residual_scale < 0:
@@ -132,23 +125,17 @@ class ObjectiveContext:
 
         # residual weights: balanced exponential times the cell volume,
         # lam^(3/2) on the first residual only
-        log_w = params.balanced_log_weight(grid.x1[:, None], grid.t[None, :])
+        log_w = params.balanced_log_weight(grid)
         core = np.exp(log_w)[:, None, :] * grid.cell_volume
         self.weight_first = params.lam**1.5 * core
         self.weight_second = core
 
-        self._d1 = (
-            first_diff_matrix(grid.n1, grid.h1),
-            first_diff_matrix(grid.n2, grid.h2),
-            first_diff_matrix(grid.nt, grid.ht),
-        )
-        self._d2 = (
-            second_diff_matrix(grid.n1, grid.h1),
-            second_diff_matrix(grid.n2, grid.h2),
-            second_diff_matrix(grid.nt, grid.ht),
-        )
-        self._volt = volterra_matrix(grid.nt, grid.ht, grid.mid_index)
         self.h2 = H2Form(grid)
+        # the residuals' differences are the penalty's: x1, x2 and t firsts,
+        # x1 and x2 seconds
+        self._d1 = self.h2.first
+        self._d2 = self.h2.second[:2]
+        self._volt = volterra_matrix(grid.nt, grid.ht, grid.mid_index)
 
     def _check(self, z: np.ndarray) -> None:
         shape = (2,) + self.grid.spacetime_shape()
@@ -174,7 +161,7 @@ def _forward_parts(ctx: ObjectiveContext, z: np.ndarray) -> _Parts:
     g = ctx.grid
     u, m = z
     dx1, dx2, dt = ctx._d1
-    dxx1, dxx2, _ = ctx._d2
+    dxx1, dxx2 = ctx._d2
 
     ux = np.stack((apply_along_axis(dx1, u, 0), apply_along_axis(dx2, u, 1)))
     integrals = apply_along_axis(ctx._volt, np.concatenate((ux, m[None])), 3)
@@ -231,7 +218,7 @@ def value_and_gradient(ctx: ObjectiveContext, z: np.ndarray) -> Tuple[ObjectiveP
     """
     p = _forward_parts(ctx, z)
     dx1, dx2, dt = ctx._d1
-    dxx1, dxx2, _ = ctx._d2
+    dxx1, dxx2 = ctx._d2
 
     scale = 2.0 * ctx.residual_scale
     r = scale * np.stack((ctx.weight_first * p.first, ctx.weight_second * p.second))
@@ -283,7 +270,7 @@ def curvature_diagonal(ctx: ObjectiveContext, start: np.ndarray) -> np.ndarray:
     ctx._check(start)
     shape = ctx.grid.spacetime_shape()
     dx1, dx2, dt = ctx._d1
-    dxx1, dxx2, _ = ctx._d2
+    dxx1, dxx2 = ctx._d2
     scale = 2.0 * ctx.residual_scale
 
     def residual_part(weight: np.ndarray) -> np.ndarray:

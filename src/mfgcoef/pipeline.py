@@ -3,11 +3,11 @@
 The forward benchmark prescribes the value function and the density
 data analytically, places a letter phantom in the coefficient, solves
 the density on the fine grid and restricts everything to the inversion
-grid.  Inversion consumes only the restricted observations: clean runs
-differentiate them with direct stencils, noisy runs inject the
-multiplicative noise first, fit every noisy surface with a penalty set
-by the noise level, and apply the same stencils to the fits.  Both
-halves run purely in memory; persistence is the command layer's job.
+grid.  Inversion consumes only the restricted observations: it injects
+the multiplicative noise, fits every noisy surface with a penalty set by
+the noise level and differentiates the fits with direct stencils; at
+noise level 0 the fits are the observations themselves.  Both halves run
+purely in memory; persistence is the command layer's job.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ from .forward import (
     GeneratedData,
     ObservationData,
     generate,
-    stencil_bundle,
 )
 from .grid import Field
-from .inverse import ReconstructionResult, initial_guess, invert
-from .noise import NoiseSpec, inject, smooth_observations
+from .inverse import ReconstructionResult, descend, initial_guess
+from .noise import inject, smooth_observations
 from .objective import ObjectiveContext, recover_coefficient
 from .phantoms import Metrics, letter_phantom, make_k, score
 
@@ -70,13 +69,13 @@ def run_generation(cfg: ExperimentConfig) -> GeneratedData:
 def observation_bundle(obs: ObservationData, delta: float, seed: int):
     """The derivative bundle an inversion sees, with the data it came from.
 
-    With noise, the returned data are the raw noisy samples; the bundle
-    holds derivatives of their regularized fits and the fitted ``p0``.
+    The returned data are the raw noisy samples; the bundle holds
+    derivatives of their regularized fits and the fitted ``p0``.  At
+    ``delta = 0`` the data equal ``obs`` and the bundle is
+    ``stencil_bundle(obs)``, bit for bit.
     """
-    if delta > 0:
-        noisy = inject(obs, NoiseSpec(level=delta, seed=seed))
-        return noisy, smooth_observations(noisy, delta)
-    return obs, stencil_bundle(obs)
+    noisy = inject(obs, delta, seed)
+    return noisy, smooth_observations(noisy, delta)
 
 
 def build_context(
@@ -118,17 +117,17 @@ def run_inversion(
     cost: np.ndarray,
     cost_rate: np.ndarray,
 ) -> InversionOutcome:
-    """Noise (if configured), context build, descent, scoring."""
+    """Noise (if configured), context build, descent from the data-blended start, scoring."""
     ctx = build_context(cfg, obs, cost, cost_rate)
-    result = invert(ctx, cfg.solver_config())
+    start = initial_guess(ctx.grid, ctx.bundle)
+    result = descend(ctx, start, cfg.solver_config())
     phantom = letter_phantom(cfg.letter, obs.grid, cfg.contrast)
     k_true = make_k(phantom)
     metrics = score(result.coefficient, k_true, phantom.mask)
-    start = recover_coefficient(ctx, initial_guess(ctx.grid, ctx.bundle))
     return InversionOutcome(
         result=result,
         k_true=k_true,
         metrics=metrics,
-        start_rel_l2=score(start, k_true, phantom.mask).rel_l2,
+        start_rel_l2=score(recover_coefficient(ctx, start), k_true, phantom.mask).rel_l2,
         denominator_min=float(np.abs(ctx.denominator).min()),
     )

@@ -21,7 +21,7 @@ from mfgcoef.config import ExperimentConfig
 from mfgcoef.fieldio import read_field, write_field
 from mfgcoef.grid import SPACE_TIME, Field, first_diff_matrix, second_diff_matrix
 from mfgcoef.inverse import DataConstraints
-from mfgcoef.noise import NoiseSpec, inject
+from mfgcoef.noise import inject
 from mfgcoef.objective import convexity_gap, evaluate, value_and_gradient
 from mfgcoef.pipeline import observation_bundle, run_generation, run_inversion
 
@@ -226,7 +226,7 @@ def test_criterion_10_infrastructure(tmp_path):
     twice = constraints.embed(constraints.free(once))
     idempotent = np.array_equal(once, twice)
 
-    clean = inject(obs, NoiseSpec(level=0.0, seed=3))
+    clean = inject(obs, 0.0, 3)
     identity = all(
         np.array_equal(getattr(clean, n).values, getattr(obs, n).values)
         for n in ("v0", "p0", "g01", "g02", "g11", "g12")

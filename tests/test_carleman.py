@@ -16,6 +16,7 @@ from mfgcoef.carleman import (
     run_certification,
     validate_exponent,
 )
+from mfgcoef.grid import SpaceTimeGrid
 
 
 def direct_sums(knots, values, lam, alpha, level):
@@ -57,39 +58,48 @@ def test_exponent_validation():
             validate_exponent(bad)
 
 
+def weight_grid(n1, nt):
+    return SpaceTimeGrid(a=1.0, b=2.0, half_width=0.5, horizon=1.0, n1=n1, n2=3, nt=nt)
+
+
 def test_weight_peak_location_and_value():
-    p = CarlemanParams(lam=3.0, alpha=0.2, b=2.0, horizon=1.0)
-    x1 = np.linspace(1.0, 2.0, 41)
-    t = np.linspace(0.0, 1.0, 41)
-    w = p.weight(x1[:, None], t[None, :])
+    g = weight_grid(41, 41)
+    p = CarlemanParams(lam=3.0, alpha=0.2)
+    w = np.exp(p.balanced_log_weight(g))
+    assert w.shape == (g.n1, g.nt)
     peak = np.unravel_index(np.argmax(w), w.shape)
-    assert x1[peak[0]] == 2.0
-    assert t[peak[1]] == 0.5
-    # exp(2 lam b^2), the weight at (b, T/2)
-    assert w.max() == pytest.approx(np.exp(2.0 * p.lam * p.b * p.b), rel=1e-12)
+    assert g.x1[peak[0]] == 2.0
+    assert g.t[peak[1]] == 0.5
+    # the weight over its peak exp(2 lam b^2) at (b, T/2), checked at a node
+    x1, t = g.x1[30], g.t[7]
+    weight = np.exp(2.0 * p.lam * (x1 * x1 - abs(t - 0.5) ** 1.2))
+    assert w[30, 7] == pytest.approx(weight / np.exp(2.0 * p.lam * g.b * g.b), rel=1e-12)
+    assert w.max() == 1.0
 
 
 def test_weight_monotone_in_each_direction():
-    p = CarlemanParams(lam=2.0, alpha=0.2, b=2.0, horizon=1.0)
-    x1 = np.linspace(1.0, 2.0, 21)
-    w = p.weight(x1, 0.5)
-    assert np.all(np.diff(w) > 0)
-    t = np.linspace(0.5, 1.0, 21)
-    w = p.weight(1.5, t)
-    assert np.all(np.diff(w) < 0)
+    g = weight_grid(21, 21)
+    w = np.exp(CarlemanParams(lam=2.0, alpha=0.2).balanced_log_weight(g))
+    assert np.all(np.diff(w[:, g.mid_index]) > 0)
+    # at x1 = 1.5, past the temporal midpoint
+    assert np.all(np.diff(w[10, g.mid_index:]) < 0)
     # symmetric about the temporal midpoint
-    assert p.weight(1.5, 0.2) == pytest.approx(p.weight(1.5, 0.8), rel=1e-13)
+    assert w[10, 4] == pytest.approx(w[10, 16], rel=1e-13)
 
 
 def test_balanced_log_weight_never_positive():
-    p = CarlemanParams(lam=100.0, alpha=0.2, b=2.0, horizon=1.0)
-    x1 = np.linspace(1.0, 2.0, 31)
-    t = np.linspace(0.0, 1.0, 31)
-    lw = p.balanced_log_weight(x1[:, None], t[None, :])
+    g = weight_grid(31, 31)
+    lw = CarlemanParams(lam=100.0, alpha=0.2).balanced_log_weight(g)
     assert lw.max() <= 0.0
     assert lw.max() == pytest.approx(0.0, abs=1e-12)
     # no overflow at large lam: the balanced weight is a plain probability-like factor
     assert np.all(np.isfinite(np.exp(lw)))
+
+
+def test_weight_needs_positive_b():
+    g = SpaceTimeGrid(a=-1.0, b=0.0, half_width=0.5, horizon=1.0, n1=5, n2=3, nt=5)
+    with pytest.raises(ValueError, match="b must be positive"):
+        CarlemanParams(lam=1.0, alpha=0.2).balanced_log_weight(g)
 
 
 def test_bound_constant_closed_form():

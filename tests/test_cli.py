@@ -440,7 +440,14 @@ def test_non_finite_values_are_rejected_before_any_output(argv, tmp_path, capsys
     ("lam = 1\n", "bad.ini"),
     ("[objective]\nbeta = -1\n", "beta"),
     ("[weight]\nlam = 1e250\n", "lam"),
-], ids=["duplicate-key", "no-section-header", "negative-beta", "overflowing-lambda"])
+    ("[solver]\nstep0 = 0.2\n", "unknown key 'step0'"),
+    ("[solver]\nshrink = 0.25\n", "unknown key 'shrink'"),
+    ("[solver]\nprecondition = no\n", "unknown key 'precondition'"),
+    ("[geometry]\na = -1\nb = 0\n", "b must be positive"),
+], ids=[
+    "duplicate-key", "no-section-header", "negative-beta", "overflowing-lambda",
+    "step0", "shrink", "precondition", "nonpositive-b",
+])
 def test_bad_config_file_is_rejected_before_any_output(
     workspace, tmp_path, capsys, command, text, named
 ):

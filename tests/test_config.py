@@ -1,6 +1,9 @@
+import re
+from pathlib import Path
+
 import pytest
 
-from mfgcoef.config import ENV_OUTPUT_ROOT, ExperimentConfig, load_config
+from mfgcoef.config import _SCHEMA, ENV_OUTPUT_ROOT, ExperimentConfig, load_config
 from mfgcoef.inverse import SolverConfig
 from mfgcoef.kernels import LineGaussianKernel
 
@@ -46,7 +49,7 @@ def test_ini_overrides_only_what_it_lists(tmp_path):
         "[kernel]\n"
         "sigma = 0.3\n"
         "[solver]\n"
-        "precondition = no\n"
+        "grad_tol = 0.5\n"
         "[output]\n"
         "root = out\n"
     )
@@ -55,7 +58,7 @@ def test_ini_overrides_only_what_it_lists(tmp_path):
     assert cfg.coarse == (21, 21, 11)
     assert cfg.lam == 4.0
     assert cfg.sigma == 0.3
-    assert cfg.precondition is False
+    assert cfg.grad_tol == 0.5
     assert cfg.output_root == "out"
 
 
@@ -65,7 +68,6 @@ def test_ini_overrides_only_what_it_lists(tmp_path):
         ("[nope]\nx = 1\n", "unknown config section"),
         ("[weight]\nmu = 1\n", "unknown key"),
         ("[grid]\nfine = 41 41\n", "three node counts"),
-        ("[solver]\nprecondition = maybe\n", "boolean"),
         ("[kernel]\nvariant = downstream\n", "unknown key"),
         ("[solver]\noutflow_closure = dirichlet_scaled\n", "unknown key"),
     ],
@@ -87,7 +89,7 @@ def test_ini_rejects_unknown_or_malformed_entries(tmp_path, body, match):
         {"sigma": 0.0},
         {"lam": -1.0},
         {"alpha": 0.5},
-        {"shrink": 1.5},
+        {"max_iter": 0},
         {"coarse": (21, 21, 13)},
         {"fine": (41, 41, 9), "coarse": (11, 11, 5)},
         {"delta": float("nan")},
@@ -96,7 +98,7 @@ def test_ini_rejects_unknown_or_malformed_entries(tmp_path, body, match):
         {"beta": float("inf")},
         {"beta": -1.0},
         {"horizon": float("-inf")},
-        {"step0": float("nan")},
+        {"grad_tol": float("nan")},
         {"sigma": float("nan")},
         {"sigma": float("-inf")},
     ],
@@ -120,3 +122,15 @@ def test_to_dict_round_trips_through_constructor():
         **{**data, "fine": tuple(data["fine"]), "coarse": tuple(data["coarse"])}
     )
     assert rebuilt == cfg
+
+
+def test_readme_lists_every_config_key():
+    # the README's "Sections and keys" sentence names each section with its
+    # keys as "`[section] key key`"; it must list the schema, in its order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = readme[readme.index("Sections and keys"):]
+    sentence = " ".join(sentence[: sentence.index(".\n")].split())
+    listed = {
+        section: keys.split() for section, keys in re.findall(r"`\[(\w+)\] ([^`]*)`", sentence)
+    }
+    assert list(listed.items()) == [(section, list(keys)) for section, keys in _SCHEMA.items()]

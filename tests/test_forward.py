@@ -5,6 +5,7 @@ import sympy
 from scipy.sparse.linalg import spsolve
 
 from mfgcoef import forward
+from mfgcoef.config import ExperimentConfig
 from mfgcoef.forward import (
     ForwardSpec,
     extract_observations,
@@ -25,6 +26,7 @@ from mfgcoef.grid import (
     laplacian,
 )
 from mfgcoef.kernels import InteractionOperator, LineGaussianKernel
+from mfgcoef.pipeline import forward_spec
 
 
 def grid(n1, n2, nt):
@@ -191,6 +193,31 @@ def test_step_that_converges_under_neither_method_raises(monkeypatch):
     spec = drift_jump_spec(50.0)
     with pytest.raises(RuntimeError, match=r"density step \d+ \(t=[0-9.]+\) did not converge"):
         solve_density(spec, spec.value_on_grid())
+
+
+def test_gmres_stops_at_the_rounding_floor_within_its_budget(monkeypatch):
+    # over horizon 40 on 41 x 41 x 41, 39 of the 40 steps need GMRES, and
+    # the last reaches the rounding floor with its residual still above the
+    # bound; the floor is tested after every cycle, so no step spends the
+    # whole budget (counting the products that form true residuals too)
+    products = []
+    gmres = forward._gmres
+
+    def counting(apply, *rest):
+        count = [0]
+
+        def counted(x):
+            count[0] += 1
+            return apply(x)
+
+        products.append(count)
+        return gmres(counted, *rest)
+
+    monkeypatch.setattr(forward, "_gmres", counting)
+    spec = forward_spec(ExperimentConfig(horizon=40.0, fine=(41, 41, 41)))
+    solution = solve_density(spec, spec.value_on_grid())
+    assert solution.krylov_steps == len(products) == 39
+    assert max(count for count, in products) < forward.GMRES_MATVECS
 
 
 def test_constant_density_is_preserved():

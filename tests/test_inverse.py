@@ -11,7 +11,6 @@ from mfgcoef.inverse import (
     StallError,
     descend,
     initial_guess,
-    invert,
 )
 from mfgcoef.objective import evaluate, value_and_gradient
 
@@ -262,7 +261,7 @@ def test_initial_guess_blends_faces():
 def test_invert_runs_end_to_end():
     g = grid(7, 7, 5)
     ctx = make_context(g)
-    result = invert(ctx, SolverConfig(grad_tol=1e-12, max_iter=40))
+    result = descend(ctx, initial_guess(g, ctx.bundle), SolverConfig(grad_tol=1e-12, max_iter=40))
     assert isinstance(result, ReconstructionResult)
     assert result.coefficient.shape == g.spatial_shape()
     assert result.objective_history[-1] < result.objective_history[0]

@@ -9,7 +9,6 @@ from mfgcoef.grid import GAMMA_TRACE, SPATIAL, Field, SpaceTimeGrid
 from mfgcoef.noise import (
     SLICE_ORDER,
     TRACE_ORDER,
-    NoiseSpec,
     _field_generator,
     _penalty_spectrum,
     inject,
@@ -61,16 +60,16 @@ def analytic_obs(g=None):
 
 def test_inject_zero_level_is_identity():
     obs = analytic_obs()
-    noisy = inject(obs, NoiseSpec(level=0.0, seed=5))
+    noisy = inject(obs, 0.0, 5)
     for name, f in obs.fields().items():
         assert np.array_equal(noisy.fields()[name].values, f.values)
 
 
 def test_inject_seeded_and_bounded():
     obs = analytic_obs()
-    a = inject(obs, NoiseSpec(level=0.05, seed=11))
-    b = inject(obs, NoiseSpec(level=0.05, seed=11))
-    c = inject(obs, NoiseSpec(level=0.05, seed=12))
+    a = inject(obs, 0.05, 11)
+    b = inject(obs, 0.05, 11)
+    c = inject(obs, 0.05, 12)
     ratios = []
     for name, f in obs.fields().items():
         assert np.array_equal(a.fields()[name].values, b.fields()[name].values)
@@ -90,7 +89,7 @@ def test_inject_seeded_and_bounded():
 def test_inject_streams_are_per_field():
     # drawing one field's noise must not depend on the other fields
     obs = analytic_obs()
-    noisy = inject(obs, NoiseSpec(level=0.03, seed=77))
+    noisy = inject(obs, 0.03, 77)
     zeta = _field_generator(77, "g02").random(size=obs.g02.values.shape)
     expect = obs.g02.values * (1.0 + 0.03 * zeta)
     assert np.array_equal(noisy.g02.values, expect)
@@ -111,7 +110,7 @@ def test_smooth_matches_stencils_on_clean_data():
 def test_zero_noise_pipeline_equals_clean_spline_path():
     obs = analytic_obs()
     clean = smooth_observations(obs, 0.0)
-    piped = smooth_observations(inject(obs, NoiseSpec(level=0.0, seed=3)), 0.0)
+    piped = smooth_observations(inject(obs, 0.0, 3), 0.0)
     assert np.array_equal(piped.v0_lap, clean.v0_lap)
     assert np.array_equal(piped.dt_g01.values, clean.dt_g01.values)
 
@@ -123,7 +122,7 @@ def test_regularized_laplacian_beats_interpolating_splines(seed):
     g = obs.grid
     x1, x2 = g.meshgrid()
     exact = -0.2 * np.pi**2 * np.cos(np.pi * x1) * np.sin(np.pi * x2) * 1.25
-    noisy_obs = inject(obs, NoiseSpec(level=level, seed=seed))
+    noisy_obs = inject(obs, level, seed)
     noisy = noisy_obs.v0.values
 
     # the fit meets its discrepancy target: residual = (level^2 / 12) |y|^2
@@ -188,8 +187,3 @@ def test_fit_returns_polynomials_the_penalty_does_not_see(shape, order, level):
     poly = (basis @ np.linspace(2.0, -1.0, basis.shape[1])).reshape(shape)
     fitted = regularized_fit(poly, level, order)
     assert np.max(np.abs(fitted - poly)) <= 1e-6 * np.max(np.abs(poly))
-
-
-def test_noise_spec_validation():
-    with pytest.raises(ValueError):
-        NoiseSpec(level=-0.01)

@@ -46,7 +46,7 @@ def make_context(g, lam=3.0, beta=1e-3, residual_scale=1.0):
     value = spec.value_on_grid()
     obs = extract_observations(spec, density, g, value)
     s, st = make_s(spec, density, value, g)
-    params = CarlemanParams(lam=lam, alpha=0.2, b=g.b, horizon=g.horizon)
+    params = CarlemanParams(lam=lam, alpha=0.2)
     return ObjectiveContext(
         grid=g,
         kernel=KERNEL,
@@ -182,7 +182,7 @@ def test_coefficient_identity_on_consistent_data():
     obs = extract_observations(spec, density, coarse, value)
     s, st = make_s(spec, density, value, coarse)
     s1, s2, st_stride = 2, 2, 4
-    params = CarlemanParams(lam=3.0, alpha=0.2, b=coarse.b, horizon=coarse.horizon)
+    params = CarlemanParams(lam=3.0, alpha=0.2)
     ctx = ObjectiveContext(
         grid=coarse,
         kernel=KERNEL,
@@ -255,14 +255,3 @@ def test_residual_shapes_and_validation():
         evaluate(ctx, bad)
     with pytest.raises(ValueError, match="beta"):
         make_context(g, beta=-1.0)
-    params = CarlemanParams(lam=1.0, alpha=0.2, b=3.0, horizon=g.horizon)
-    with pytest.raises(ValueError, match="geometry"):
-        ObjectiveContext(
-            grid=g,
-            kernel=KERNEL,
-            params=params,
-            beta=1e-3,
-            bundle=ctx.bundle,
-            cost=ctx.cost,
-            cost_rate=ctx.cost_rate,
-        )
