@@ -156,6 +156,12 @@ def _read_dataset(dataset_dir: str):
     obs = ObservationData(
         grid=fields["v0"].grid, **{name: fields[name] for name in OBSERVATION_FIELDS}
     )
+    for name in ("cost", "cost_rate"):
+        if fields[name].rank != SPACE_TIME or fields[name].grid != obs.grid:
+            raise ValueError(
+                f"dataset {dataset_dir!r}: {name}.field must be a space-time field "
+                "on the observations' grid"
+            )
     return obs, fields["cost"].values, fields["cost_rate"].values, manifest, paths
 
 

@@ -48,11 +48,7 @@ from .grid import (
     Field,
     SpaceTimeGrid,
     apply_along_axis,
-    ddt,
-    ddx1,
-    ddx2,
     first_diff_matrix,
-    laplacian,
     restriction_strides,
     second_diff_matrix,
 )
@@ -152,26 +148,6 @@ class ObservationData:
 
     def fields(self):
         return {name: getattr(self, name) for name in OBSERVATION_FIELDS}
-
-
-@dataclass
-class DerivativeBundle:
-    """Observation derivatives in the form the objective needs.
-
-    Produced by direct stencils, on the observations themselves (clean
-    data) or on their regularized fits (noisy data, see
-    ``noise.smooth_observations``, where ``p0`` is the fitted slice);
-    downstream code does not care which.
-    """
-
-    v0_x1: np.ndarray
-    v0_x2: np.ndarray
-    v0_lap: np.ndarray
-    p0: np.ndarray
-    dt_g01: Field
-    dt_g02: Field
-    dt_g11: Field
-    dt_g12: Field
 
 
 @dataclass
@@ -563,18 +539,4 @@ def generate(spec: ForwardSpec, coarse: SpaceTimeGrid) -> GeneratedData:
         min_density=solution.min_density,
         preconditioned_sweeps=solution.preconditioned_sweeps,
         krylov_steps=solution.krylov_steps,
-    )
-
-
-def stencil_bundle(obs: ObservationData) -> DerivativeBundle:
-    """Observation derivatives by direct stencils (the clean-data path)."""
-    return DerivativeBundle(
-        v0_x1=ddx1(obs.v0).values,
-        v0_x2=ddx2(obs.v0).values,
-        v0_lap=laplacian(obs.v0).values,
-        p0=obs.p0.values.copy(),
-        dt_g01=ddt(obs.g01),
-        dt_g02=ddt(obs.g02),
-        dt_g11=ddt(obs.g11),
-        dt_g12=ddt(obs.g12),
     )

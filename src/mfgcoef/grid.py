@@ -293,49 +293,6 @@ class Field:
         return Field(self.grid, self.rank, self.values.copy())
 
 
-def _require_rank(f: Field, *ranks: str) -> None:
-    if f.rank not in ranks:
-        raise ValueError(f"operation needs rank in {ranks}, got {f.rank!r}")
-
-
-def ddx1(f: Field) -> Field:
-    """First derivative along x1, second order everywhere."""
-    _require_rank(f, SPATIAL, SPACE_TIME)
-    d = first_diff_matrix(f.grid.n1, f.grid.h1)
-    return Field(f.grid, f.rank, apply_along_axis(d, f.values, 0))
-
-
-def ddx2(f: Field) -> Field:
-    """First derivative along x2, second order everywhere."""
-    _require_rank(f, SPATIAL, SPACE_TIME)
-    d = first_diff_matrix(f.grid.n2, f.grid.h2)
-    return Field(f.grid, f.rank, apply_along_axis(d, f.values, 1))
-
-
-def ddt(f: Field) -> Field:
-    """Time derivative; works on space-time fields and on traces."""
-    _require_rank(f, SPACE_TIME, BOUNDARY_TRACE, GAMMA_TRACE)
-    d = first_diff_matrix(f.grid.nt, f.grid.ht)
-    if f.rank == SPACE_TIME:
-        return Field(f.grid, f.rank, apply_along_axis(d, f.values, 2))
-    if f.rank == GAMMA_TRACE:
-        return Field(f.grid, f.rank, apply_along_axis(d, f.values, 1))
-    out = Field.from_faces(
-        f.grid,
-        *(apply_along_axis(d, f.face(name), 1) for name in FACES),
-    )
-    return out
-
-
-def laplacian(f: Field) -> Field:
-    """Five-point Laplacian; boundary rows use the one-sided low-order closure."""
-    _require_rank(f, SPATIAL, SPACE_TIME)
-    d1 = second_diff_matrix(f.grid.n1, f.grid.h1)
-    d2 = second_diff_matrix(f.grid.n2, f.grid.h2)
-    out = apply_along_axis(d1, f.values, 0) + apply_along_axis(d2, f.values, 1)
-    return Field(f.grid, f.rank, out)
-
-
 class H2Form:
     """The squared discrete H2 norm over the space-time slab, z . H z.
 

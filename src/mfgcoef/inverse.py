@@ -12,7 +12,9 @@ one-sided Neumann stencil solved for the first interior layer with the
 boundary node pinned to D.  The iterate (u, m) is one (2, n1, n2, nt)
 array and descent happens in its remaining free nodes; the objective
 gradient is reduced onto them by the chain rule of that affine closure
-(slope 1/4).
+(slope 1/4).  ``DataConstraints`` reads the traces from the observations
+and is the one place their time derivatives (the rates) are formed; the
+data-blended start interpolates the same rates.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import DerivativeBundle
-from .grid import SpaceTimeGrid
+from .forward import ObservationData
+from .grid import FACES, SpaceTimeGrid, apply_along_axis, first_diff_matrix
 from .objective import (
     ObjectiveContext,
     curvature_diagonal,
@@ -98,19 +100,26 @@ class DataConstraints:
     closure across the whole tied row; ``free`` reads the vector back,
     and ``pullback`` is the transpose of ``embed``'s linear part (the
     tied layer passes 1/4 of its gradient to the layer below it).
+
+    ``rates`` maps each stored face to the t-difference of the Dirichlet
+    traces there, u's and m's stacked as (2, n, nt).
     """
 
-    def __init__(self, grid: SpaceTimeGrid, bundle: DerivativeBundle) -> None:
-        def faces(name: str) -> np.ndarray:
-            return np.stack((bundle.dt_g01.face(name), bundle.dt_g02.face(name)))
+    def __init__(self, obs: ObservationData) -> None:
+        g = obs.grid
+        dt = first_diff_matrix(g.nt, g.ht)
 
-        self._pinned = np.zeros((2,) + grid.spacetime_shape())
-        self._pinned[:, :, 0] = faces("x2lo")
-        self._pinned[:, :, -1] = faces("x2hi")
-        self._pinned[:, 0] = faces("x1a")
-        self._pinned[:, -1] = faces("x1b")
-        self._dirichlet = 3.0 * faces("x1b")
-        self._neumann = 2.0 * grid.h1 * np.stack((bundle.dt_g11.values, bundle.dt_g12.values))
+        def rate(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+            return apply_along_axis(dt, np.stack((u, m)), 2)
+
+        self.rates = {name: rate(obs.g01.face(name), obs.g02.face(name)) for name in FACES}
+        self._pinned = np.zeros((2,) + g.spacetime_shape())
+        self._pinned[:, :, 0] = self.rates["x2lo"]
+        self._pinned[:, :, -1] = self.rates["x2hi"]
+        self._pinned[:, 0] = self.rates["x1a"]
+        self._pinned[:, -1] = self.rates["x1b"]
+        self._dirichlet = 3.0 * self.rates["x1b"]
+        self._neumann = 2.0 * g.h1 * rate(obs.g11.values, obs.g12.values)
         self._free_shape = self._pinned[FREE].shape
         self.nfree = self._pinned[FREE][0].size  # per field
 
@@ -132,27 +141,26 @@ class DataConstraints:
         return tied[FREE].ravel()
 
 
-def _face_blend(grid: SpaceTimeGrid, trace) -> np.ndarray:
-    """Mean of the two linear interpolations between opposite face traces."""
+def _face_blend(grid: SpaceTimeGrid, rates) -> np.ndarray:
+    """Mean of the two linear interpolations between opposite faces, u and m stacked."""
     n1, n2, nt = grid.spacetime_shape()
     w1 = np.linspace(0.0, 1.0, n1)
     w2 = np.linspace(0.0, 1.0, n2)
     along_x1 = (
-        (1.0 - w1)[:, None, None] * trace.face("x1a")[None, :, :]
-        + w1[:, None, None] * trace.face("x1b")[None, :, :]
+        (1.0 - w1)[:, None, None] * rates["x1a"][:, None, :, :]
+        + w1[:, None, None] * rates["x1b"][:, None, :, :]
     )
     along_x2 = (
-        (1.0 - w2)[None, :, None] * trace.face("x2lo")[:, None, :]
-        + w2[None, :, None] * trace.face("x2hi")[:, None, :]
+        (1.0 - w2)[None, :, None] * rates["x2lo"][:, :, None, :]
+        + w2[None, :, None] * rates["x2hi"][:, :, None, :]
     )
     return 0.5 * (along_x1 + along_x2)
 
 
-def initial_guess(grid: SpaceTimeGrid, bundle: DerivativeBundle) -> np.ndarray:
-    """Boundary-consistent start: blended face data on the free nodes."""
-    constraints = DataConstraints(grid, bundle)
-    blend = np.stack((_face_blend(grid, bundle.dt_g01), _face_blend(grid, bundle.dt_g02)))
-    return constraints.embed(constraints.free(blend))
+def initial_guess(obs: ObservationData) -> np.ndarray:
+    """Boundary-consistent start: the blended face rates on the free nodes."""
+    constraints = DataConstraints(obs)
+    return constraints.embed(constraints.free(_face_blend(obs.grid, constraints.rates)))
 
 
 @dataclass
@@ -219,7 +227,7 @@ def descend(ctx: ObjectiveContext, start: np.ndarray, config: SolverConfig) -> R
     accepted step and the raw reduced gradient max-norm per iteration,
     which is also what the stopping test reads.
     """
-    constraints = DataConstraints(ctx.grid, ctx.bundle)
+    constraints = DataConstraints(ctx.observations)
     x = constraints.free(start)
     z = constraints.embed(x)
     parts, grad = value_and_gradient(ctx, z)

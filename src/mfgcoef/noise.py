@@ -1,4 +1,4 @@
-"""Multiplicative observation noise and regularized derivative recovery.
+"""Multiplicative observation noise and the regularized fit of noisy data.
 
 Each observation sample is scaled by (1 + level * zeta) with zeta drawn
 uniformly from [0, 1), one independent draw per stored sample per field.
@@ -10,13 +10,14 @@ Difference stencils amplify per-point noise by about 1/h^2 for the
 Laplacian of a slice and 1/ht for the time derivative of a trace, and so
 does any interpolant through the noisy samples.  So each noisy surface
 (the midpoint slices on (x1, x2), each boundary-trace face on (face
-coordinate, t)) is first replaced by a penalized least-squares fit whose
+coordinate, t)) is replaced by a penalized least-squares fit whose
 weight follows from the known noise level by Morozov's discrepancy
 principle (regularized numerical differentiation, Hanke & Scherzer,
-Amer. Math. Monthly 108, 2001); the clean-path stencils then
-differentiate the fitted data.  The penalty depends only on the surface's
-shape and order, so it is diagonalized once per pair, and every trial
-weight of the discrepancy rule is a closed-form sum in its eigenbasis.
+Amer. Math. Monthly 108, 2001).  The fit returns observations, and the
+inversion differentiates them with the same stencils whether they were
+fitted or not.  The penalty depends only on the surface's shape and
+order, so it is diagonalized once per pair, and every trial weight of
+the discrepancy rule is a closed-form sum in its eigenbasis.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .forward import OBSERVATION_FIELDS, DerivativeBundle, ObservationData, stencil_bundle
+from .forward import OBSERVATION_FIELDS, ObservationData
 from .grid import FACES, GAMMA_TRACE, SPATIAL, Field
 
 # penalty orders, two above the highest derivative read off each surface:
@@ -148,17 +149,16 @@ def _fit_trace(f: Field, level: float) -> Field:
     )
 
 
-def smooth_observations(obs: ObservationData, level: float) -> DerivativeBundle:
-    """Derivative bundle of observations carrying noise of the given level.
+def smooth_observations(obs: ObservationData, level: float) -> ObservationData:
+    """Observations carrying noise of the given level, each surface fitted.
 
     Every noisy surface is replaced by its regularized fit: the midpoint
     slices on (x1, x2) with penalty order SLICE_ORDER, each face of every
-    boundary trace on (face coordinate, t) with TRACE_ORDER.  Derivatives
-    of the fitted data then come from the same stencils as the clean path,
-    so level 0 gives ``stencil_bundle(obs)`` bit for bit.
+    boundary trace on (face coordinate, t) with TRACE_ORDER.  Level 0
+    returns a copy of the data, bit for bit.
     """
     g = obs.grid
-    fitted = ObservationData(
+    return ObservationData(
         grid=g,
         v0=Field(g, SPATIAL, regularized_fit(obs.v0.values, level, SLICE_ORDER)),
         p0=Field(g, SPATIAL, regularized_fit(obs.p0.values, level, SLICE_ORDER)),
@@ -167,4 +167,3 @@ def smooth_observations(obs: ObservationData, level: float) -> DerivativeBundle:
         g11=_fit_trace(obs.g11, level),
         g12=_fit_trace(obs.g12, level),
     )
-    return stencil_bundle(fitted)

@@ -21,6 +21,11 @@ of iterates sharing the boundary data; its gradient is 2 beta H z and
 its curvature 2 beta diag(H), read off the same form.  The iterate z is
 one (2, n1, n2, nt) array, z[0] = u and z[1] = m, and so is its gradient.
 
+The context takes the observations themselves.  It forms the gradient
+and Laplacian of the midpoint value slice with the penalty's difference
+matrices, the ones the residuals use; the boundary traces enter only
+through the descent's data constraints (``inverse.DataConstraints``).
+
 Every operator involved is a dense matrix applied along one axis, so each
 term of the gradient is an exact transpose scatter.  ``value_and_gradient``
 returns the objective's additive pieces and its gradient from one pass of
@@ -41,15 +46,8 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .carleman import CarlemanParams
-from .forward import DerivativeBundle
-from .grid import (
-    SPATIAL,
-    Field,
-    H2Form,
-    SpaceTimeGrid,
-    apply_along_axis,
-    volterra_matrix,
-)
+from .forward import ObservationData
+from .grid import H2Form, apply_along_axis, volterra_matrix
 from .kernels import InteractionOperator, LineGaussianKernel, denominator_field
 
 
@@ -68,9 +66,12 @@ class ObjectiveParts(NamedTuple):
 class ObjectiveContext:
     """Data, weights and discrete operators frozen for one inversion run.
 
-    ``bundle`` carries the observation derivatives (stencils on the data,
-    or on their regularized fits for noisy data), ``cost``/``cost_rate``
-    the local cost s and its time derivative on the same grid.
+    ``observations`` are the data the inversion sees (the measurement, or
+    its regularized fit for noisy data), and the context reads its grid
+    from them.  It differentiates the midpoint value slice with the
+    penalty's own difference matrices, and the descent's data
+    constraints read the traces.  ``cost``/``cost_rate`` are the local
+    cost s and its time derivative on the same grid.
     ``residual_scale`` multiplies both residual sums; zero isolates the
     H2 penalty, which the solver tests use as an exactly solvable
     quadratic.
@@ -78,11 +79,10 @@ class ObjectiveContext:
 
     def __init__(
         self,
-        grid: SpaceTimeGrid,
+        observations: ObservationData,
         kernel: LineGaussianKernel,
         params: CarlemanParams,
         beta: float,
-        bundle: DerivativeBundle,
         cost: np.ndarray,
         cost_rate: np.ndarray,
         residual_scale: float = 1.0,
@@ -91,6 +91,7 @@ class ObjectiveContext:
             raise ValueError(f"beta must be nonnegative, got {beta}")
         if residual_scale < 0:
             raise ValueError(f"residual_scale must be nonnegative, got {residual_scale}")
+        grid = observations.grid
         shape = grid.spacetime_shape()
         cost = np.asarray(cost, dtype=float)
         cost_rate = np.asarray(cost_rate, dtype=float)
@@ -101,27 +102,30 @@ class ObjectiveContext:
         self.params = params
         self.beta = float(beta)
         self.residual_scale = float(residual_scale)
-        self.bundle = bundle
+        self.observations = observations
         self.cost = cost
         self.cost_rate = cost_rate
         self.operator = InteractionOperator(grid, kernel)
+        self.h2 = H2Form(grid)
+        # the residuals' differences are the penalty's: x1, x2 and t firsts,
+        # x1 and x2 seconds
+        self._d1 = self.h2.first
+        self._d2 = self.h2.second[:2]
+        self._volt = volterra_matrix(grid.nt, grid.ht, grid.mid_index)
 
-        for name in ("v0_x1", "v0_x2", "p0"):
-            if np.shape(getattr(bundle, name)) != grid.spatial_shape():
-                raise ValueError(f"bundle field {name} must be spatial")
-        self.v0_x = np.array((bundle.v0_x1, bundle.v0_x2), dtype=float)
-        self.p0 = np.asarray(bundle.p0, dtype=float)
+        v0 = observations.v0.values
+        dx1, dx2, _ = self._d1
+        dxx1, dxx2 = self._d2
+        self.v0_x = np.array((apply_along_axis(dx1, v0, 0), apply_along_axis(dx2, v0, 1)))
+        v0_lap = apply_along_axis(dxx1, v0, 0) + apply_along_axis(dxx2, v0, 1)
+        self.p0 = observations.p0.values
 
         # coefficient elimination: k = f * u(., T/2) + F
-        den = denominator_field(kernel, Field(grid, SPATIAL, self.p0))
+        den = denominator_field(kernel, observations.p0)
         self.denominator = den.values
         self.f = 1.0 / den.values
         s_mid = cost[:, :, grid.mid_index]
-        self.F = self.f * (
-            np.asarray(bundle.v0_lap, dtype=float)
-            - 0.5 * np.sum(self.v0_x**2, axis=0)
-            - s_mid * self.p0
-        )
+        self.F = self.f * (v0_lap - 0.5 * np.sum(self.v0_x**2, axis=0) - s_mid * self.p0)
 
         # residual weights: balanced exponential times the cell volume,
         # lam^(3/2) on the first residual only
@@ -129,13 +133,6 @@ class ObjectiveContext:
         core = np.exp(log_w)[:, None, :] * grid.cell_volume
         self.weight_first = params.lam**1.5 * core
         self.weight_second = core
-
-        self.h2 = H2Form(grid)
-        # the residuals' differences are the penalty's: x1, x2 and t firsts,
-        # x1 and x2 seconds
-        self._d1 = self.h2.first
-        self._d2 = self.h2.second[:2]
-        self._volt = volterra_matrix(grid.nt, grid.ht, grid.mid_index)
 
     def _check(self, z: np.ndarray) -> None:
         shape = (2,) + self.grid.spacetime_shape()

@@ -4,10 +4,12 @@ The forward benchmark prescribes the value function and the density
 data analytically, places a letter phantom in the coefficient, solves
 the density on the fine grid and restricts everything to the inversion
 grid.  Inversion consumes only the restricted observations: it injects
-the multiplicative noise, fits every noisy surface with a penalty set by
-the noise level and differentiates the fits with direct stencils; at
-noise level 0 the fits are the observations themselves.  Both halves run
-purely in memory; persistence is the command layer's job.
+the multiplicative noise and fits every noisy surface with a penalty set
+by the noise level; at noise level 0 the fits are the observations
+themselves.  The fitted observations are the one record the objective
+and the descent's data constraints read, each differentiating them with
+direct stencils.  Both halves run purely in memory; persistence is the
+command layer's job.
 """
 
 from __future__ import annotations
@@ -66,31 +68,18 @@ def run_generation(cfg: ExperimentConfig) -> GeneratedData:
     return generate(forward_spec(cfg), cfg.coarse_grid())
 
 
-def observation_bundle(obs: ObservationData, delta: float, seed: int):
-    """The derivative bundle an inversion sees, with the data it came from.
-
-    The returned data are the raw noisy samples; the bundle holds
-    derivatives of their regularized fits and the fitted ``p0``.  At
-    ``delta = 0`` the data equal ``obs`` and the bundle is
-    ``stencil_bundle(obs)``, bit for bit.
-    """
-    noisy = inject(obs, delta, seed)
-    return noisy, smooth_observations(noisy, delta)
-
-
 def build_context(
     cfg: ExperimentConfig,
     obs: ObservationData,
     cost: np.ndarray,
     cost_rate: np.ndarray,
 ) -> ObjectiveContext:
-    _, bundle = observation_bundle(obs, cfg.delta, cfg.seed)
+    """The objective of one inversion, on the noised and fitted observations."""
     return ObjectiveContext(
-        grid=obs.grid,
+        observations=smooth_observations(inject(obs, cfg.delta, cfg.seed), cfg.delta),
         kernel=cfg.kernel(),
         params=cfg.carleman_params(),
         beta=cfg.beta,
-        bundle=bundle,
         cost=cost,
         cost_rate=cost_rate,
     )
@@ -119,7 +108,7 @@ def run_inversion(
 ) -> InversionOutcome:
     """Noise (if configured), context build, descent from the data-blended start, scoring."""
     ctx = build_context(cfg, obs, cost, cost_rate)
-    start = initial_guess(ctx.grid, ctx.bundle)
+    start = initial_guess(ctx.observations)
     result = descend(ctx, start, cfg.solver_config())
     phantom = letter_phantom(cfg.letter, obs.grid, cfg.contrast)
     k_true = make_k(phantom)

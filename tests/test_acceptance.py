@@ -21,9 +21,9 @@ from mfgcoef.config import ExperimentConfig
 from mfgcoef.fieldio import read_field, write_field
 from mfgcoef.grid import SPACE_TIME, Field, first_diff_matrix, second_diff_matrix
 from mfgcoef.inverse import DataConstraints
-from mfgcoef.noise import inject
+from mfgcoef.noise import inject, smooth_observations
 from mfgcoef.objective import convexity_gap, evaluate, value_and_gradient
-from mfgcoef.pipeline import observation_bundle, run_generation, run_inversion
+from mfgcoef.pipeline import run_generation, run_inversion
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -218,10 +218,9 @@ def test_criterion_10_infrastructure(tmp_path):
     cfg = ExperimentConfig(fine=(25, 25, 13), coarse=(13, 13, 5))
     data = run_generation(cfg)
     obs = data.observations
-    bundle = observation_bundle(obs, 0.0, 0)[1]
     shape = obs.grid.spacetime_shape()
     start = np.stack((rng.standard_normal(shape), rng.standard_normal(shape)))
-    constraints = DataConstraints(obs.grid, bundle)
+    constraints = DataConstraints(smooth_observations(inject(obs, 0.0, 0), 0.0))
     once = constraints.embed(constraints.free(start))
     twice = constraints.embed(constraints.free(once))
     idempotent = np.array_equal(once, twice)

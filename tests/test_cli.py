@@ -224,6 +224,23 @@ def test_invert_accepts_manifests_with_retired_keys(workspace, tmp_path):
     assert not {"kernel_variant", "outflow_closure"} & set(manifest["config"])
 
 
+@pytest.mark.parametrize("name", ["cost", "cost_rate"])
+def test_invert_rejects_cost_fields_on_another_grid(workspace, tmp_path, name):
+    # same node counts, so the values have the observations' shape; only
+    # the grid line of the container says they belong to another slab
+    root, config, dataset = workspace
+    moved = tmp_path / "moved"
+    shutil.copytree(dataset, moved)
+    f = read_field(moved / f"{name}.field")
+    g = f.grid
+    other = SpaceTimeGrid(a=-3.0, b=g.b, half_width=g.half_width, horizon=5.0,
+                          n1=g.n1, n2=g.n2, nt=g.nt)
+    write_field(moved / f"{name}.field", Field(other, f.rank, f.values))
+    code = main(["invert", "--config", str(config), str(moved), "--out", str(tmp_path / "o")])
+    assert code == EXIT_PRECONDITION
+    assert not (tmp_path / "o").exists()
+
+
 def test_invert_requires_dataset_manifest(workspace, tmp_path):
     root, config, dataset = workspace
     empty = tmp_path / "not_a_dataset"

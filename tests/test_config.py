@@ -102,6 +102,13 @@ def test_ini_rejects_unknown_or_malformed_entries(tmp_path, body, match):
         {"sigma": float("nan")},
         {"sigma": float("-inf")},
     ],
+    ids=[
+        "unknown-letter", "zero-contrast", "negative-delta", "negative-seed",
+        "zero-sigma", "negative-lam", "even-alpha-denominator", "zero-max-iter",
+        "coarse-nt-does-not-nest", "coarse-too-coarse-for-letter", "nan-delta",
+        "infinite-contrast", "nan-lam", "infinite-beta", "negative-beta",
+        "minus-infinite-horizon", "nan-grad-tol", "nan-sigma", "minus-infinite-sigma",
+    ],
 )
 def test_validate_rejects_bad_combinations(changes):
     cfg = ExperimentConfig(**changes)

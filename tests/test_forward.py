@@ -12,19 +12,8 @@ from mfgcoef.forward import (
     generate,
     make_s,
     solve_density,
-    stencil_bundle,
 )
-from mfgcoef.grid import (
-    SPACE_TIME,
-    Field,
-    SpaceTimeGrid,
-    apply_along_axis,
-    ddt,
-    ddx1,
-    ddx2,
-    first_diff_matrix,
-    laplacian,
-)
+from mfgcoef.grid import SpaceTimeGrid, apply_along_axis, first_diff_matrix, second_diff_matrix
 from mfgcoef.kernels import InteractionOperator, LineGaussianKernel
 from mfgcoef.pipeline import forward_spec
 
@@ -247,18 +236,22 @@ def test_scheme_orders():
     assert spatial == pytest.approx(2.0, abs=0.3)
 
 
-def full_grid_cost(spec, density, value):
-    """s and s_t at every node of the generation grid, by the Field operators."""
-    g = spec.grid
-    v = Field(g, SPACE_TIME, value)
-    vx1, vx2 = ddx1(v).values, ddx2(v).values
-    inter = InteractionOperator(g, spec.kernel).apply(density)
-    num = (
-        ddt(v).values
-        + laplacian(v).values
-        - 0.5 * (vx1 * vx1 + vx2 * vx2)
-        - spec.coefficient[:, :, None] * inter
+def value_terms(g, value):
+    """v_t + lap(v) - |grad v|^2 / 2 on every node, by the difference matrices."""
+    vx1 = apply_along_axis(first_diff_matrix(g.n1, g.h1), value, 0)
+    vx2 = apply_along_axis(first_diff_matrix(g.n2, g.h2), value, 1)
+    vt = apply_along_axis(first_diff_matrix(g.nt, g.ht), value, 2)
+    vlap = apply_along_axis(second_diff_matrix(g.n1, g.h1), value, 0) + apply_along_axis(
+        second_diff_matrix(g.n2, g.h2), value, 1
     )
+    return vt + vlap - 0.5 * (vx1 * vx1 + vx2 * vx2)
+
+
+def full_grid_cost(spec, density, value):
+    """s and s_t at every node of the generation grid, by the difference matrices."""
+    g = spec.grid
+    inter = InteractionOperator(g, spec.kernel).apply(density)
+    num = value_terms(g, value) - spec.coefficient[:, :, None] * inter
     s = num / density
     return s, apply_along_axis(first_diff_matrix(g.nt, g.ht), s, 2)
 
@@ -309,14 +302,8 @@ def test_make_s_satisfies_value_equation_identity():
     assert np.all(np.isfinite(s))
     assert st.shape == g.spacetime_shape()
 
-    v = Field(g, SPACE_TIME, spec.value_on_grid())
     op = InteractionOperator(g, spec.kernel)
-    num = (
-        ddt(v).values
-        + laplacian(v).values
-        - 0.5 * (ddx1(v).values ** 2 + ddx2(v).values ** 2)
-        - spec.coefficient[:, :, None] * op.apply(density)
-    )
+    num = value_terms(g, spec.value_on_grid()) - spec.coefficient[:, :, None] * op.apply(density)
     assert np.allclose(num - s * density, 0.0, atol=1e-12 * np.max(np.abs(num)))
 
 
@@ -396,8 +383,7 @@ def test_generate_end_to_end_records_minimum():
     assert data.min_density > 0.5
     assert data.cost_coarse.shape == coarse.spacetime_shape()
     assert data.observations.grid == coarse
-    b = stencil_bundle(data.observations)
-    assert b.v0_lap.shape == coarse.spatial_shape()
+    assert data.cost_rate_coarse.shape == coarse.spacetime_shape()
 
 
 def test_forward_spec_validation():

@@ -9,11 +9,7 @@ from mfgcoef.grid import (
     H2Form,
     SpaceTimeGrid,
     apply_along_axis,
-    ddt,
-    ddx1,
-    ddx2,
     first_diff_matrix,
-    laplacian,
     restriction_strides,
     second_diff_matrix,
     trapezoid_weights,
@@ -53,11 +49,15 @@ def test_field_shape_validation():
         Field(g, "volumetric", np.zeros(g.spatial_shape()))
 
 
+def ddx1(values, g):
+    return apply_along_axis(first_diff_matrix(g.n1, g.h1), values, 0)
+
+
 def test_ddx1_exact_on_quadratic():
     # x1^2 on [1, 2] with 21 nodes: derivative 2*x1, exact at interior nodes
     g = base_grid()
     x1, _ = g.meshgrid()
-    out = ddx1(Field(g, SPATIAL, x1**2)).values
+    out = ddx1(x1**2, g)
     assert np.allclose(out[1:-1], 2.0 * x1[1:-1], rtol=0, atol=1e-12)
     # the one-sided closure is second order, so quadratics are exact there too
     assert np.allclose(out, 2.0 * x1, rtol=0, atol=1e-12)
@@ -66,16 +66,19 @@ def test_ddx1_exact_on_quadratic():
 def test_ddx2_and_ddt_exact_on_linears():
     g = base_grid(n1=7, n2=9, nt=5)
     _, x2 = g.meshgrid()
-    f = Field(g, SPACE_TIME, np.broadcast_to(x2[:, :, None], g.spacetime_shape()).copy())
-    assert np.allclose(ddx2(f).values, 1.0, atol=1e-13)
-    tf = Field(g, SPACE_TIME, np.broadcast_to(g.t, g.spacetime_shape()).copy())
-    assert np.allclose(ddt(tf).values, 1.0, atol=1e-13)
+    f = np.broadcast_to(x2[:, :, None], g.spacetime_shape())
+    assert np.allclose(apply_along_axis(first_diff_matrix(g.n2, g.h2), f, 1), 1.0, atol=1e-13)
+    tf = np.broadcast_to(g.t, g.spacetime_shape())
+    assert np.allclose(apply_along_axis(first_diff_matrix(g.nt, g.ht), tf, 2), 1.0, atol=1e-13)
 
 
 def test_laplacian_of_separable_quadratic():
     g = base_grid()
     x1, x2 = g.meshgrid()
-    out = laplacian(Field(g, SPATIAL, x1**2 + x2**2)).values
+    vals = x1**2 + x2**2
+    out = apply_along_axis(second_diff_matrix(g.n1, g.h1), vals, 0) + apply_along_axis(
+        second_diff_matrix(g.n2, g.h2), vals, 1
+    )
     # symmetric second difference is exact on quadratics even at the one-sided rows
     assert np.allclose(out, 4.0, atol=1e-10)
 
@@ -87,7 +90,7 @@ def test_refinement_halves_error_by_about_four():
         for n in (21, 41):
             g = base_grid(n1=n, n2=5, nt=5)
             x1, x2 = g.meshgrid()
-            out = op(Field(g, SPATIAL, make_vals(x1, x2))).values
+            out = op(make_vals(x1, x2), g)
             errs.append(np.max(np.abs(out[1:-1, :] - exact(x1, x2)[1:-1, :])))
         return errs[0] / errs[1]
 
@@ -219,10 +222,12 @@ def test_boundary_trace_faces_round_trip():
 
 
 def test_ddt_on_traces():
+    # the time difference acts along the last axis of every stored face
     g = base_grid(n1=6, n2=5, nt=5)
+    dt = first_diff_matrix(g.nt, g.ht)
     ramp = np.broadcast_to(g.t, (g.n2, g.nt)).copy()
     gamma = Field(g, "gamma-trace", 2.0 * ramp)
-    assert np.allclose(ddt(gamma).values, 2.0, atol=1e-13)
+    assert np.allclose(apply_along_axis(dt, gamma.values, 1), 2.0, atol=1e-13)
     tr = Field.from_faces(
         g,
         ramp,
@@ -230,10 +235,10 @@ def test_ddt_on_traces():
         np.broadcast_to(g.t, (g.n1, g.nt)).copy(),
         np.zeros((g.n1, g.nt)),
     )
-    out = ddt(tr)
-    assert out.rank == BOUNDARY_TRACE
-    assert np.allclose(out.face("x1b"), 3.0, atol=1e-13)
-    assert np.allclose(out.face("x2hi"), 0.0, atol=1e-13)
+    assert tr.rank == BOUNDARY_TRACE
+    assert np.allclose(apply_along_axis(dt, tr.face("x1b"), 1), 3.0, atol=1e-13)
+    assert np.allclose(apply_along_axis(dt, tr.face("x2lo"), 1), 1.0, atol=1e-13)
+    assert np.allclose(apply_along_axis(dt, tr.face("x2hi"), 1), 0.0, atol=1e-13)
 
 
 def test_restriction_strides():

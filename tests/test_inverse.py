@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mfgcoef.forward import DerivativeBundle
-from mfgcoef.grid import GAMMA_TRACE, Field, SpaceTimeGrid
+from mfgcoef.forward import ObservationData
+from mfgcoef.grid import FACES, GAMMA_TRACE, SPATIAL, Field, apply_along_axis, first_diff_matrix
 from mfgcoef.inverse import (
     FREE,
     DataConstraints,
@@ -17,23 +17,25 @@ from mfgcoef.objective import evaluate, value_and_gradient
 from test_objective import grid, make_context, random_iterate
 
 
-def hand_bundle(g, x1b_u=0.0, neumann_u=0.0):
-    """Minimal bundle with constant data rates, for projection arithmetic."""
+def hand_observations(g, x1b_u=0.0, neumann_u=0.0):
+    """Minimal observations whose t-differences are constant rates.
+
+    The u traces are the rates times t, which the time difference
+    reproduces exactly when ht is a power of two (nt = 5 on [0, 1]).
+    """
+    t = g.t[None, :]
     zeros_x1 = np.zeros((g.n2, g.nt))
     zeros_x2 = np.zeros((g.n1, g.nt))
-    trace_u = Field.from_faces(g, zeros_x1, np.full((g.n2, g.nt), x1b_u), zeros_x2, zeros_x2)
+    trace_u = Field.from_faces(g, zeros_x1, np.full((g.n2, 1), x1b_u) * t, zeros_x2, zeros_x2)
     trace_zero = Field.from_faces(g, zeros_x1, zeros_x1, zeros_x2, zeros_x2)
-    gamma_u = Field(g, GAMMA_TRACE, np.full((g.n2, g.nt), neumann_u))
-    gamma_zero = Field(g, GAMMA_TRACE, np.zeros((g.n2, g.nt)))
-    return DerivativeBundle(
-        v0_x1=np.zeros(g.spatial_shape()),
-        v0_x2=np.zeros(g.spatial_shape()),
-        v0_lap=np.zeros(g.spatial_shape()),
-        p0=np.ones(g.spatial_shape()),
-        dt_g01=trace_u,
-        dt_g02=trace_zero,
-        dt_g11=gamma_u,
-        dt_g12=gamma_zero,
+    return ObservationData(
+        grid=g,
+        v0=Field(g, SPATIAL, np.zeros(g.spatial_shape())),
+        p0=Field(g, SPATIAL, np.ones(g.spatial_shape())),
+        g01=trace_u,
+        g02=trace_zero,
+        g11=Field(g, GAMMA_TRACE, np.full((g.n2, 1), neumann_u) * t),
+        g12=Field(g, GAMMA_TRACE, np.zeros((g.n2, g.nt))),
     )
 
 
@@ -42,21 +44,20 @@ def test_projection_scatters_data_and_is_idempotent():
     ctx = make_context(g)
     rng = np.random.default_rng(0)
     z = random_iterate(g, rng)
-    c = DataConstraints(g, ctx.bundle)
+    c = DataConstraints(ctx.observations)
     proj = c.embed(c.free(z))
-    b = ctx.bundle
+    rates = c.rates
     # the tied layer owns its whole row, so the x2 faces hold data elsewhere
     keep = np.arange(g.n1) != g.n1 - 2
-    assert np.array_equal(proj[0, keep, 0, :], b.dt_g01.face("x2lo")[keep])
-    assert np.array_equal(proj[0, 0, 1:-1, :], b.dt_g01.face("x1a")[1:-1])
-    assert np.array_equal(proj[0, -1, :, :], b.dt_g01.face("x1b"))
-    assert np.array_equal(proj[1, -1, :, :], b.dt_g02.face("x1b"))
+    assert np.array_equal(proj[0, keep, 0, :], rates["x2lo"][0, keep])
+    assert np.array_equal(proj[0, 0, 1:-1, :], rates["x1a"][0, 1:-1])
+    assert np.array_equal(proj[0, -1, :, :], rates["x1b"][0])
+    assert np.array_equal(proj[1, -1, :, :], rates["x1b"][1])
     # corners belong to the x1 faces
-    assert proj[0, 0, 0, 2] == b.dt_g01.face("x1a")[0, 2]
+    assert proj[0, 0, 0, 2] == rates["x1a"][0, 0, 2]
     # tied layer follows the default closure from the layer below
-    expected = 0.25 * (
-        3.0 * b.dt_g01.face("x1b") + proj[0, -3, :, :] - 2.0 * g.h1 * b.dt_g11.values
-    )
+    neumann_u = apply_along_axis(first_diff_matrix(g.nt, g.ht), ctx.observations.g11.values, 1)
+    expected = 0.25 * (3.0 * rates["x1b"][0] + proj[0, -3, :, :] - 2.0 * g.h1 * neumann_u)
     assert np.allclose(proj[0, -2, :, :], expected, atol=1e-14)
     again = c.embed(c.free(proj))
     assert np.array_equal(again, proj)
@@ -67,8 +68,7 @@ def test_projection_scatters_data_and_is_idempotent():
 def test_outflow_closure_worked_values():
     # h = 1/20, Dirichlet rate 1, Neumann rate 0, layer below at 0
     g = grid(21, 6, 5)
-    bundle = hand_bundle(g, x1b_u=1.0, neumann_u=0.0)
-    c = DataConstraints(g, bundle)
+    c = DataConstraints(hand_observations(g, x1b_u=1.0, neumann_u=0.0))
     proj = c.embed(np.zeros(2 * c.nfree))
     assert np.allclose(proj[0, -1, :, :], 1.0, atol=1e-15)
     assert np.allclose(proj[0, -2, :, :], 0.75, atol=1e-15)
@@ -77,7 +77,7 @@ def test_outflow_closure_worked_values():
 def test_embed_inverts_free_and_pullback_is_its_transpose():
     g = grid(9, 8, 5)
     ctx = make_context(g)
-    c = DataConstraints(g, ctx.bundle)
+    c = DataConstraints(ctx.observations)
     rng = np.random.default_rng(6)
     for _ in range(3):
         x = rng.standard_normal(2 * c.nfree)
@@ -90,7 +90,7 @@ def test_embed_inverts_free_and_pullback_is_its_transpose():
 def test_reduced_gradient_is_the_constrained_derivative():
     g = grid(9, 8, 5)
     ctx = make_context(g)
-    c = DataConstraints(g, ctx.bundle)
+    c = DataConstraints(ctx.observations)
     rng = np.random.default_rng(4)
     z = c.embed(c.free(random_iterate(g, rng)))
     red = c.pullback(value_and_gradient(ctx, z)[1])
@@ -125,7 +125,7 @@ def test_reduced_gradient_is_the_constrained_derivative():
 def quadratic_setup(nt=5):
     g = grid(5, 5, nt)
     ctx = make_context(g, beta=1.0, residual_scale=0.0)
-    c = DataConstraints(g, ctx.bundle)
+    c = DataConstraints(ctx.observations)
 
     def reduced(w):
         return c.pullback(value_and_gradient(ctx, c.embed(w))[1])
@@ -240,20 +240,22 @@ def test_descend_respects_iteration_budget():
 def test_initial_guess_blends_faces():
     g = grid(9, 8, 5)
     ctx = make_context(g)
-    start = initial_guess(g, ctx.bundle)
-    b = ctx.bundle
+    start = initial_guess(ctx.observations)
+    # the rates of the u traces, one time difference per stored face
+    dt = first_diff_matrix(g.nt, g.ht)
+    rate = {name: apply_along_axis(dt, ctx.observations.g01.face(name), 1) for name in FACES}
     keep = np.arange(g.n1) != g.n1 - 2
-    assert np.array_equal(start[0, keep, 0, :], b.dt_g01.face("x2lo")[keep])
-    assert np.array_equal(start[0, -1, :, :], b.dt_g01.face("x1b"))
+    assert np.array_equal(start[0, keep, 0, :], rate["x2lo"][keep])
+    assert np.array_equal(start[0, -1, :, :], rate["x1b"])
     # untied interior node carries the mean of the two face interpolations
     i1, i2, n = 2, 3, 1
     w1 = i1 / (g.n1 - 1)
     w2 = i2 / (g.n2 - 1)
     expected = 0.5 * (
-        (1 - w1) * b.dt_g01.face("x1a")[i2, n]
-        + w1 * b.dt_g01.face("x1b")[i2, n]
-        + (1 - w2) * b.dt_g01.face("x2lo")[i1, n]
-        + w2 * b.dt_g01.face("x2hi")[i1, n]
+        (1 - w1) * rate["x1a"][i2, n]
+        + w1 * rate["x1b"][i2, n]
+        + (1 - w2) * rate["x2lo"][i1, n]
+        + w2 * rate["x2hi"][i1, n]
     )
     assert start[0, i1, i2, n] == pytest.approx(expected, rel=1e-14)
 
@@ -261,7 +263,8 @@ def test_initial_guess_blends_faces():
 def test_invert_runs_end_to_end():
     g = grid(7, 7, 5)
     ctx = make_context(g)
-    result = descend(ctx, initial_guess(g, ctx.bundle), SolverConfig(grad_tol=1e-12, max_iter=40))
+    config = SolverConfig(grad_tol=1e-12, max_iter=40)
+    result = descend(ctx, initial_guess(ctx.observations), config)
     assert isinstance(result, ReconstructionResult)
     assert result.coefficient.shape == g.spatial_shape()
     assert result.objective_history[-1] < result.objective_history[0]

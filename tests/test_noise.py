@@ -4,8 +4,20 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from mfgcoef.forward import ObservationData, stencil_bundle
-from mfgcoef.grid import GAMMA_TRACE, SPATIAL, Field, SpaceTimeGrid
+from mfgcoef.carleman import CarlemanParams
+from mfgcoef.forward import ObservationData
+from mfgcoef.grid import (
+    FACES,
+    GAMMA_TRACE,
+    SPATIAL,
+    Field,
+    SpaceTimeGrid,
+    apply_along_axis,
+    first_diff_matrix,
+    second_diff_matrix,
+)
+from mfgcoef.inverse import DataConstraints
+from mfgcoef.kernels import LineGaussianKernel
 from mfgcoef.noise import (
     SLICE_ORDER,
     TRACE_ORDER,
@@ -15,6 +27,7 @@ from mfgcoef.noise import (
     regularized_fit,
     smooth_observations,
 )
+from mfgcoef.objective import ObjectiveContext
 
 
 def coarse_grid():
@@ -58,6 +71,12 @@ def analytic_obs(g=None):
     )
 
 
+def slice_laplacian(values, g):
+    return apply_along_axis(second_diff_matrix(g.n1, g.h1), values, 0) + apply_along_axis(
+        second_diff_matrix(g.n2, g.h2), values, 1
+    )
+
+
 def test_inject_zero_level_is_identity():
     obs = analytic_obs()
     noisy = inject(obs, 0.0, 5)
@@ -95,24 +114,48 @@ def test_inject_streams_are_per_field():
     assert np.array_equal(noisy.g02.values, expect)
 
 
+def test_smooth_at_level_zero_returns_every_field_bit_for_bit():
+    obs = analytic_obs()
+    smooth = smooth_observations(obs, 0.0)
+    assert smooth.grid == obs.grid
+    for name, f in obs.fields().items():
+        fitted = smooth.fields()[name]
+        assert fitted.rank == f.rank, name
+        assert np.array_equal(fitted.values.view(np.uint64), f.values.view(np.uint64)), name
+        # a copy: the inversion may not alias the caller's data
+        assert not np.shares_memory(fitted.values, f.values), name
+
+
 def test_smooth_matches_stencils_on_clean_data():
     # at level 0 the fit returns the data, so every node, edges included,
     # carries exactly the clean-path stencil values
     obs = analytic_obs()
-    direct = stencil_bundle(obs)
+    g = obs.grid
     smooth = smooth_observations(obs, 0.0)
-    for name in ("v0_x1", "v0_x2", "v0_lap", "p0"):
-        assert np.array_equal(getattr(smooth, name), getattr(direct, name)), name
-    for name in ("dt_g01", "dt_g02", "dt_g11", "dt_g12"):
-        assert np.array_equal(getattr(smooth, name).values, getattr(direct, name).values), name
+    zeros = np.zeros(g.spacetime_shape())
+    params = CarlemanParams(lam=3.0, alpha=0.2)
+    ctx = ObjectiveContext(smooth, LineGaussianKernel(sigma=0.2), params, 1e-3, zeros, zeros)
+    v0 = obs.v0.values
+    v0_x1 = apply_along_axis(first_diff_matrix(g.n1, g.h1), v0, 0)
+    v0_x2 = apply_along_axis(first_diff_matrix(g.n2, g.h2), v0, 1)
+    assert np.array_equal(ctx.v0_x, np.stack((v0_x1, v0_x2)))
+    assert np.array_equal(ctx.p0, obs.p0.values)
+    # with zero cost F is f times the Laplacian less half the squared gradient
+    lap_part = slice_laplacian(v0, g) - 0.5 * np.sum(ctx.v0_x**2, axis=0)
+    assert np.array_equal(ctx.F, ctx.f * lap_part)
+    dt = first_diff_matrix(g.nt, g.ht)
+    rates = DataConstraints(smooth).rates
+    for name in FACES:
+        direct = [apply_along_axis(dt, trace.face(name), 1) for trace in (obs.g01, obs.g02)]
+        assert np.array_equal(rates[name], np.stack(direct)), name
 
 
 def test_zero_noise_pipeline_equals_clean_spline_path():
     obs = analytic_obs()
     clean = smooth_observations(obs, 0.0)
     piped = smooth_observations(inject(obs, 0.0, 3), 0.0)
-    assert np.array_equal(piped.v0_lap, clean.v0_lap)
-    assert np.array_equal(piped.dt_g01.values, clean.dt_g01.values)
+    for name, f in clean.fields().items():
+        assert np.array_equal(piped.fields()[name].values, f.values), name
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -130,7 +173,7 @@ def test_regularized_laplacian_beats_interpolating_splines(seed):
     target = level**2 / 12.0 * np.sum(noisy**2)
     assert np.sum((fitted - noisy) ** 2) == pytest.approx(target, rel=1e-6)
 
-    fit_lap = smooth_observations(noisy_obs, level).v0_lap
+    fit_lap = slice_laplacian(smooth_observations(noisy_obs, level).v0.values, g)
     spline_lap = (
         CubicSpline(g.x1, noisy, axis=0, bc_type="natural")(g.x1, 2)
         + CubicSpline(g.x2, noisy, axis=1, bc_type="natural")(g.x2, 2)

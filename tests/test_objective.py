@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfgcoef.carleman import CarlemanParams
-from mfgcoef.forward import ForwardSpec, extract_observations, make_s, solve_density, stencil_bundle
+from mfgcoef.forward import ForwardSpec, extract_observations, make_s, solve_density
 from mfgcoef.grid import H2Form, SpaceTimeGrid, apply_along_axis, first_diff_matrix
 from mfgcoef.inverse import DataConstraints
 from mfgcoef.kernels import LineGaussianKernel
@@ -48,11 +48,10 @@ def make_context(g, lam=3.0, beta=1e-3, residual_scale=1.0):
     s, st = make_s(spec, density, value, g)
     params = CarlemanParams(lam=lam, alpha=0.2)
     return ObjectiveContext(
-        grid=g,
+        observations=obs,
         kernel=KERNEL,
         params=params,
         beta=beta,
-        bundle=stencil_bundle(obs),
         cost=s,
         cost_rate=st,
         residual_scale=residual_scale,
@@ -184,11 +183,10 @@ def test_coefficient_identity_on_consistent_data():
     s1, s2, st_stride = 2, 2, 4
     params = CarlemanParams(lam=3.0, alpha=0.2)
     ctx = ObjectiveContext(
-        grid=coarse,
+        observations=obs,
         kernel=KERNEL,
         params=params,
         beta=1e-3,
-        bundle=stencil_bundle(obs),
         cost=s,
         cost_rate=st,
     )
@@ -223,7 +221,7 @@ def admissible_difference(ctx, rng, amplitude):
     a quarter of the layer below it, so adding it to an iterate that
     carries the data stays inside the constraint set.
     """
-    constraints = DataConstraints(ctx.grid, ctx.bundle)
+    constraints = DataConstraints(ctx.observations)
     x = amplitude * rng.standard_normal(2 * constraints.nfree)
     moved, origin = constraints.embed(x), constraints.embed(np.zeros_like(x))
     return moved - origin

@@ -5,13 +5,8 @@ import pytest
 
 from mfgcoef.cli import _adopt_dataset_config, _read_dataset
 from mfgcoef.config import ExperimentConfig
-from mfgcoef.forward import stencil_bundle
-from mfgcoef.pipeline import (
-    build_context,
-    observation_bundle,
-    run_generation,
-    run_inversion,
-)
+from mfgcoef.noise import inject, smooth_observations
+from mfgcoef.pipeline import build_context, run_generation, run_inversion
 
 REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "data" / "reference"
 DESK = dict(fine=(41, 41, 43), coarse=(21, 21, 7), max_iter=4000)
@@ -31,24 +26,30 @@ def test_generation_restricts_to_the_inversion_grid(desk_data):
     assert data.min_density > 0
 
 
-def test_clean_bundle_is_the_stencil_path(desk_data):
+def test_clean_context_sees_the_data(desk_data):
     cfg, data = desk_data
-    obs, bundle = observation_bundle(data.observations, 0.0, seed=5)
+    # at delta 0 the seed draws nothing
+    clean = cfg.replace(seed=5)
+    ctx = build_context(clean, data.observations, data.cost_coarse, data.cost_rate_coarse)
     for name, field in data.observations.fields().items():
-        assert np.array_equal(obs.fields()[name].values, field.values), name
-    direct = stencil_bundle(data.observations)
-    assert np.array_equal(bundle.v0_lap, direct.v0_lap)
+        assert np.array_equal(ctx.observations.fields()[name].values, field.values), name
 
 
-def test_noisy_bundle_perturbs_data_and_reseeds_identically(desk_data):
+def test_noisy_observations_perturb_data_and_reseed_identically(desk_data):
     cfg, data = desk_data
-    first_obs, first = observation_bundle(data.observations, 0.03, seed=5)
-    again_obs, again = observation_bundle(data.observations, 0.03, seed=5)
-    other_obs, _ = observation_bundle(data.observations, 0.03, seed=6)
-    assert not np.array_equal(first_obs.v0.values, data.observations.v0.values)
-    assert np.array_equal(first_obs.v0.values, again_obs.v0.values)
-    assert not np.array_equal(first_obs.v0.values, other_obs.v0.values)
-    assert np.array_equal(np.asarray(first.v0_lap), np.asarray(again.v0_lap))
+    obs = data.observations
+    first_obs = inject(obs, 0.03, seed=5)
+    assert not np.array_equal(first_obs.v0.values, obs.v0.values)
+    assert np.array_equal(first_obs.v0.values, inject(obs, 0.03, seed=5).v0.values)
+    assert not np.array_equal(first_obs.v0.values, inject(obs, 0.03, seed=6).v0.values)
+    noisy = cfg.replace(delta=0.03, seed=5)
+    first = build_context(noisy, obs, data.cost_coarse, data.cost_rate_coarse)
+    again = build_context(noisy, obs, data.cost_coarse, data.cost_rate_coarse)
+    fitted = smooth_observations(first_obs, 0.03)
+    for name, field in fitted.fields().items():
+        assert np.array_equal(first.observations.fields()[name].values, field.values), name
+        assert np.array_equal(again.observations.fields()[name].values, field.values), name
+    assert np.array_equal(first.F, again.F)
 
 
 def test_context_carries_the_configured_weight(desk_data):
