@@ -9,19 +9,27 @@ k.  The density equation
 is solved on a fine grid by a backward-Euler scheme, centered in space
 with conservative flux differencing of the advection term; each step
 solves one five-point system for the interior unknowns only, with the
-Dirichlet boundary values moved to its right-hand side.  The solve keeps
-its time slabs contiguous, (nt, n1, n2), while it steps, and forms no
-matrix.  Each step starts from the density extrapolated from the earlier
-steps and sweeps with the exact inverse of its drift-free part, which
-the sine bases of the grid lines diagonalize; a step whose drift is too
-strong for that is solved by GMRES with the same preconditioner, and a
-step neither method solves raises, unless it is solved to rounding (see
-``solve_density``).  The local cost s(x, t) is then constructed so that
-the value equation holds exactly for the prescribed v, which requires
-the computed density to stay away from zero everywhere; it and its rate
-are formed only at the inversion-grid nodes.  Observations (midpoint
-slices, Dirichlet traces, one-sided Neumann traces at the outflow face)
-are restricted to the coarser inversion grid.
+Dirichlet boundary values moved to its right-hand side.  Each step starts
+from the density extrapolated from the earlier steps and sweeps with the
+exact inverse of its drift-free part, which the sine bases of the grid
+lines diagonalize; a step whose drift is too strong for that is solved by
+GMRES with the same preconditioner, and a step neither method solves
+raises, unless it is solved to rounding (see ``solve_density``).  The
+local cost s(x, t) is then constructed so that the value equation holds
+exactly for the prescribed v, which requires the computed density to stay
+away from zero everywhere; it and its rate are formed only at the
+inversion-grid nodes.  Observations (midpoint slices, Dirichlet traces,
+one-sided Neumann traces at the outflow face) are restricted to the
+coarser inversion grid.
+
+The solve streams its time levels and forms no matrix and no fine-grid
+space-time array.  It samples v one slab at a time, steps with the last
+three density slabs, and keeps v and p only at the fine time levels that
+the outputs read (``kept_slabs``): the coarse times, the levels beside
+them that the time difference of s reads, and the levels beside those
+that v_t reads.  On the default grids (81x81x321 fine, 21x21x11 coarse)
+that is 53 of 321 levels, 2.8 MB per field against 16.8 MB, and the
+traced allocation peak of ``generate`` is about 12 MB.
 
 The step keeps both solvers because neither covers the other's cases.
 Sweeps alone diverge on the drift-jump grids of the tests (50- and
@@ -37,7 +45,7 @@ peaks at 6, by 7.6e-13.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -79,7 +87,9 @@ class ForwardSpec:
     starts from ``density_init_fn`` and carries Dirichlet data
     ``density_boundary_fn`` on the lateral boundary.  ``coefficient`` is
     the target interaction coefficient k sampled on the grid, and
-    ``kernel`` fixes the interaction operator.
+    ``kernel`` fixes the interaction operator.  The functions are
+    sampled one time level at a time, so no field over the whole grid is
+    formed from them.
     """
 
     grid: SpaceTimeGrid
@@ -96,18 +106,6 @@ class ForwardSpec:
             raise ValueError(
                 f"coefficient must be sampled on the grid {shape}, got {self.coefficient.shape}"
             )
-
-    def value_on_grid(self) -> np.ndarray:
-        """The value function at every node, indexed (x1, x2, t).
-
-        It is sampled one time slab at a time into a time-major buffer,
-        and the result is that buffer's (n1, n2, nt) view.
-        """
-        x1, x2 = self.grid.meshgrid()
-        out = np.empty((self.grid.nt,) + self.grid.spatial_shape())
-        for n, t in enumerate(self.grid.t):
-            out[n] = self.value_fn(x1, x2, t)
-        return out.transpose(1, 2, 0)
 
 
 # the observation set, in the order that fixes each field's noise stream
@@ -162,31 +160,66 @@ class GeneratedData:
     krylov_steps: int
 
 
+def kept_slabs(fine: SpaceTimeGrid, coarse: SpaceTimeGrid) -> Tuple[np.ndarray, np.ndarray]:
+    """The fine time levels the outputs read, as sorted index arrays.
+
+    Returns ``(cost, kept)``.  ``cost`` holds the levels where ``make_s``
+    forms s: the coarse times and the levels that the rows of the time
+    difference at those times read.  ``kept`` adds the levels that the
+    rows of v_t at the ``cost`` levels read; the observations read the
+    coarse times only.  Both are taken from the nonzero pattern of the
+    time-difference matrix.  When ``coarse`` is ``fine`` every level is
+    kept.
+    """
+    st = restriction_strides(fine, coarse)[2]
+    reads = first_diff_matrix(fine.nt, fine.ht) != 0
+    cost = np.zeros(fine.nt, dtype=bool)
+    cost[::st] = True
+    cost |= reads[::st].any(axis=0)
+    kept = cost | reads[cost].any(axis=0)
+    return np.flatnonzero(cost), np.flatnonzero(kept)
+
+
 @dataclass
 class DensitySolution:
-    """Density on the fine grid, its minimum |p|, and the linear-algebra work.
+    """The value and the density at the kept time levels, and the solve's record.
 
-    ``density`` is indexed (x1, x2, t).  ``preconditioned_sweeps`` counts
-    the Richardson sweeps of all steps, those of steps that then needed
-    GMRES included, and ``krylov_steps`` the steps that needed GMRES;
-    both depend on the data only, so they repeat exactly from run to run.
-    With the extrapolated start, a step whose drift changes smoothly
-    takes two to five sweeps.
+    ``slabs`` holds the fine time indices kept, ascending, and ``value``
+    and ``density`` are indexed (x1, x2, position in ``slabs``).
+    ``min_density`` is the minimum |p| over every fine node, kept or
+    not, and ``min_node`` its (x1, x2, t) index, the earliest level where
+    it is reached.  ``preconditioned_sweeps`` counts the Richardson
+    sweeps of all steps, those of steps that then needed GMRES included,
+    and ``krylov_steps`` the steps that needed GMRES; both depend on the
+    data only, so they repeat exactly from run to run.  With the
+    extrapolated start, a step whose drift changes smoothly takes two to
+    five sweeps.  A solve for the generation grid itself keeps every
+    level, so its fields are the full (n1, n2, nt) arrays.
     """
 
+    slabs: np.ndarray
+    value: np.ndarray
     density: np.ndarray
     min_density: float
+    min_node: Tuple[int, int, int]
     preconditioned_sweeps: int
     krylov_steps: int
 
+    def positions(self, levels: np.ndarray) -> np.ndarray:
+        """Where the fine time ``levels`` sit in ``slabs``; all must be kept."""
+        if not np.isin(levels, self.slabs).all():
+            raise ValueError("the density solution does not keep the time levels read here")
+        return np.searchsorted(self.slabs, levels)
 
-def _start(p: np.ndarray, n: int) -> np.ndarray:
+
+def _start(recent: List[np.ndarray], n: int) -> np.ndarray:
     """Interior density at step n extrapolated from the steps before it.
 
-    ``p`` is the time-major density.  Quadratic through the last three
-    slabs, linear through two at n = 3, and the last slab at n = 2.
+    ``recent`` holds the last three density slabs, oldest first (fewer
+    before the third step).  Quadratic through the three, linear through
+    the last two at n = 3, and the last slab at n = 2.
     """
-    prev = p[:n, 1:-1, 1:-1]
+    prev = [q[1:-1, 1:-1] for q in recent]
     if n > 3:
         return 3.0 * prev[-1] - 3.0 * prev[-2] + prev[-3]
     if n == 3:
@@ -295,16 +328,18 @@ def _gmres(apply, magnitude, precondition, rhs: np.ndarray, x: np.ndarray, bound
 
 def solve_density(
     spec: ForwardSpec,
-    value: np.ndarray,
+    coarse: SpaceTimeGrid,
     source: Optional[SpaceTimeFn] = None,
 ) -> DensitySolution:
     """Backward-Euler solve of the density equation on the fine grid.
 
-    ``value`` is ``spec.value_on_grid()``.  Returns the density on the
-    full space-time grid, its minimum absolute value (the caller decides
-    whether that is close enough to zero to matter; ``make_s`` enforces
-    the hard floor), and the counts of Richardson sweeps and of steps
-    that needed GMRES.
+    Returns the value and the density at the fine time levels that
+    ``make_s`` and ``extract_observations`` read for the inversion grid
+    ``coarse`` (``kept_slabs``; every level when ``coarse`` is
+    ``spec.grid``), the minimum |p| over every fine node and where it
+    sits (the caller decides whether that is close enough to zero to
+    matter; ``make_s`` enforces the hard floor), and the counts of
+    Richardson sweeps and of steps that needed GMRES.
 
     The advection term div(p grad v) is discretized conservatively:
     face fluxes (p_i + p_{i+1})/2 * (v_{i+1} - v_i)/h, then
@@ -332,20 +367,43 @@ def solve_density(
     BACKWARD_ERROR_FLOOR.  A step that meets neither test within the
     GMRES budget raises RuntimeError.
 
-    Value samples and density are kept time-major, (nt, n1, n2), while
-    stepping, so each step reads and writes contiguous slabs; the density
-    is returned as its (n1, n2, nt) view.
+    The solve streams its levels.  v is sampled one level at a time, by
+    the same ``value_fn`` calls in the same order as a sampling of the
+    whole grid, and besides the kept levels only the last three density
+    slabs and the current one are held.  The kept levels are stored
+    time-major, (slab, n1, n2), and returned as their (n1, n2, slab)
+    views: on the default grids 53 of 321 levels, 2.8 MB per field
+    against 16.8 MB for a field on every fine node.
     """
     g = spec.grid
     n1, n2 = g.n1, g.n2
     x1, x2 = g.meshgrid()
+    times = g.t
+    slabs = kept_slabs(g, coarse)[1]
+    stored = np.full(g.nt, -1)
+    stored[slabs] = np.arange(slabs.size)
+    value = np.empty((slabs.size, n1, n2))
+    density = np.empty((slabs.size, n1, n2))
 
-    # a view when ``value`` comes from ``value_on_grid``
-    value_t = np.ascontiguousarray(value.transpose(2, 0, 1))
-    p = np.empty((g.nt, n1, n2))
-    p[0] = spec.density_init_fn(x1, x2)
-    # the minimum |p| is taken slab by slab, never over a full-grid |p|
-    min_abs = np.abs(p[0]).min()
+    def slab(store: np.ndarray, n: int) -> np.ndarray:
+        return store[stored[n]] if stored[n] >= 0 else np.empty((n1, n2))
+
+    def sample_value(n: int) -> np.ndarray:
+        v = slab(value, n)
+        v[...] = spec.value_fn(x1, x2, times[n])
+        return v
+
+    # the smallest |p| of a slab and its node, so no full-grid |p| is formed
+    def minimum(p: np.ndarray, n: int):
+        mags = np.abs(p)
+        k = int(np.argmin(mags))
+        return mags.flat[k], np.unravel_index(k, mags.shape) + (n,)
+
+    sample_value(0)
+    p = slab(density, 0)
+    p[...] = spec.density_init_fn(x1, x2)
+    smallest = minimum(p, 0)
+    recent = [p]
 
     inv_h1sq = 1.0 / (g.h1 * g.h1)
     inv_h2sq = 1.0 / (g.h2 * g.h2)
@@ -365,8 +423,8 @@ def solve_density(
     sweeps = 0
     krylov_steps = 0
     for n in range(1, g.nt):
-        t = g.t[n]
-        v = value_t[n]
+        t = times[n]
+        v = sample_value(n)
 
         # advection coefficients from half-node fluxes of dv
         a_e = (v[2:, 1:-1] - v[1:-1, 1:-1]) / g.h1
@@ -398,16 +456,17 @@ def solve_density(
 
         # Dirichlet data; the zeroed interior drops interior neighbours
         # from the coupling
-        p[n] = spec.density_boundary_fn(x1, x2, t)
-        p[n, 1:-1, 1:-1] = 0.0
-        coupling = _five_point(off, p[n])
-        rhs = p[n - 1] / g.ht
+        p = slab(density, n)
+        p[...] = spec.density_boundary_fn(x1, x2, t)
+        p[1:-1, 1:-1] = 0.0
+        coupling = _five_point(off, p)
+        rhs = recent[-1] / g.ht
         if source is not None:
             rhs = rhs + source(x1, x2, t)
         rhs = rhs[1:-1, 1:-1] - coupling
 
         bound = REFINE_RTOL * np.linalg.norm(rhs)
-        start = _start(p, n)
+        start = _start(recent, n)
         sol, made = _richardson(apply, precondition, rhs, start, bound)
         sweeps += made
         if sol is None:
@@ -420,86 +479,134 @@ def solve_density(
                     f"sweeps and {GMRES_MATVECS} GMRES matvecs (backward error "
                     f"{backward:.2e})"
                 )
-        p[n, 1:-1, 1:-1] = sol
-        min_abs = np.minimum(min_abs, np.abs(p[n]).min())
+        p[1:-1, 1:-1] = sol
+        here = minimum(p, n)
+        # the earliest smallest wins; a NaN, once met, stays
+        if here[0] < smallest[0] or np.isnan(here[0]):
+            smallest = here
+        recent = recent[-2:] + [p]
 
-    return DensitySolution(p.transpose(1, 2, 0), float(min_abs), sweeps, krylov_steps)
+    return DensitySolution(
+        slabs,
+        value.transpose(1, 2, 0),
+        density.transpose(1, 2, 0),
+        float(smallest[0]),
+        tuple(int(i) for i in smallest[1]),
+        sweeps,
+        krylov_steps,
+    )
+
+
+def _on_time_axis(
+    nt: int, levels: np.ndarray, values: np.ndarray, order: Tuple[int, int, int] = (0, 1, 2)
+) -> np.ndarray:
+    """``values``, whose last axis runs over ``levels``, on a zero-filled axis of nt levels.
+
+    The result is indexed like ``values`` and stored with its axes in
+    ``order``, outermost first.  Every product of ``make_s`` multiplies
+    the whole time axis, with zeros at the levels it does not form, and
+    reads an operand laid out as the full-grid product's: OpenBLAS tiles
+    a product by its shape, and the columns of the last partial tile
+    round differently from the others; numpy hands a column-major operand
+    to it transposed, which small products round differently again.  With
+    shape and layout kept, each level that is formed rounds as in the
+    full-grid product, at any thread count.
+    """
+    out = np.zeros(tuple((values.shape[:-1] + (nt,))[axis] for axis in order))
+    view = out.transpose(np.argsort(order))
+    view[..., levels] = values
+    return view
 
 
 def make_s(
-    spec: ForwardSpec, density: np.ndarray, value: np.ndarray, coarse: SpaceTimeGrid
+    spec: ForwardSpec, solution: DensitySolution, coarse: SpaceTimeGrid
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Construct the local cost s so the value equation holds for the data.
 
         s = [v_t + lap(v) - |grad v|^2 / 2 - k * (interaction of p)] / p
 
     Returns s and its rate s_t at the nodes of ``coarse``, which must nest
-    in the generation grid.  All derivatives of the sampled value function
-    are taken with the fine-grid stencils and the interaction with the
-    fine-grid quadrature, but only their rows at the coarse (x1, x2) nodes
-    are formed: s there at every fine time, then s_t by the rows of the
-    central time difference at the coarse times.  With ``coarse =
-    spec.grid`` every stride is 1 and this is the full-grid construction.
-    The division requires |p| >= 1e-8 at every fine node; the error
-    message names the first offending node.  ``value`` is
-    ``spec.value_on_grid()``.
+    in the generation grid, from the levels that ``solution`` keeps for
+    it.  All derivatives of the sampled value function are taken with the
+    fine-grid stencils and the interaction with the fine-grid quadrature,
+    but only their rows at the coarse (x1, x2) nodes and at the ``cost``
+    levels of ``kept_slabs`` are formed: s there, then s_t by the rows of
+    the central time difference at the coarse times.  Every product
+    still runs over the whole time axis, with zeros at the levels not
+    formed (see ``_on_time_axis``); the rows of the two time differences
+    read those levels with zero weights.  So the result is bit for bit
+    the one that a solve keeping every level gives.  With
+    ``coarse = spec.grid`` every stride is 1 and this is the full-grid
+    construction.  The division requires |p| >= 1e-8 at every fine node,
+    which is checked against the solve's minimum; the error message names
+    the node where it is reached.
+
+    The largest temporaries are the zero-filled line stacks, one at a
+    time, (n1, coarse n2, nt) or its x2 counterpart: 4.4 MB each on the
+    default grids.
     """
     g = spec.grid
-    if density.shape != g.spacetime_shape():
-        raise ValueError("density must live on the generation grid")
-    # slab by slab, so no full-grid |p| is formed unless the check fails
-    if np.min([np.abs(density[:, :, n]).min() for n in range(g.nt)]) < DENSITY_FLOOR:
-        mags = np.abs(density)
-        i, j, n = np.unravel_index(int(np.argmin(mags)), mags.shape)
+    if solution.min_density < DENSITY_FLOOR:
+        i, j, n = solution.min_node
         raise ValueError(
-            f"density is {density[i, j, n]:.3e} at node (x1={g.x1[i]:.4f}, "
+            f"|density| is {solution.min_density:.3e} at node (x1={g.x1[i]:.4f}, "
             f"x2={g.x2[j]:.4f}, t={g.t[n]:.4f}), below the {DENSITY_FLOOR:.1e} floor; "
             "the cost construction would blow up"
         )
 
     s1, s2, st_ = restriction_strides(g, coarse)
-    # the stencil rows at coarse nodes read only the whole x1 lines through
-    # the coarse x2 nodes and the x2 lines through the coarse x1 nodes
-    lines1, lines2 = value[:, ::s2], value[::s1]
+    levels = kept_slabs(g, coarse)[0]
+    at = solution.positions(levels)
+    value, density = solution.value, solution.density
     d_t = first_diff_matrix(g.nt, g.ht)
-    vt = apply_along_axis(d_t, value[::s1, ::s2], 2)
-    vlap = apply_along_axis(second_diff_matrix(g.n1, g.h1)[::s1], lines1, 0) + apply_along_axis(
-        second_diff_matrix(g.n2, g.h2)[::s2], lines2, 1
-    )
-    vx1 = apply_along_axis(first_diff_matrix(g.n1, g.h1)[::s1], lines1, 0)
-    vx2 = apply_along_axis(first_diff_matrix(g.n2, g.h2)[::s2], lines2, 1)
-    inter = InteractionOperator(g, spec.kernel).apply(density[::s1], rows=np.s_[::s2])
+    # v_t's samples are stored time-major and each line stack line-major,
+    # so the products read them without a copy; the stencil and quadrature
+    # rows at coarse nodes read only the whole x1 lines through the coarse
+    # x2 nodes and the x2 lines through the coarse x1 nodes
+    samples = _on_time_axis(g.nt, solution.slabs, value[::s1, ::s2], (2, 0, 1))
+    vt = apply_along_axis(d_t, samples, 2)[:, :, levels]
+    del samples
+    lines1 = _on_time_axis(g.nt, levels, value[:, ::s2, at])
+    vlap = apply_along_axis(second_diff_matrix(g.n1, g.h1)[::s1], lines1, 0)[:, :, levels]
+    vx1 = apply_along_axis(first_diff_matrix(g.n1, g.h1)[::s1], lines1, 0)[:, :, levels]
+    del lines1
+    lines2 = _on_time_axis(g.nt, levels, value[::s1, :, at], (1, 0, 2))
+    vlap = vlap + apply_along_axis(second_diff_matrix(g.n2, g.h2)[::s2], lines2, 1)[:, :, levels]
+    vx2 = apply_along_axis(first_diff_matrix(g.n2, g.h2)[::s2], lines2, 1)[:, :, levels]
+    del lines2
+    inter = InteractionOperator(g, spec.kernel).apply(
+        _on_time_axis(g.nt, levels, density[::s1, :, at], (1, 0, 2)), rows=np.s_[::s2]
+    )[:, :, levels]
     k = spec.coefficient[::s1, ::s2, None]
     num = vt + vlap - 0.5 * (vx1 * vx1 + vx2 * vx2) - k * inter
-    s = num / density[::s1, ::s2]
+    s = _on_time_axis(g.nt, levels, num / density[::s1, ::s2, at])
     return s[:, :, ::st_], apply_along_axis(d_t[::st_], s, 2)
 
 
 def extract_observations(
-    spec: ForwardSpec,
-    density: np.ndarray,
-    coarse: SpaceTimeGrid,
-    value: np.ndarray,
+    spec: ForwardSpec, solution: DensitySolution, coarse: SpaceTimeGrid
 ) -> ObservationData:
-    """Restrict fine-grid fields to the inversion grid's observation set.
+    """Restrict the solution's fields to the inversion grid's observation set.
 
-    Neumann traces at x1 = b are formed on the fine grid (3-point
-    one-sided, second order) before subsampling in (x2, t).  ``value`` is
-    ``spec.value_on_grid()``.
+    Reads the coarse times that ``solution`` keeps.  Neumann traces at
+    x1 = b are formed on the fine grid (3-point one-sided, second order)
+    before subsampling in (x2, t).
     """
     g = spec.grid
     s1, s2, st_ = restriction_strides(g, coarse)
+    at = solution.positions(np.arange(0, g.nt, st_))
+    value, density = solution.value, solution.density
 
-    mid = g.mid_index
+    mid = at[coarse.mid_index]
     v0 = value[::s1, ::s2, mid]
     p0 = density[::s1, ::s2, mid]
 
     def faces_of(arr: np.ndarray):
         return (
-            arr[0, ::s2, ::st_],
-            arr[-1, ::s2, ::st_],
-            arr[::s1, 0, ::st_],
-            arr[::s1, -1, ::st_],
+            arr[0][::s2, at],
+            arr[-1][::s2, at],
+            arr[::s1][:, 0, at],
+            arr[::s1][:, -1, at],
         )
 
     g01 = Field.from_faces(coarse, *faces_of(value))
@@ -507,7 +614,7 @@ def extract_observations(
 
     def outflow_neumann(arr: np.ndarray) -> np.ndarray:
         d = (3.0 * arr[-1] - 4.0 * arr[-2] + arr[-3]) / (2.0 * g.h1)
-        return d[::s2, ::st_]
+        return d[::s2, at]
 
     g11 = Field(coarse, GAMMA_TRACE, outflow_neumann(value))
     g12 = Field(coarse, GAMMA_TRACE, outflow_neumann(density))
@@ -526,12 +633,12 @@ def extract_observations(
 def generate(spec: ForwardSpec, coarse: SpaceTimeGrid) -> GeneratedData:
     """Full forward pass: solve, build the cost, restrict everything.
 
-    The value function is sampled once and shared by all three stages.
+    The solve keeps the value and the density at the levels the two
+    later stages read, and both read them from its solution.
     """
-    value = spec.value_on_grid()
-    solution = solve_density(spec, value)
-    s, st = make_s(spec, solution.density, value, coarse)
-    obs = extract_observations(spec, solution.density, coarse, value)
+    solution = solve_density(spec, coarse)
+    s, st = make_s(spec, solution, coarse)
+    obs = extract_observations(spec, solution, coarse)
     return GeneratedData(
         observations=obs,
         cost_coarse=s,

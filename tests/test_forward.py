@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,13 +9,21 @@ from scipy.sparse.linalg import spsolve
 from mfgcoef import forward
 from mfgcoef.config import ExperimentConfig
 from mfgcoef.forward import (
+    DensitySolution,
     ForwardSpec,
     extract_observations,
     generate,
+    kept_slabs,
     make_s,
     solve_density,
 )
-from mfgcoef.grid import SpaceTimeGrid, apply_along_axis, first_diff_matrix, second_diff_matrix
+from mfgcoef.grid import (
+    SpaceTimeGrid,
+    apply_along_axis,
+    first_diff_matrix,
+    restriction_strides,
+    second_diff_matrix,
+)
 from mfgcoef.kernels import InteractionOperator, LineGaussianKernel
 from mfgcoef.pipeline import forward_spec
 
@@ -56,10 +66,25 @@ def spec_for(g, fv, fp, k=None):
     )
 
 
+def sampled_solution(spec, density_fn):
+    """The value and ``density_fn`` at every node, held as a solve holds them.
+
+    Both are (x1, x2, t) views of time-major stacks, which is the layout
+    the full-grid formulas below are compared at bit for bit.
+    """
+    g = spec.grid
+    x1, x2 = g.meshgrid()
+    value = np.stack([spec.value_fn(x1, x2, t) for t in g.t]).transpose(1, 2, 0)
+    density = np.stack([density_fn(x1, x2, t) for t in g.t]).transpose(1, 2, 0)
+    mags = np.abs(density)
+    node = np.unravel_index(int(np.argmin(mags)), mags.shape)
+    return DensitySolution(kept_slabs(g, g)[1], value, density, float(mags[node]), node, 0, 0)
+
+
 def solve_error(p_str, v_str, g):
     fp, fv, fsrc = manufactured(p_str, v_str)
     spec = spec_for(g, fv, fp)
-    density = solve_density(spec, spec.value_on_grid(), source=fsrc).density
+    density = solve_density(spec, g, source=fsrc).density
     x1, x2 = g.meshgrid()
     exact = fp(x1, x2, g.horizon)
     return float(np.max(np.abs(density[:, :, -1] - exact)))
@@ -140,7 +165,7 @@ def test_interior_step_matches_full_node_operator():
         "(1 + t) * (2 + sin(pi*x1) * x2)", "cos(pi*x1) * (x2 + x2**2) * (1 + t) / 3"
     )
     spec = spec_for(g, fv, fp)
-    solution = solve_density(spec, spec.value_on_grid(), source=fsrc)
+    solution = solve_density(spec, g, source=fsrc)
     expected = reference_density(spec, fsrc)
     assert max_rel_diff(solution.density, expected) <= 1e-13
     assert solution.min_density == float(np.min(np.abs(solution.density)))
@@ -160,7 +185,7 @@ def drift_jump_spec(factor):
 
 def test_drift_free_of_jumps_needs_no_krylov_step():
     spec = drift_jump_spec(1.0)
-    solution = solve_density(spec, spec.value_on_grid())
+    solution = solve_density(spec, spec.grid)
     assert solution.krylov_steps == 0
     assert 0 < solution.preconditioned_sweeps <= forward.SWEEP_CAP * (spec.grid.nt - 1)
     assert max_rel_diff(solution.density, reference_density(spec)) <= 1e-13
@@ -171,7 +196,7 @@ def test_drift_jump_falls_back_to_gmres(factor):
     # the sweeps diverge after the jump, so those steps are solved by GMRES
     # with the same preconditioner, to the same residual bound
     spec = drift_jump_spec(factor)
-    solution = solve_density(spec, spec.value_on_grid())
+    solution = solve_density(spec, spec.grid)
     assert solution.krylov_steps >= 1
     assert max_rel_diff(solution.density, reference_density(spec)) <= 1e-13
 
@@ -181,7 +206,7 @@ def test_step_that_converges_under_neither_method_raises(monkeypatch):
     monkeypatch.setattr(forward, "GMRES_MATVECS", 1)
     spec = drift_jump_spec(50.0)
     with pytest.raises(RuntimeError, match=r"density step \d+ \(t=[0-9.]+\) did not converge"):
-        solve_density(spec, spec.value_on_grid())
+        solve_density(spec, spec.grid)
 
 
 def test_gmres_stops_at_the_rounding_floor_within_its_budget(monkeypatch):
@@ -204,7 +229,7 @@ def test_gmres_stops_at_the_rounding_floor_within_its_budget(monkeypatch):
 
     monkeypatch.setattr(forward, "_gmres", counting)
     spec = forward_spec(ExperimentConfig(horizon=40.0, fine=(41, 41, 41)))
-    solution = solve_density(spec, spec.value_on_grid())
+    solution = solve_density(spec, spec.grid)
     assert solution.krylov_steps == len(products) == 39
     assert max(count for count, in products) < forward.GMRES_MATVECS
 
@@ -212,7 +237,7 @@ def test_gmres_stops_at_the_rounding_floor_within_its_budget(monkeypatch):
 def test_constant_density_is_preserved():
     g = grid(13, 11, 7)
     spec = spec_for(g, lambda a1, a2, t: np.zeros_like(a1 * a2), lambda a1, a2, t: np.ones_like(a1 * a2 + t))
-    solution = solve_density(spec, spec.value_on_grid())
+    solution = solve_density(spec, spec.grid)
     assert np.allclose(solution.density, 1.0, atol=1e-11)
     assert solution.min_density == pytest.approx(1.0, abs=1e-11)
 
@@ -225,7 +250,7 @@ def test_pure_diffusion_respects_bounds():
         return 2.0 + np.sin(np.pi * a1) * np.cos(np.pi * a2)
 
     spec = spec_for(g, lambda a1, a2, t: np.zeros_like(a1 * a2), lambda a1, a2, t: init(a1, a2))
-    density = solve_density(spec, spec.value_on_grid()).density
+    density = solve_density(spec, spec.grid).density
     assert density.min() >= 1.0 - 1e-10
     assert density.max() <= 3.0 + 1e-10
 
@@ -256,6 +281,29 @@ def full_grid_cost(spec, density, value):
     return s, apply_along_axis(first_diff_matrix(g.nt, g.ht), s, 2)
 
 
+def coarse_cost_on_every_level(spec, density, value, coarse):
+    """s and s_t at the coarse nodes from every fine level.
+
+    The stencil and quadrature rows at the coarse (x1, x2) nodes, applied
+    at every fine time: each product has the shape that ``make_s``'s
+    products keep.
+    """
+    g = spec.grid
+    s1, s2, st = restriction_strides(g, coarse)
+    lines1, lines2 = value[:, ::s2], value[::s1]
+    d_t = first_diff_matrix(g.nt, g.ht)
+    vt = apply_along_axis(d_t, value[::s1, ::s2], 2)
+    vlap = apply_along_axis(second_diff_matrix(g.n1, g.h1)[::s1], lines1, 0) + apply_along_axis(
+        second_diff_matrix(g.n2, g.h2)[::s2], lines2, 1
+    )
+    vx1 = apply_along_axis(first_diff_matrix(g.n1, g.h1)[::s1], lines1, 0)
+    vx2 = apply_along_axis(first_diff_matrix(g.n2, g.h2)[::s2], lines2, 1)
+    inter = InteractionOperator(g, spec.kernel).apply(density[::s1], rows=np.s_[::s2])
+    num = vt + vlap - 0.5 * (vx1 * vx1 + vx2 * vx2) - spec.coefficient[::s1, ::s2, None] * inter
+    s = num / density[::s1, ::s2]
+    return s[:, :, ::st], apply_along_axis(d_t[::st], s, 2)
+
+
 def cost_case(g):
     """A spec with a non-constant coefficient, its analytic density and value."""
     fp, fv, _ = manufactured(
@@ -264,15 +312,14 @@ def cost_case(g):
     x1, x2 = g.meshgrid()
     k = 1.0 + 0.5 * np.exp(-((x1 - 1.5) ** 2 + (x2 - 0.1) ** 2) / 0.05)
     spec = spec_for(g, fv, fp, k)
-    density = np.stack([fp(x1, x2, t) for t in g.t], axis=2)
-    return spec, density, spec.value_on_grid()
+    return spec, sampled_solution(spec, fp)
 
 
 def test_make_s_on_its_own_grid_is_the_full_grid_formula():
     g = grid(15, 13, 9)
-    spec, density, value = cost_case(g)
-    s, st = make_s(spec, density, value, g)
-    s_full, st_full = full_grid_cost(spec, density, value)
+    spec, solution = cost_case(g)
+    s, st = make_s(spec, solution, g)
+    s_full, st_full = full_grid_cost(spec, solution.density, solution.value)
     assert np.array_equal(s, s_full)
     assert np.array_equal(st, st_full)
 
@@ -282,9 +329,9 @@ def test_make_s_on_coarse_nodes_restricts_the_full_grid_cost():
     # products then round in another order than the full-grid ones
     fine = grid(41, 41, 41)
     coarse = grid(11, 11, 11)  # strides (4, 4, 4)
-    spec, density, value = cost_case(fine)
-    s, st = make_s(spec, density, value, coarse)
-    s_full, st_full = full_grid_cost(spec, density, value)
+    spec, solution = cost_case(fine)
+    s, st = make_s(spec, solution, coarse)
+    s_full, st_full = full_grid_cost(spec, solution.density, solution.value)
     assert s.shape == st.shape == coarse.spacetime_shape()
     s_ref, st_ref = s_full[::4, ::4, ::4], st_full[::4, ::4, ::4]
     assert np.max(np.abs(s - s_ref)) <= 1e-12 * np.max(np.abs(s_ref))
@@ -296,14 +343,14 @@ def test_make_s_satisfies_value_equation_identity():
     g = grid(15, 15, 7)
     fp, fv, _ = manufactured("(t + 1) * (x1*x2 + 2)", "cos(pi*x1) * sin(pi*x2) * (t*t + 1) / 10")
     spec = spec_for(g, fv, fp)
-    x1, x2 = g.meshgrid()
-    density = np.stack([fp(x1, x2, t) for t in g.t], axis=2)
-    s, st = make_s(spec, density, spec.value_on_grid(), g)
+    solution = sampled_solution(spec, fp)
+    density = solution.density
+    s, st = make_s(spec, solution, g)
     assert np.all(np.isfinite(s))
     assert st.shape == g.spacetime_shape()
 
     op = InteractionOperator(g, spec.kernel)
-    num = value_terms(g, spec.value_on_grid()) - spec.coefficient[:, :, None] * op.apply(density)
+    num = value_terms(g, solution.value) - spec.coefficient[:, :, None] * op.apply(density)
     assert np.allclose(num - s * density, 0.0, atol=1e-12 * np.max(np.abs(num)))
 
 
@@ -324,9 +371,7 @@ def test_make_s_matches_symbolic_construction():
 
     fp, fv, _ = manufactured(str(p_expr), str(v_expr))
     spec = spec_for(g, fv, fp)
-    x1, x2 = g.meshgrid()
-    density = np.stack([fp(x1, x2, t) for t in g.t], axis=2)
-    s, _ = make_s(spec, density, spec.value_on_grid(), g)
+    s, _ = make_s(spec, sampled_solution(spec, fp), g)
 
     sigma = 0.2
     yfine = np.linspace(-g.half_width, g.half_width, 4001)
@@ -343,10 +388,8 @@ def test_make_s_rejects_vanishing_density():
     g = grid(9, 9, 5)
     fp, fv, _ = manufactured("(t + 1) * x1 * x2", "cos(pi*x1) * sin(pi*x2) / 10")
     spec = spec_for(g, fv, fp)
-    x1, x2 = g.meshgrid()
-    density = np.stack([fp(x1, x2, t) for t in g.t], axis=2)
     with pytest.raises(ValueError, match="floor"):
-        make_s(spec, density, spec.value_on_grid(), g)
+        make_s(spec, sampled_solution(spec, fp), g)
 
 
 def test_extract_observations_values_and_shapes():
@@ -354,9 +397,7 @@ def test_extract_observations_values_and_shapes():
     coarse = grid(21, 21, 11)
     fp, fv, _ = manufactured("(t + 1) * (x1*x2 + 2)", "cos(pi*x1) * sin(pi*x2) * (t*t + 1) / 10")
     spec = spec_for(fine, fv, fp)
-    x1f, x2f = fine.meshgrid()
-    density = np.stack([fp(x1f, x2f, t) for t in fine.t], axis=2)
-    obs = extract_observations(spec, density, coarse, spec.value_on_grid())
+    obs = extract_observations(spec, sampled_solution(spec, fp), coarse)
 
     x1c, x2c = coarse.meshgrid()
     # midpoint value slice: 0.1 * 1.25 * cos(pi x1) sin(pi x2)
@@ -384,6 +425,59 @@ def test_generate_end_to_end_records_minimum():
     assert data.cost_coarse.shape == coarse.spacetime_shape()
     assert data.observations.grid == coarse
     assert data.cost_rate_coarse.shape == coarse.spacetime_shape()
+
+
+def test_kept_slabs_on_the_default_grids():
+    # s at the 11 coarse times and the 22 levels their time difference
+    # reads; v_t at those 33 reads 20 more; a grid on itself keeps all
+    cfg = ExperimentConfig()
+    fine, coarse = cfg.fine_grid(), cfg.coarse_grid()
+    cost, kept = kept_slabs(fine, coarse)
+    assert (cost.size, kept.size) == (33, 53)
+    assert set(range(0, fine.nt, 32)) <= set(cost) and set(cost) <= set(kept)
+    assert np.array_equal(kept_slabs(fine, fine)[1], np.arange(fine.nt))
+
+
+@pytest.mark.parametrize("coarse_nt", [11, 5])
+def test_streamed_solve_equals_every_slab_solve_bit_for_bit(coarse_nt):
+    # strides (4, 4, 8) or (4, 4, 20), so most fine levels are never kept
+    # by the stream; at nt = 5, products cut down to the kept levels would
+    # put other levels in their last partial tile than the full-grid ones
+    fine = grid(41, 41, 81)
+    coarse = grid(11, 11, coarse_nt)
+    fp, fv, _ = manufactured(
+        "(t + 1) * (x1*x2 + 2)", "cos(pi*x1) * sin(pi*x2) * (t*t + 1) / 10 + x2**3 * t"
+    )
+    x1, x2 = fine.meshgrid()
+    spec = spec_for(fine, fv, fp, 1.0 + 0.5 * np.exp(-((x1 - 1.5) ** 2 + x2**2) / 0.05))
+    streamed = solve_density(spec, coarse)
+    every = solve_density(spec, fine)
+    assert streamed.density.shape[2] < fine.nt
+    at = every.positions(streamed.slabs)
+    assert np.array_equal(streamed.density, every.density[:, :, at])
+    assert np.array_equal(streamed.value, every.value[:, :, at])
+    assert (streamed.min_density, streamed.min_node) == (every.min_density, every.min_node)
+    reference = coarse_cost_on_every_level(spec, every.density, every.value, coarse)
+    for a, b, c in zip(make_s(spec, streamed, coarse), make_s(spec, every, coarse), reference):
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, c)
+    obs = extract_observations(spec, streamed, coarse).fields()
+    ref = extract_observations(spec, every, coarse).fields()
+    for name in obs:
+        assert np.array_equal(obs[name].values, ref[name].values)
+
+
+def test_generate_forms_no_fine_grid_field():
+    # the bar is one (n1, n2, nt) float64 field on the default fine grid
+    cfg = ExperimentConfig()
+    spec = forward_spec(cfg)
+    tracemalloc.start()
+    try:
+        generate(spec, cfg.coarse_grid())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * np.prod(spec.grid.spacetime_shape())
 
 
 def test_forward_spec_validation():

@@ -15,6 +15,7 @@ from mfgcoef.objective import (
     residuals,
     value_and_gradient,
 )
+from test_forward import sampled_solution
 
 KERNEL = LineGaussianKernel(sigma=0.2)
 
@@ -41,11 +42,9 @@ def make_context(g, lam=3.0, beta=1e-3, residual_scale=1.0):
         coefficient=np.ones(g.spatial_shape()),
         kernel=KERNEL,
     )
-    x1, x2 = g.meshgrid()
-    density = np.stack([density_fn(x1, x2, t) for t in g.t], axis=2)
-    value = spec.value_on_grid()
-    obs = extract_observations(spec, density, g, value)
-    s, st = make_s(spec, density, value, g)
+    solution = sampled_solution(spec, density_fn)
+    obs = extract_observations(spec, solution, g)
+    s, st = make_s(spec, solution, g)
     params = CarlemanParams(lam=lam, alpha=0.2)
     return ObjectiveContext(
         observations=obs,
@@ -176,10 +175,11 @@ def test_coefficient_identity_on_consistent_data():
         coefficient=k_fine,
         kernel=KERNEL,
     )
-    value = spec.value_on_grid()
-    density = solve_density(spec, value).density
-    obs = extract_observations(spec, density, coarse, value)
-    s, st = make_s(spec, density, value, coarse)
+    # every fine level is kept, for the truth's time difference below
+    solution = solve_density(spec, fine)
+    density = solution.density
+    obs = extract_observations(spec, solution, coarse)
+    s, st = make_s(spec, solution, coarse)
     s1, s2, st_stride = 2, 2, 4
     params = CarlemanParams(lam=3.0, alpha=0.2)
     ctx = ObjectiveContext(
