@@ -351,7 +351,9 @@ def cmd_sweep_lambda(args) -> int:
 
 def cmd_verify_carleman(args) -> int:
     cfg = _config_from_args(args)
-    lambdas = args.lam_list if args.lam_list else [1.0, 2.0, 4.0, 8.0]
+    lambdas = args.lam_list
+    if not lambdas:
+        raise ValueError("--lambda needs at least one value")
     validate_lambdas(lambdas)
     if args.trials < 1:
         raise ValueError(f"certification needs --trials >= 1, got {args.trials}")
@@ -390,6 +392,7 @@ def cmd_verify_carleman(args) -> int:
         "versions": _versions(),
         "counts": counts,
         "slope": slope,
+        "quadrature": result.quadrature_work(),
         "outputs": _hash_map({"report": report_path}),
     })
     bad = counts["violated"] + counts["inconclusive"]
@@ -477,6 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-carleman", help="certify the weighted integral inequality")
     common(p, ("seed",))
     p.add_argument("--lambda", dest="lam_list", type=_parse_lambda_list,
+                   default=[1.0, 2.0, 4.0, 8.0],
                    help="weight strengths to certify (default 1,2,4,8)")
     p.add_argument("--trials", type=int, default=100, help="random profiles per strength")
     p.set_defaults(func=cmd_verify_carleman)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.integrate import quad
 from mfgcoef.carleman import (
     HOLDS_REL_SLACK,
     QUAD_AGREE_RTOL,
+    START_LEVEL,
     CarlemanParams,
     _level_forms,
     bound_constant,
@@ -16,6 +18,7 @@ from mfgcoef.carleman import (
     run_certification,
     validate_exponent,
 )
+from mfgcoef import carleman
 from mfgcoef.grid import SpaceTimeGrid
 
 
@@ -48,6 +51,60 @@ def symmetric_unaligned_knots():
     # no interior knot lies on a grid node at any level, t = 0 included
     half = np.array([0.0173, 0.061, 0.1337, 0.2011, 0.29, 0.3583, 0.4419, 0.5])
     return np.concatenate((-half[::-1], half))
+
+
+def whole_level_forms(knots, alpha, level, lams):
+    """(G_L, K_L) built from arrays that span the whole level.
+
+    The construction the streamed ``_level_forms`` replaced: it forms the
+    node array, every interval's slopes and all lam's weights at once.
+    """
+    m = knots.size
+    d = knots[-1]
+    n = 2**level
+    h = 2.0 * d / n
+    t = np.linspace(-d, d, n + 1)
+    bounds = np.searchsorted(t, knots)
+    bounds[0], bounds[-1] = 0, n + 1
+    spans = [slice(bounds[i], bounds[i + 1]) for i in range(m - 1)]
+    slopes = [
+        np.clip((t[span] - knots[i]) / (knots[i + 1] - knots[i]), 0.0, 1.0)
+        for i, span in enumerate(spans)
+    ]
+    rise, fall = np.zeros(m), np.zeros(m)
+    rise[1:] = [s.sum() for s in slopes]
+    fall[:-1] = np.diff(bounds) - rise[1:]
+    c = n // 2
+    ic = int(np.searchsorted(bounds, c, side="right")) - 1
+    s = slopes[ic][: c - bounds[ic] + 1]
+    at_mid = np.zeros(m)
+    at_mid[:ic] = h * (rise + fall)[:ic]
+    at_mid[ic] = h * (rise[ic] + s.size - s.sum() - 0.5 * (1.0 - s[-1]))
+    at_mid[ic + 1] = h * (s.sum() - 0.5 * s[-1])
+    right = h * (rise + fall) - at_mid
+    left = -at_mid
+    gram = np.zeros((lams.size, m, m))
+    kern = np.zeros((lams.size, m, m))
+    for i, (span, s) in enumerate(zip(spans, slopes)):
+        if s.size == 0:
+            continue
+        rows = np.empty((4, s.size))
+        rows[0] = 1.0 - s
+        rows[1] = s
+        rows[2] = h * (rise[i] + np.cumsum(rows[0]) - 0.5 * rows[0]) - at_mid[i]
+        rows[3] = h * (np.cumsum(s) - 0.5 * s) - at_mid[i + 1]
+        weight = np.exp(np.multiply.outer(-2.0 * lams, np.abs(t[span]) ** (1.0 + alpha)))
+        if span.start == 0:
+            weight[:, 0] *= 0.5
+        if span.stop == n + 1:
+            weight[:, -1] *= 0.5
+        sums = h * ((rows * weight[:, None, :]) @ rows.T)
+        gram[:, i : i + 2, i : i + 2] += sums[:, :2, :2]
+        coef = np.zeros((4, m))
+        coef[:2, :i], coef[:2, i + 2 :] = right[:i], left[i + 2 :]
+        coef[2, i] = coef[3, i + 1] = 1.0
+        kern += coef.T @ sums @ coef
+    return gram, kern
 
 
 def test_exponent_validation():
@@ -197,6 +254,8 @@ def test_profile_input_validation():
         certify(knots, profiles, [1.0], 0.25)
     with pytest.raises(ValueError):
         certify(knots[::-1], profiles, [1.0], 0.2)
+    with pytest.raises(ValueError, match="finite"):
+        certify(np.array([-0.5, np.nan, 0.5]), np.ones((1, 3)), [1.0], 0.2)
     with pytest.raises(ValueError, match="one column per knot"):
         certify(knots, np.ones((1, 16)), [1.0], 0.2)
     with pytest.raises(ValueError, match="one column per knot"):
@@ -242,3 +301,62 @@ def test_one_profile_certifies_alike_alone_and_in_a_batch():
         assert np.array_equal(alone.levels[0], batch.levels[i])
         np.testing.assert_allclose(alone.lhs[0], batch.lhs[i], rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(alone.rhs[0], batch.rhs[i], rtol=1e-13, atol=0.0)
+
+
+# an empty interval: at level 6 no node lies in [0.002, 0.004)
+EMPTY_INTERVAL_KNOTS = np.array([-0.5, 0.002, 0.004, 0.5])
+
+
+@pytest.mark.parametrize("knots", [
+    np.linspace(-0.5, 0.5, 17),
+    symmetric_unaligned_knots(),
+    EMPTY_INTERVAL_KNOTS,
+    np.concatenate(([-0.5 + 1e-12], np.linspace(-0.5, 0.5, 17)[1:])),
+], ids=["equispaced", "unaligned", "empty-interval", "first-knot-inside"])
+def test_streamed_forms_equal_the_whole_level_forms_bit_for_bit(knots):
+    lams = np.array([1.0, 2.0, 4.0, 8.0, 100.0])
+    for level in range(6, 15):
+        gram, kern = _level_forms(knots, 0.2, level, lams)
+        ref_gram, ref_kern = whole_level_forms(knots, 0.2, level, lams)
+        assert np.array_equal(gram, ref_gram), level
+        assert np.array_equal(kern, ref_kern), level
+
+
+def test_empty_interval_layout_has_an_empty_interval_at_level_6():
+    t = np.linspace(-0.5, 0.5, 2**6 + 1)
+    bounds = np.searchsorted(t, EMPTY_INTERVAL_KNOTS)
+    assert bounds[1] == bounds[2]
+
+
+def test_level_forms_hold_no_level_wide_array():
+    # the bar is one level's float64 node array; the whole-level
+    # construction peaks at about 3.5 times that
+    knots = np.linspace(-0.5, 0.5, 17)
+    level = 20
+    tracemalloc.start()
+    try:
+        _level_forms(knots, 0.2, level, np.array([1.0, 2.0, 4.0, 8.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (2**level + 1)
+
+
+def test_quadrature_work_counts_the_form_builds(monkeypatch):
+    builds = []
+
+    def counted(knots, alpha, level, lams):
+        builds.extend((level, lam) for lam in lams)
+        return _level_forms(knots, alpha, level, lams)
+
+    monkeypatch.setattr(carleman, "_level_forms", counted)
+    # lam = 1000 settles far sooner than lam = 1
+    r = run_certification(seed=4, n_trials=3, lambdas=(1.0, 1000.0))
+    work = r.quadrature_work()
+    deepest = r.levels.max(axis=0)
+    assert work["deepest_level"] == deepest.tolist()
+    assert deepest[0] != deepest[1]
+    assert work["form_builds"] == len(builds)
+    assert work["form_nodes"] == sum(2**level + 1 for level, _ in builds)
+    for lam, top in zip((1.0, 1000.0), deepest):
+        assert sorted(level for level, l in builds if l == lam) == list(range(START_LEVEL, top + 1))

@@ -328,6 +328,15 @@ def test_verify_carleman_passes_and_reports(workspace, tmp_path):
     assert [(row[0], row[1]) for row in rows] == [
         (str(trial), lam) for trial in range(2) for lam in ("1", "2", "4", "8")
     ]
+    # the quadrature work: every lam's pairs settle by level 18, so each lam
+    # builds its forms at levels 6..18, weighting 2^L + 1 nodes each time
+    assert manifest["quadrature"] == {
+        "deepest_level": [18, 18, 18, 18],
+        "form_builds": 4 * 13,
+        "form_nodes": 4 * sum(2**level + 1 for level in range(6, 19)),
+    }
+    # the counts stay out of the hashed report, which keeps its two summary lines
+    assert len([line for line in report.splitlines() if line.startswith("#")]) == 2
 
 
 def test_verify_carleman_repeated_lambda_reports_no_slope(tmp_path):
@@ -338,6 +347,15 @@ def test_verify_carleman_repeated_lambda_reports_no_slope(tmp_path):
     assert code == EXIT_OK
     assert json.loads((out / "manifest.json").read_text())["slope"] is None
     assert "slope" not in (out / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("raw", ["", " , "])
+def test_verify_carleman_rejects_an_empty_lambda_list(tmp_path, capsys, raw):
+    # an empty list used to certify the default lambdas and exit 0
+    out = tmp_path / "carl"
+    assert main(["verify-carleman", "--out", str(out), "--lambda", raw]) == EXIT_PRECONDITION
+    assert "--lambda needs at least one value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_carleman_rejects_nonpositive_trials(tmp_path):
