@@ -68,8 +68,8 @@ class SolverConfig:
     slowly: on the reference dataset (lam = 3) the unscaled descent meets
     ``grad_tol`` after 3028 iterations and 3180 objective passes (rel_l2
     0.0105), the scaled one after 156 iterations and 164 passes (rel_l2
-    0.0095); with noise (delta 0.03, seed 17) the scaled one takes 138
-    iterations and 145 passes.
+    0.0095); with noise (delta 0.03, seed 17) the scaled one takes 134
+    iterations and 140 passes.
     """
 
     step0: float = 0.1

@@ -506,13 +506,35 @@ def test_manifest_refuses_non_finite_numbers(tmp_path):
         _write_manifest(str(tmp_path), {"delta": float("nan")})
 
 
-def _run_child(code: str, cwd: Path) -> subprocess.CompletedProcess:
+def _run_child(code: str, cwd: Path, **env_vars: str) -> subprocess.CompletedProcess:
     src = str(Path(mfgcoef.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, **env_vars)
     return subprocess.run(
         [sys.executable, "-c", code], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=300,
     )
+
+
+def test_noisy_invert_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the noise fit and the descent give the same bits at one and two
+    # OpenBLAS threads, so the reconstruction files hash alike
+    reference = Path(__file__).resolve().parents[1] / "benchmarks" / "data" / "reference"
+
+    def run(threads):
+        out = tmp_path / f"threads{threads}"
+        argv = ["invert", str(reference), "--delta", "0.03", "--seed", "17", "--out", str(out)]
+        child = _run_child(
+            f"import mfgcoef.cli as cli\nassert cli.main({argv!r}) == 0\n",
+            tmp_path, OPENBLAS_NUM_THREADS=str(threads),
+        )
+        assert child.returncode == 0, child.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        hashes = {name: entry["sha256"] for name, entry in manifest["outputs"].items()}
+        return hashes, manifest["iterations"]
+
+    one, two = run(1), run(2)
+    assert one[1] == two[1]
+    assert one[0] == two[0]
 
 
 def test_no_command_loads_scipy(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -21,7 +23,14 @@ from mfgcoef.kernels import LineGaussianKernel
 from mfgcoef.noise import (
     SLICE_ORDER,
     TRACE_ORDER,
+    _BISECTIONS,
+    _LOG_ALPHA_RANGE,
+    _PARITIES,
+    _block_nullity,
     _field_generator,
+    _gram,
+    _parity_basis,
+    _parity_slices,
     _penalty_spectrum,
     inject,
     regularized_fit,
@@ -193,20 +202,79 @@ def monomials(shape, order):
     )
 
 
-@pytest.mark.parametrize("shape, order", [((21, 21), 4), ((21, 11), 3), ((41, 41), 4)])
+def full_spectrum(shape, order):
+    """The blocks' eigenpairs as eigenpairs of the whole penalty on the flattened surface.
+
+    A block's coefficient array U stands for the surface Q1[rows]^T U Q2[cols],
+    whose row-major flattening is kron(Q1[rows]^T, Q2[cols]^T) vec(U).
+    """
+    q1, q2 = _parity_basis(shape[0]), _parity_basis(shape[1])
+    rows, cols = _parity_slices(shape[0]), _parity_slices(shape[1])
+    spectrum = _penalty_spectrum(shape, order)
+    eigenvalues = np.concatenate([e for e, _ in spectrum])
+    eigenvectors = np.hstack([
+        np.kron(q1[rows[p1]].T, q2[cols[p2]].T) @ v
+        for (p1, p2), (_, v) in zip(_PARITIES, spectrum)
+    ])
+    return eigenvalues, eigenvectors
+
+
+# an odd square, the trace faces and the (41, 41) refinement, then an
+# even side and the transposed face
+SPECTRUM_CASES = [
+    ((21, 21), SLICE_ORDER),
+    ((21, 11), TRACE_ORDER),
+    ((41, 41), SLICE_ORDER),
+    ((11, 21), TRACE_ORDER),
+    ((20, 20), SLICE_ORDER),
+]
+
+
+@pytest.mark.parametrize("n", (2, 11, 20, 21))
+def test_parity_basis_splits_every_gram_into_even_and_odd_blocks(n):
+    q = _parity_basis(n)
+    assert np.max(np.abs(q @ q.T - np.eye(n))) <= 1e-15
+    even, odd = _parity_slices(n)
+    # rows of the even half are unchanged by reversal, odd ones change sign
+    assert np.array_equal(q[even, ::-1], q[even])
+    assert np.array_equal(q[odd, ::-1], -q[odd])
+    for k in range(min(n, 5)):
+        g = q @ _gram(n, k) @ q.T
+        assert np.max(np.abs(g[even, odd])) <= 1e-14 * np.max(np.abs(g))
+
+
+@pytest.mark.parametrize("shape, order", SPECTRUM_CASES)
 def test_penalty_null_space_is_the_low_degree_monomials(shape, order):
-    eigenvalues, eigenvectors = _penalty_spectrum(shape, order)
+    eigenvalues, eigenvectors = full_spectrum(shape, order)
     basis = monomials(shape, order)
     nullity = basis.shape[1]
-    assert np.count_nonzero(eigenvalues == 0.0) == nullity
-    assert np.all(eigenvalues[nullity:] > 0.0)
+    null = eigenvalues == 0.0
+    assert np.count_nonzero(null) == nullity
+    assert np.all(eigenvalues[~null] > 0.0)
     # eigh resolves the subspace only to about eps * max(e) / min(e > 0)
     # (Davis-Kahan); measured 6e-10 on (21, 21) and 1.4e-7 on (41, 41)
-    null = eigenvectors[:, :nullity]
+    null = eigenvectors[:, null]
     assert np.linalg.norm(basis - null @ (null.T @ basis)) <= 1e-6 * np.linalg.norm(basis)
 
 
-@pytest.mark.parametrize("shape, order", [((21, 21), SLICE_ORDER), ((21, 11), TRACE_ORDER)])
+@pytest.mark.parametrize("shape, order", SPECTRUM_CASES)
+def test_each_block_zeroes_its_parity_count_of_monomials(shape, order):
+    n1, n2 = shape
+    for parity, (eigenvalues, eigenvectors) in zip(_PARITIES, _penalty_spectrum(shape, order)):
+        p1, p2 = parity
+        count = sum(
+            1 for i in range(n1) for j in range(n2)
+            if i + j < order and i % 2 == p1 and j % 2 == p2
+        )
+        assert _block_nullity(shape, order, parity) == count
+        assert np.count_nonzero(eigenvalues == 0.0) == count, parity
+        assert np.all(eigenvalues[count:] > 0.0), parity
+        # the block sizes: even and odd halves of each axis
+        size = (n1 + 1 - p1) // 2 * ((n2 + 1 - p2) // 2)
+        assert eigenvectors.shape == (size, size)
+
+
+@pytest.mark.parametrize("shape, order", [case for case in SPECTRUM_CASES if case[0] != (41, 41)])
 def test_penalty_spectrum_rebuilds_the_difference_penalty(shape, order):
     # reference: sum_a C(order, a) D_a^T D_a, D_a the mixed difference
     # D1^a D2^(order-a) applied to every unit vector of the surface
@@ -216,13 +284,80 @@ def test_penalty_spectrum_rebuilds_the_difference_penalty(shape, order):
     for a in range(order + 1):
         d = np.diff(np.diff(units, a, axis=1), order - a, axis=2).reshape(n, -1)
         penalty += comb(order, a) * d @ d.T
-    eigenvalues, eigenvectors = _penalty_spectrum(shape, order)
+    eigenvalues, eigenvectors = full_spectrum(shape, order)
     rebuilt = (eigenvectors * eigenvalues) @ eigenvectors.T
     assert np.max(np.abs(rebuilt - penalty)) <= 1e-12 * np.max(np.abs(penalty))
 
 
+def test_penalty_spectrum_holds_no_dense_surface_matrix():
+    # the blocks are a quarter of the (441 x 441) dense penalty each; the
+    # whole construction must stay below one such matrix of float64
+    _penalty_spectrum.cache_clear()
+    _parity_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        _penalty_spectrum((21, 21), SLICE_ORDER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 441 * 441 * 8
+
+
+@lru_cache(maxsize=None)
+def dense_spectrum(shape, order):
+    """The whole penalty diagonalized as one dense matrix, its null space zeroed."""
+    n1, n2 = shape
+    penalty = sum(
+        comb(order, a) * np.kron(_gram(n1, a), _gram(n2, order - a)) for a in range(order + 1)
+    )
+    eigenvalues, eigenvectors = np.linalg.eigh(penalty)
+    nullity = sum(min(order - i, n2) for i in range(min(order, n1)))
+    eigenvalues[:nullity] = 0.0
+    return eigenvalues, eigenvectors
+
+
+def dense_fit(values, level, order):
+    """The discrepancy-rule fit in the dense eigenbasis, bisection as in regularized_fit."""
+    eigenvalues, eigenvectors = dense_spectrum(values.shape, order)
+    y = values.ravel()
+    target = level * level / 12.0 * float(y @ y)
+    c = eigenvectors.T @ y
+    lo, hi = _LOG_ALPHA_RANGE
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        damped = 10.0**mid * eigenvalues
+        r = damped / (1.0 + damped) * c
+        if r @ r < target:
+            lo = mid
+        else:
+            hi = mid
+    fit = eigenvectors @ (c / (1.0 + 10.0 ** (0.5 * (lo + hi)) * eigenvalues))
+    return fit.reshape(values.shape)
+
+
 @pytest.mark.parametrize("level", (0.01, 0.03, 0.05))
-@pytest.mark.parametrize("shape, order", [((21, 21), SLICE_ORDER), ((21, 11), TRACE_ORDER)])
+@pytest.mark.parametrize(
+    "shape, order",
+    [((21, 21), SLICE_ORDER), ((21, 11), TRACE_ORDER), ((20, 20), SLICE_ORDER),
+     ((41, 41), SLICE_ORDER)],
+)
+def test_blocked_fit_equals_the_dense_fit(shape, order, level):
+    x1 = np.linspace(1.0, 2.0, shape[0])[:, None]
+    x2 = np.linspace(-0.5, 0.5, shape[1])[None, :]
+    clean = np.cos(np.pi * x1) * np.sin(np.pi * x2) + 2.0
+    zeta = np.random.default_rng(3).random(shape)
+    noisy = clean * (1.0 + level * zeta)
+    fitted = regularized_fit(noisy, level, order)
+    reference = dense_fit(noisy, level, order)
+    assert np.max(np.abs(fitted - reference)) <= 1e-6 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("level", (0.01, 0.03, 0.05))
+@pytest.mark.parametrize(
+    "shape, order",
+    [((21, 21), SLICE_ORDER), ((21, 11), TRACE_ORDER), ((20, 20), SLICE_ORDER),
+     ((11, 21), TRACE_ORDER)],
+)
 def test_fit_returns_polynomials_the_penalty_does_not_see(shape, order, level):
     # zero penalty and zero residual at every alpha: the discrepancy rule
     # ends at the largest alpha, where the fit must still be the data
