@@ -6,21 +6,4 @@ recovers the spatially varying interaction coefficient by minimizing a
 Carleman-weighted least-squares functional with projected gradient descent.
 """
 
-from .config import ExperimentConfig, load_config
-from .grid import Field, SpaceTimeGrid
-from .phantoms import letter_phantom, make_k, score
-from .pipeline import run_generation, run_inversion
-
-__all__ = [
-    "ExperimentConfig",
-    "Field",
-    "SpaceTimeGrid",
-    "letter_phantom",
-    "load_config",
-    "make_k",
-    "run_generation",
-    "run_inversion",
-    "score",
-]
-
 __version__ = "0.1.0"

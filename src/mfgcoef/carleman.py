@@ -331,7 +331,13 @@ def certify(
         Each row is one profile's values at the knots.
     lambdas : sequence of float
         Weight strengths; any value ``validate_lambdas`` accepts is
-        admissible (the inequality carries no large-lam threshold).
+        admissible to the inequality, which carries no large-lam
+        threshold, but not every one is decidable by this quadrature.
+        The weight narrows around t = 0 as lam grows, and uniform
+        doubling needs ever more levels to settle: pairs settle at
+        levels 18-20 for lam = 100 and 23-24 for lam = 1e4, and at
+        lam = 1e5 every pair stays inconclusive at ``MAX_LEVEL`` (24).
+        That is the quadrature's limit, not the inequality's.
     alpha : float
         Temporal exponent, odd/odd in (0, 1/3).
     """

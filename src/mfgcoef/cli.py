@@ -30,8 +30,7 @@ from .carleman import ratio_log_slope, run_certification, validate_lambdas
 from .config import ExperimentConfig, load_config
 from .fieldio import read_field, write_csv, write_field, write_pgm
 from .forward import OBSERVATION_FIELDS, ObservationData
-from .grid import SPACE_TIME, SPATIAL, Field
-from .kernels import DenominatorError, denominator_field
+from .grid import SPACE_TIME, SPATIAL, DenominatorError, Field, InteractionOperator
 from .phantoms import LETTERS
 from .pipeline import run_generation, run_inversion
 
@@ -196,7 +195,7 @@ def cmd_generate(args) -> int:
     coarse = obs.grid
     write_field(paths["cost"], Field(coarse, SPACE_TIME, data.cost_coarse))
     write_field(paths["cost_rate"], Field(coarse, SPACE_TIME, data.cost_rate_coarse))
-    denom = denominator_field(cfg.kernel(), obs.p0)
+    denom = InteractionOperator(coarse, cfg.sigma).denominator(obs.p0.values)
     _write_manifest(out, {
         "command": "generate",
         "config": cfg.to_dict(),
@@ -205,7 +204,7 @@ def cmd_generate(args) -> int:
             "min_density": data.min_density,
             "preconditioned_sweeps": data.preconditioned_sweeps,
             "krylov_steps": data.krylov_steps,
-            "denominator_min_abs": float(np.abs(denom.values).min()),
+            "denominator_min_abs": float(np.abs(denom).min()),
         },
         "outputs": _hash_map(paths),
     })
@@ -398,7 +397,11 @@ def cmd_verify_carleman(args) -> int:
     bad = counts["violated"] + counts["inconclusive"]
     print(f"{counts['holds']} hold, {bad} failures -> {report_path}")
     if bad:
-        raise NumericalFailure(f"{bad} certification trials did not hold")
+        raise NumericalFailure(
+            f"{counts['violated']} certification trials violated the inequality and "
+            f"{counts['inconclusive']} were inconclusive (no two quadrature levels "
+            "agreed by the deepest level)"
+        )
     return EXIT_OK
 
 

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .carleman import CarlemanParams
-from .grid import SpaceTimeGrid, restriction_strides
+from .grid import InteractionOperator, SpaceTimeGrid, restriction_strides
 from .inverse import SolverConfig
-from .kernels import LineGaussianKernel
 from .phantoms import raster_letter
 
 ENV_OUTPUT_ROOT = "MFGCOEF_OUTPUT_ROOT"
@@ -86,9 +85,6 @@ class ExperimentConfig:
     def solver_config(self) -> SolverConfig:
         return SolverConfig(grad_tol=self.grad_tol, max_iter=self.max_iter)
 
-    def kernel(self) -> LineGaussianKernel:
-        return LineGaussianKernel(sigma=self.sigma)
-
     def validate(self) -> None:
         """Construct everything cheap once; raises on any bad combination.
 
@@ -108,7 +104,7 @@ class ExperimentConfig:
         restriction_strides(self.fine_grid(), coarse)
         self.carleman_params().balanced_log_weight(coarse)
         self.solver_config()
-        self.kernel()
+        InteractionOperator(coarse, self.sigma)
         raster_letter(self.letter, coarse)
         if self.contrast <= 0:
             raise ValueError(f"contrast must be positive, got {self.contrast}")

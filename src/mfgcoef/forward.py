@@ -1,8 +1,8 @@
 """Forward data generation: density solve, coefficient construction, observations.
 
-The pipeline prescribes an analytic value function v, an initial density
-and Dirichlet density boundary data, and a target interaction coefficient
-k.  The density equation
+The pipeline prescribes an analytic value function v, an analytic density
+whose samples give the initial density and the Dirichlet boundary data,
+and a target interaction coefficient k.  The density equation
 
     dp/dt - lap(p) - div(p grad(v)) = 0
 
@@ -54,13 +54,13 @@ from .grid import (
     GAMMA_TRACE,
     SPATIAL,
     Field,
+    InteractionOperator,
     SpaceTimeGrid,
     apply_along_axis,
     first_diff_matrix,
     restriction_strides,
     second_diff_matrix,
 )
-from .kernels import InteractionOperator, LineGaussianKernel
 
 DENSITY_FLOOR = 1e-8
 # a step stops at a residual of a few ulps of its right-hand side
@@ -76,28 +76,26 @@ GMRES_MATVECS = 600
 BACKWARD_ERROR_FLOOR = 64 * np.finfo(float).eps
 
 SpaceTimeFn = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-SpatialFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass
 class ForwardSpec:
     """Everything the generator needs, on the fine grid.
 
-    ``value_fn(x1, x2, t)`` is the prescribed value function; the density
-    starts from ``density_init_fn`` and carries Dirichlet data
-    ``density_boundary_fn`` on the lateral boundary.  ``coefficient`` is
-    the target interaction coefficient k sampled on the grid, and
-    ``kernel`` fixes the interaction operator.  The functions are
-    sampled one time level at a time, so no field over the whole grid is
-    formed from them.
+    ``value_fn(x1, x2, t)`` is the prescribed value function.  The
+    density starts from ``density_fn(x1, x2, 0)`` and carries the
+    Dirichlet data ``density_fn(x1, x2, t)`` on the lateral boundary.
+    ``coefficient`` is the target interaction coefficient k sampled on
+    the grid, and ``sigma`` is the width of the interaction kernel
+    (``grid.InteractionOperator``).  The functions are sampled one time
+    level at a time, so no field over the whole grid is formed from them.
     """
 
     grid: SpaceTimeGrid
     value_fn: SpaceTimeFn
-    density_init_fn: SpatialFn
-    density_boundary_fn: SpaceTimeFn
+    density_fn: SpaceTimeFn
     coefficient: np.ndarray
-    kernel: LineGaussianKernel
+    sigma: float
 
     def __post_init__(self) -> None:
         shape = self.grid.spatial_shape()
@@ -401,7 +399,7 @@ def solve_density(
 
     sample_value(0)
     p = slab(density, 0)
-    p[...] = spec.density_init_fn(x1, x2)
+    p[...] = spec.density_fn(x1, x2, times[0])
     smallest = minimum(p, 0)
     recent = [p]
 
@@ -457,7 +455,7 @@ def solve_density(
         # Dirichlet data; the zeroed interior drops interior neighbours
         # from the coupling
         p = slab(density, n)
-        p[...] = spec.density_boundary_fn(x1, x2, t)
+        p[...] = spec.density_fn(x1, x2, t)
         p[1:-1, 1:-1] = 0.0
         coupling = _five_point(off, p)
         rhs = recent[-1] / g.ht
@@ -574,7 +572,7 @@ def make_s(
     vlap = vlap + apply_along_axis(second_diff_matrix(g.n2, g.h2)[::s2], lines2, 1)[:, :, levels]
     vx2 = apply_along_axis(first_diff_matrix(g.n2, g.h2)[::s2], lines2, 1)[:, :, levels]
     del lines2
-    inter = InteractionOperator(g, spec.kernel).apply(
+    inter = InteractionOperator(g, spec.sigma).apply(
         _on_time_axis(g.nt, levels, density[::s1, :, at], (1, 0, 2)), rows=np.s_[::s2]
     )[:, :, levels]
     k = spec.coefficient[::s1, ::s2, None]

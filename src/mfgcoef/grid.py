@@ -1,13 +1,16 @@
 """Uniform tensor grids on the space-time slab and the discrete calculus on them.
 
 The computational domain is the box (a, b) x (-half_width, half_width) in
-space crossed with (0, horizon) in time.  Everything downstream (kernel
-quadrature, residual stencils, the objective gradient) is built from the
-small dense difference matrices defined here, so that transposing a matrix
-is all it takes to get an exact adjoint.  The H2 penalty of the objective
-is defined here too, once, as ``H2Form``: the per-axis difference
-operators and Gram matrices from which its value, its gradient and its
-diagonal are all read.
+space crossed with (0, horizon) in time.  Everything downstream (residual
+stencils, the objective gradient) is built from the small dense matrices
+defined here, so that transposing a matrix is all it takes to get an
+exact adjoint.  Two operators that both the forward and the inverse half
+use are defined here, once each: ``InteractionOperator``, the interaction
+integral of the density as one trapezoid quadrature along x2, with the
+guarded midpoint denominator that the coefficient elimination divides
+by; and ``H2Form``, the H2 penalty of the objective, the per-axis
+difference operators and Gram matrices from which its value, its
+gradient and its diagonal are all read.
 
 Array layout is row-major (x1, x2) for spatial fields and (x1, x2, t) for
 space-time fields.
@@ -192,6 +195,66 @@ def trapezoid_weights(n: int, h: float) -> np.ndarray:
     w[0] = 0.5 * h
     w[-1] = 0.5 * h
     return w
+
+
+# the smallest |interaction integral| of the midpoint density that the
+# coefficient elimination may divide by
+DENOMINATOR_FLOOR = 1e-8
+
+
+class DenominatorError(ValueError):
+    """The interaction integral of a density slice vanishes at some node."""
+
+
+class InteractionOperator:
+    """The interaction integral of the density, node by node, on one grid.
+
+    The coupling term of the value equation integrates the density against
+    a kernel concentrated on the line y1 = x1 with the transverse Gaussian
+    weight exp(-(x2 - y2)^2 / sigma^2); ``sigma = inf`` is the flat weight
+    1, the plain trapezoid integral over y2.  The integral collapses to one
+    quadrature over y2, a dense (n2, n2) matrix with nonnegative weights,
+    built once.  ``apply`` evaluates it at every node of a spatial or
+    space-time array by applying it along x2 (or only at the x2 nodes
+    ``rows`` selects, with those rows of the matrix), and
+    ``apply_transpose`` is its exact adjoint in the unweighted node inner
+    product; the objective gradient depends on that.
+    """
+
+    def __init__(self, grid: SpaceTimeGrid, sigma: float) -> None:
+        if not sigma > 0:
+            raise ValueError(f"sigma must be positive, got {sigma}")
+        self.grid = grid
+        d = np.subtract.outer(grid.x2, grid.x2)
+        w2 = trapezoid_weights(grid.n2, grid.h2)
+        self._matrix = np.exp(-(d * d) / (sigma * sigma)) * w2[None, :]
+
+    def apply(self, values: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        return apply_along_axis(self._matrix[rows], values, 1)
+
+    def apply_transpose(self, values: np.ndarray) -> np.ndarray:
+        return apply_along_axis(self._matrix.T, values, 1)
+
+    def denominator(self, p0: np.ndarray) -> np.ndarray:
+        """The integral of a midpoint density slice; used as a reciprocal later.
+
+        Raises ``DenominatorError`` if any node falls below
+        ``DENOMINATOR_FLOOR`` in magnitude, naming the worst offender:
+        downstream code divides by this field.
+        """
+        g = self.grid
+        if np.shape(p0) != g.spatial_shape():
+            raise ValueError(f"denominator needs a density slice, got shape {np.shape(p0)}")
+        out = self.apply(p0)
+        mags = np.abs(out)
+        if mags.min() < DENOMINATOR_FLOOR:
+            i, j = np.unravel_index(int(np.argmin(mags)), mags.shape)
+            raise DenominatorError(
+                f"interaction denominator is {out[i, j]:.3e} at node "
+                f"(x1={g.x1[i]:.4f}, x2={g.x2[j]:.4f}), below the "
+                f"{DENOMINATOR_FLOOR:.1e} floor; the density slice is too close to zero"
+            )
+        return out
 
 
 def apply_along_axis(mat: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:

@@ -47,8 +47,7 @@ import numpy as np
 
 from .carleman import CarlemanParams
 from .forward import ObservationData
-from .grid import H2Form, apply_along_axis, volterra_matrix
-from .kernels import InteractionOperator, LineGaussianKernel, denominator_field
+from .grid import H2Form, InteractionOperator, apply_along_axis, volterra_matrix
 
 
 class ObjectiveParts(NamedTuple):
@@ -70,8 +69,10 @@ class ObjectiveContext:
     its regularized fit for noisy data), and the context reads its grid
     from them.  It differentiates the midpoint value slice with the
     penalty's own difference matrices, and the descent's data
-    constraints read the traces.  ``cost``/``cost_rate`` are the local
-    cost s and its time derivative on the same grid.
+    constraints read the traces.  Its one ``InteractionOperator`` (kernel
+    width ``sigma``) acts on m in the value residual and on p0 for the
+    denominator of the coefficient elimination.  ``cost``/``cost_rate``
+    are the local cost s and its time derivative on the same grid.
     ``residual_scale`` multiplies both residual sums; zero isolates the
     H2 penalty, which the solver tests use as an exactly solvable
     quadratic.
@@ -80,7 +81,7 @@ class ObjectiveContext:
     def __init__(
         self,
         observations: ObservationData,
-        kernel: LineGaussianKernel,
+        sigma: float,
         params: CarlemanParams,
         beta: float,
         cost: np.ndarray,
@@ -105,7 +106,7 @@ class ObjectiveContext:
         self.observations = observations
         self.cost = cost
         self.cost_rate = cost_rate
-        self.operator = InteractionOperator(grid, kernel)
+        self.operator = InteractionOperator(grid, sigma)
         self.h2 = H2Form(grid)
         # the residuals' differences are the penalty's: x1, x2 and t firsts,
         # x1 and x2 seconds
@@ -121,9 +122,8 @@ class ObjectiveContext:
         self.p0 = observations.p0.values
 
         # coefficient elimination: k = f * u(., T/2) + F
-        den = denominator_field(kernel, observations.p0)
-        self.denominator = den.values
-        self.f = 1.0 / den.values
+        self.denominator = self.operator.denominator(self.p0)
+        self.f = 1.0 / self.denominator
         s_mid = cost[:, :, grid.mid_index]
         self.F = self.f * (v0_lap - 0.5 * np.sum(self.v0_x**2, axis=0) - s_mid * self.p0)
 

@@ -36,16 +36,9 @@ def benchmark_value_fn(x1, x2, t):
     return 0.1 * np.cos(np.pi * x1) * np.sin(np.pi * x2) * (t * t + 1.0)
 
 
-def benchmark_density_boundary_fn(offset: float):
+def benchmark_density_fn(offset: float):
     def fn(x1, x2, t):
         return (t + 1.0) * (x1 * x2 + offset)
-
-    return fn
-
-
-def benchmark_density_init_fn(offset: float):
-    def fn(x1, x2):
-        return x1 * x2 + offset
 
     return fn
 
@@ -56,10 +49,9 @@ def forward_spec(cfg: ExperimentConfig) -> ForwardSpec:
     return ForwardSpec(
         grid=fine,
         value_fn=benchmark_value_fn,
-        density_init_fn=benchmark_density_init_fn(cfg.density_offset),
-        density_boundary_fn=benchmark_density_boundary_fn(cfg.density_offset),
+        density_fn=benchmark_density_fn(cfg.density_offset),
         coefficient=k_fine.values,
-        kernel=cfg.kernel(),
+        sigma=cfg.sigma,
     )
 
 
@@ -77,7 +69,7 @@ def build_context(
     """The objective of one inversion, on the noised and fitted observations."""
     return ObjectiveContext(
         observations=smooth_observations(inject(obs, cfg.delta, cfg.seed), cfg.delta),
-        kernel=cfg.kernel(),
+        sigma=cfg.sigma,
         params=cfg.carleman_params(),
         beta=cfg.beta,
         cost=cost,

@@ -360,3 +360,13 @@ def test_quadrature_work_counts_the_form_builds(monkeypatch):
     assert work["form_nodes"] == sum(2**level + 1 for level, _ in builds)
     for lam, top in zip((1.0, 1000.0), deepest):
         assert sorted(level for level, l in builds if l == lam) == list(range(START_LEVEL, top + 1))
+
+
+def test_a_pair_that_never_settles_is_inconclusive(monkeypatch):
+    # lam = 1e5 never settles, even by level 24; two levels reach the
+    # inconclusive path without the deep quadrature
+    monkeypatch.setattr(carleman, "MAX_LEVEL", START_LEVEL + 1)
+    r = run_certification(seed=7, n_trials=3, lambdas=(1e5,))
+    assert np.all(r.status == "inconclusive")
+    assert np.all(r.levels == carleman.MAX_LEVEL)
+    assert not r.converged.any()

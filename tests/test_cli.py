@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mfgcoef
+from mfgcoef import carleman
 from mfgcoef.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, _write_manifest, main
 from mfgcoef.fieldio import read_field, read_pgm, write_field
 from mfgcoef.grid import SPATIAL, Field, SpaceTimeGrid
@@ -349,6 +350,38 @@ def test_verify_carleman_repeated_lambda_reports_no_slope(tmp_path):
     assert "slope" not in (out / "report.txt").read_text()
 
 
+def _report_rows(report: str):
+    return [line for line in report.splitlines()[1:] if not line.startswith("#")]
+
+
+def test_verify_carleman_names_inconclusive_pairs(monkeypatch, tmp_path, capsys):
+    # lam = 1e5 never settles; capping the levels reaches that path cheaply
+    monkeypatch.setattr(carleman, "MAX_LEVEL", carleman.START_LEVEL + 1)
+    out = tmp_path / "carl"
+    code = main(["verify-carleman", "--out", str(out), "--lambda", "1e5", "--trials", "2"])
+    assert code == EXIT_NUMERICAL
+    rows = _report_rows((out / "report.txt").read_text())
+    assert len(rows) == 2
+    assert all(row.endswith(" inconclusive") for row in rows)
+    captured = capsys.readouterr()
+    assert captured.out.startswith("0 hold, 2 failures -> ")
+    assert "0 certification trials violated the inequality and 2 were inconclusive" in captured.err
+
+
+def test_verify_carleman_names_violated_pairs(monkeypatch, tmp_path, capsys):
+    # no slack at all below the bound: every settled pair is violated
+    monkeypatch.setattr(carleman, "HOLDS_REL_SLACK", -1.0)
+    out = tmp_path / "carl"
+    code = main(["verify-carleman", "--out", str(out), "--lambda", "2", "--trials", "2"])
+    assert code == EXIT_NUMERICAL
+    rows = _report_rows((out / "report.txt").read_text())
+    assert len(rows) == 2
+    assert all(row.endswith(" violated") for row in rows)
+    assert "2 certification trials violated the inequality and 0 were inconclusive" in (
+        capsys.readouterr().err
+    )
+
+
 @pytest.mark.parametrize("raw", ["", " , "])
 def test_verify_carleman_rejects_an_empty_lambda_list(tmp_path, capsys, raw):
     # an empty list used to certify the default lambdas and exit 0
@@ -535,6 +568,23 @@ def test_noisy_invert_does_not_depend_on_the_blas_thread_count(tmp_path):
     one, two = run(1), run(2)
     assert one[1] == two[1]
     assert one[0] == two[0]
+
+
+def test_imports_load_only_the_layers_they_need(tmp_path):
+    # the package root re-exports nothing, and the certification stands on
+    # the grid alone
+    def loaded(module):
+        child = _run_child(
+            "import sys\n"
+            f"import {module}\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mfgcoef'))\n",
+            tmp_path,
+        )
+        assert child.returncode == 0, child.stderr
+        return child.stdout.splitlines()[-1]
+
+    assert loaded("mfgcoef") == "['mfgcoef']"
+    assert loaded("mfgcoef.carleman") == "['mfgcoef', 'mfgcoef.carleman', 'mfgcoef.grid']"
 
 
 def test_no_command_loads_scipy(tmp_path):

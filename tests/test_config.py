@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 
 from mfgcoef.config import _SCHEMA, ENV_OUTPUT_ROOT, ExperimentConfig, load_config
+from mfgcoef.grid import InteractionOperator
 from mfgcoef.inverse import SolverConfig
-from mfgcoef.kernels import LineGaussianKernel
 
 
 def test_defaults_are_the_benchmark_setup():
@@ -25,7 +25,7 @@ def test_builders_construct_consistent_objects():
     assert (fine.n1, fine.n2, fine.nt) == (81, 81, 321)
     assert (coarse.n1, coarse.n2, coarse.nt) == (21, 21, 11)
     assert fine.a == coarse.a and fine.horizon == coarse.horizon
-    assert isinstance(cfg.kernel(), LineGaussianKernel)
+    assert InteractionOperator(coarse, cfg.sigma).grid == coarse
     assert cfg.solver_config() == SolverConfig()
     params = cfg.carleman_params()
     assert params.lam == 3.0 and params.alpha == 0.2

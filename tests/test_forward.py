@@ -18,13 +18,13 @@ from mfgcoef.forward import (
     solve_density,
 )
 from mfgcoef.grid import (
+    InteractionOperator,
     SpaceTimeGrid,
     apply_along_axis,
     first_diff_matrix,
     restriction_strides,
     second_diff_matrix,
 )
-from mfgcoef.kernels import InteractionOperator, LineGaussianKernel
 from mfgcoef.pipeline import forward_spec
 
 
@@ -59,10 +59,9 @@ def spec_for(g, fv, fp, k=None):
     return ForwardSpec(
         grid=g,
         value_fn=fv,
-        density_init_fn=lambda a1, a2: fp(a1, a2, 0.0),
-        density_boundary_fn=fp,
+        density_fn=fp,
         coefficient=k if k is not None else np.ones(g.spatial_shape()),
-        kernel=LineGaussianKernel(sigma=0.2),
+        sigma=0.2,
     )
 
 
@@ -117,7 +116,7 @@ def reference_density(spec, source=None):
     boundary = np.ones((n1, n2), dtype=bool)
     boundary[1:-1, 1:-1] = False
     p = np.empty(g.spacetime_shape())
-    p[:, :, 0] = spec.density_init_fn(x1, x2)
+    p[:, :, 0] = spec.density_fn(x1, x2, g.t[0])
     for n in range(1, g.nt):
         t = g.t[n]
         v = spec.value_fn(x1, x2, t)
@@ -140,7 +139,7 @@ def reference_density(spec, source=None):
         rows = np.concatenate([interior for _ in entries])
         cols = np.concatenate([target.ravel() for _, target in entries])
         mat = sp.coo_matrix((vals, (rows, cols)), shape=(n1 * n2, n1 * n2)).tocsr()
-        bvals = np.where(boundary, spec.density_boundary_fn(x1, x2, t), 0.0)
+        bvals = np.where(boundary, spec.density_fn(x1, x2, t), 0.0)
         rhs = p[:, :, n - 1] / g.ht
         if source is not None:
             rhs = rhs + source(x1, x2, t)
@@ -275,7 +274,7 @@ def value_terms(g, value):
 def full_grid_cost(spec, density, value):
     """s and s_t at every node of the generation grid, by the difference matrices."""
     g = spec.grid
-    inter = InteractionOperator(g, spec.kernel).apply(density)
+    inter = InteractionOperator(g, spec.sigma).apply(density)
     num = value_terms(g, value) - spec.coefficient[:, :, None] * inter
     s = num / density
     return s, apply_along_axis(first_diff_matrix(g.nt, g.ht), s, 2)
@@ -298,7 +297,7 @@ def coarse_cost_on_every_level(spec, density, value, coarse):
     )
     vx1 = apply_along_axis(first_diff_matrix(g.n1, g.h1)[::s1], lines1, 0)
     vx2 = apply_along_axis(first_diff_matrix(g.n2, g.h2)[::s2], lines2, 1)
-    inter = InteractionOperator(g, spec.kernel).apply(density[::s1], rows=np.s_[::s2])
+    inter = InteractionOperator(g, spec.sigma).apply(density[::s1], rows=np.s_[::s2])
     num = vt + vlap - 0.5 * (vx1 * vx1 + vx2 * vx2) - spec.coefficient[::s1, ::s2, None] * inter
     s = num / density[::s1, ::s2]
     return s[:, :, ::st], apply_along_axis(d_t[::st], s, 2)
@@ -349,7 +348,7 @@ def test_make_s_satisfies_value_equation_identity():
     assert np.all(np.isfinite(s))
     assert st.shape == g.spacetime_shape()
 
-    op = InteractionOperator(g, spec.kernel)
+    op = InteractionOperator(g, spec.sigma)
     num = value_terms(g, solution.value) - spec.coefficient[:, :, None] * op.apply(density)
     assert np.allclose(num - s * density, 0.0, atol=1e-12 * np.max(np.abs(num)))
 
@@ -486,8 +485,7 @@ def test_forward_spec_validation():
         ForwardSpec(
             grid=g,
             value_fn=lambda a1, a2, t: a1,
-            density_init_fn=lambda a1, a2: a1,
-            density_boundary_fn=lambda a1, a2, t: a1,
+            density_fn=lambda a1, a2, t: a1,
             coefficient=np.ones((3, 3)),
-            kernel=LineGaussianKernel(),
+            sigma=0.2,
         )

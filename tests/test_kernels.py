@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from mfgcoef.grid import SPACE_TIME, SPATIAL, Field, SpaceTimeGrid, trapezoid_weights
-from mfgcoef.kernels import (
+from mfgcoef.grid import (
+    DenominatorError,
     InteractionOperator,
-    LineGaussianKernel,
-    denominator_field,
-    interaction_integral,
+    SpaceTimeGrid,
+    trapezoid_weights,
 )
 
 
@@ -24,23 +23,22 @@ def refined_line_integral(x2_eval, f_of_y2, sigma, half_width, n=20001):
 def test_flat_weight_reduces_to_plain_integral():
     g = make_grid()
     rng = np.random.default_rng(0)
-    f = Field(g, SPATIAL, rng.standard_normal(g.spatial_shape()))
-    out = interaction_integral(LineGaussianKernel(sigma=np.inf), f)
-    plain = f.values @ trapezoid_weights(g.n2, g.h2)
-    assert np.allclose(out.values, plain[:, None], atol=1e-13)
+    f = rng.standard_normal(g.spatial_shape())
+    out = InteractionOperator(g, np.inf).apply(f)
+    plain = f @ trapezoid_weights(g.n2, g.h2)
+    assert np.allclose(out, plain[:, None], atol=1e-13)
 
 
 def test_line_gaussian_matches_refined_quadrature():
     g = make_grid()
     x1, x2 = g.meshgrid()
-    f = Field(g, SPATIAL, x1 * x2 + 2.0)
-    out = interaction_integral(LineGaussianKernel(sigma=0.2), f)
+    out = InteractionOperator(g, 0.2).apply(x1 * x2 + 2.0)
     for i1 in (0, 10, 20):
         for i2 in (0, 7, 14, 20):
             oracle = refined_line_integral(
                 g.x2[i2], lambda y: g.x1[i1] * y + 2.0, 0.2, g.half_width
             )
-            assert out.values[i1, i2] == pytest.approx(oracle, rel=2e-2, abs=2e-3)
+            assert out[i1, i2] == pytest.approx(oracle, rel=2e-2, abs=2e-3)
 
 
 def test_line_gaussian_converges_second_order():
@@ -49,15 +47,14 @@ def test_line_gaussian_converges_second_order():
     for n2 in (21, 41):
         g = make_grid(n2=n2)
         _, x2 = g.meshgrid()
-        f = Field(g, SPATIAL, np.sin(np.pi * x2))
-        out = interaction_integral(LineGaussianKernel(sigma=sigma), f)
+        out = InteractionOperator(g, sigma).apply(np.sin(np.pi * x2))
         oracle = np.array(
             [
                 refined_line_integral(v, lambda y: np.sin(np.pi * y), sigma, g.half_width)
                 for v in g.x2
             ]
         )
-        errs.append(np.max(np.abs(out.values[0] - oracle)))
+        errs.append(np.max(np.abs(out[0] - oracle)))
     assert 3.3 <= errs[0] / errs[1] <= 4.7
 
 
@@ -66,7 +63,7 @@ def test_linearity_and_positivity():
     rng = np.random.default_rng(1)
     a = rng.standard_normal(g.spatial_shape())
     b = rng.standard_normal(g.spatial_shape())
-    op = InteractionOperator(g, LineGaussianKernel(0.2))
+    op = InteractionOperator(g, 0.2)
     lhs = op.apply(2.0 * a - 3.0 * b)
     rhs = 2.0 * op.apply(a) - 3.0 * op.apply(b)
     assert np.allclose(lhs, rhs, atol=1e-12)
@@ -77,7 +74,7 @@ def test_linearity_and_positivity():
 def test_operators_transpose_is_adjoint():
     g = make_grid(n1=8, n2=9, nt=5)
     rng = np.random.default_rng(9)
-    op = InteractionOperator(g, LineGaussianKernel(0.2))
+    op = InteractionOperator(g, 0.2)
     f = rng.standard_normal(g.spacetime_shape())
     w = rng.standard_normal(g.spacetime_shape())
     lhs = np.sum(op.apply(f) * w)
@@ -89,22 +86,25 @@ def test_spacetime_fields_processed_per_slice():
     g = make_grid(n1=8, n2=9, nt=5)
     rng = np.random.default_rng(4)
     vals = rng.standard_normal(g.spacetime_shape())
-    op = InteractionOperator(g, LineGaussianKernel(0.2))
-    full = interaction_integral(LineGaussianKernel(0.2), Field(g, SPACE_TIME, vals))
+    op = InteractionOperator(g, 0.2)
+    full = op.apply(vals)
     for k in range(g.nt):
         single = op.apply(vals[:, :, k])
-        assert np.allclose(full.values[:, :, k], single, atol=1e-14)
+        assert np.allclose(full[:, :, k], single, atol=1e-14)
 
 
 def test_denominator_guard():
     g = make_grid(n1=7, n2=7)
     x1, x2 = g.meshgrid()
-    ok = denominator_field(LineGaussianKernel(0.2), Field(g, SPATIAL, x1 * x2 + 2.0))
-    assert ok.values.min() > 0.1
-    with pytest.raises(ValueError, match="floor"):
-        denominator_field(LineGaussianKernel(0.2), Field(g, SPATIAL, x1 * x2))
+    op = InteractionOperator(g, 0.2)
+    ok = op.denominator(x1 * x2 + 2.0)
+    assert ok.min() > 0.1
+    with pytest.raises(DenominatorError, match="floor"):
+        op.denominator(x1 * x2)
 
 
 def test_sigma_validation():
-    with pytest.raises(ValueError):
-        LineGaussianKernel(sigma=0.0)
+    g = make_grid()
+    for sigma in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            InteractionOperator(g, sigma)

@@ -19,7 +19,6 @@ from mfgcoef.grid import (
     second_diff_matrix,
 )
 from mfgcoef.inverse import DataConstraints
-from mfgcoef.kernels import LineGaussianKernel
 from mfgcoef.noise import (
     SLICE_ORDER,
     TRACE_ORDER,
@@ -143,7 +142,7 @@ def test_smooth_matches_stencils_on_clean_data():
     smooth = smooth_observations(obs, 0.0)
     zeros = np.zeros(g.spacetime_shape())
     params = CarlemanParams(lam=3.0, alpha=0.2)
-    ctx = ObjectiveContext(smooth, LineGaussianKernel(sigma=0.2), params, 1e-3, zeros, zeros)
+    ctx = ObjectiveContext(smooth, 0.2, params, 1e-3, zeros, zeros)
     v0 = obs.v0.values
     v0_x1 = apply_along_axis(first_diff_matrix(g.n1, g.h1), v0, 0)
     v0_x2 = apply_along_axis(first_diff_matrix(g.n2, g.h2), v0, 1)

@@ -5,7 +5,6 @@ from mfgcoef.carleman import CarlemanParams
 from mfgcoef.forward import ForwardSpec, extract_observations, make_s, solve_density
 from mfgcoef.grid import H2Form, SpaceTimeGrid, apply_along_axis, first_diff_matrix
 from mfgcoef.inverse import DataConstraints
-from mfgcoef.kernels import LineGaussianKernel
 from mfgcoef.objective import (
     ObjectiveContext,
     convexity_gap,
@@ -17,7 +16,7 @@ from mfgcoef.objective import (
 )
 from test_forward import sampled_solution
 
-KERNEL = LineGaussianKernel(sigma=0.2)
+SIGMA = 0.2
 
 
 def grid(n1, n2, nt):
@@ -37,10 +36,9 @@ def make_context(g, lam=3.0, beta=1e-3, residual_scale=1.0):
     spec = ForwardSpec(
         grid=g,
         value_fn=value_fn,
-        density_init_fn=lambda a1, a2: density_fn(a1, a2, 0.0),
-        density_boundary_fn=density_fn,
+        density_fn=density_fn,
         coefficient=np.ones(g.spatial_shape()),
-        kernel=KERNEL,
+        sigma=SIGMA,
     )
     solution = sampled_solution(spec, density_fn)
     obs = extract_observations(spec, solution, g)
@@ -48,7 +46,7 @@ def make_context(g, lam=3.0, beta=1e-3, residual_scale=1.0):
     params = CarlemanParams(lam=lam, alpha=0.2)
     return ObjectiveContext(
         observations=obs,
-        kernel=KERNEL,
+        sigma=SIGMA,
         params=params,
         beta=beta,
         cost=s,
@@ -170,10 +168,9 @@ def test_coefficient_identity_on_consistent_data():
     spec = ForwardSpec(
         grid=fine,
         value_fn=value_fn,
-        density_init_fn=lambda a1, a2: density_fn(a1, a2, 0.0),
-        density_boundary_fn=density_fn,
+        density_fn=density_fn,
         coefficient=k_fine,
-        kernel=KERNEL,
+        sigma=SIGMA,
     )
     # every fine level is kept, for the truth's time difference below
     solution = solve_density(spec, fine)
@@ -184,7 +181,7 @@ def test_coefficient_identity_on_consistent_data():
     params = CarlemanParams(lam=3.0, alpha=0.2)
     ctx = ObjectiveContext(
         observations=obs,
-        kernel=KERNEL,
+        sigma=SIGMA,
         params=params,
         beta=1e-3,
         cost=s,
