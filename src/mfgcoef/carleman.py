@@ -93,14 +93,21 @@ class CarlemanParams:
     def balanced_log_weight(self, grid: SpaceTimeGrid) -> np.ndarray:
         """log of weight/max at the grid's (x1, t) nodes, shape (n1, nt).
 
-        The weight is exp[2*lam*(x1^2 - |t - T/2|^(1+alpha))]; its log
-        less its peak 2*lam*b^2 at (b, T/2) is always <= 0.  Folding the
-        balance factor into the exponent keeps the combined weight in
-        (0, 1] for any lam, so no overflow is possible.
+        The weight is exp[2*lam*(x1^2 - |t - T/2|^(1+alpha))].  It peaks
+        at (b, T/2) when b > 0 and a >= -b, so x1^2 <= b^2 on [a, b], and
+        both are checked here; its log less that peak 2*lam*b^2 is then
+        always <= 0.  Folding the balance factor into the exponent keeps
+        the combined weight in (0, 1] for any lam, so no overflow is
+        possible.
         """
         if grid.b <= 0:
             raise ValueError(
                 f"b must be positive, since the weight peaks at x1 = b; got b={grid.b}"
+            )
+        if grid.a < -grid.b:
+            raise ValueError(
+                f"a must be at least -b, since the weight peaks at x1 = b; "
+                f"got a={grid.a}, b={grid.b}"
             )
         x1 = grid.x1[:, None]
         shift = np.abs(grid.t[None, :] - 0.5 * grid.horizon) ** (1.0 + self.alpha)
@@ -391,8 +398,8 @@ def run_certification(
     seed: int,
     n_trials: int,
     lambdas: Sequence[float],
-    d: float = 0.5,
-    alpha: float = 0.2,
+    d: float,
+    alpha: float,
 ) -> Certification:
     """Certify the inequality over a seeded ensemble of random profiles.
 
@@ -404,9 +411,7 @@ def run_certification(
     return certify(np.linspace(-d, d, N_KNOTS), profiles, lambdas, alpha)
 
 
-def ratio_log_slope(
-    lambdas: Iterable[float], d: float = 0.5, alpha: float = 0.2
-) -> Optional[float]:
+def ratio_log_slope(lambdas: Iterable[float], d: float, alpha: float) -> Optional[float]:
     """Fitted log-log slope of the new-vs-conventional bound ratio in lam.
 
     The fit runs over the distinct lam; with fewer than two there is no

@@ -44,7 +44,7 @@ DATASET_FIELDS = OBSERVATION_FIELDS + ("cost", "cost_rate")
 # so the two halves of a run cannot silently disagree
 DATASET_BOUND_FIELDS = (
     "a", "b", "half_width", "horizon", "fine", "coarse",
-    "sigma", "letter", "contrast", "density_offset",
+    "sigma", "letter", "contrast",
 )
 
 
@@ -140,12 +140,24 @@ def _dataset_paths(dataset_dir: str) -> dict:
     return {name: os.path.join(dataset_dir, name + ".field") for name in DATASET_FIELDS}
 
 
-def _read_dataset(dataset_dir: str):
+def _read_dataset(dataset_dir: str, cfg: ExperimentConfig):
+    """A dataset's observations, cost and rate, and ``cfg`` bound to it.
+
+    Returns ``(cfg, obs, cost, cost_rate, paths)``: ``cfg`` takes the
+    dataset's ``DATASET_BOUND_FIELDS`` from its manifest and is validated.
+    Every error that a malformed manifest or field file raises names that
+    file.
+    """
     manifest_path = os.path.join(dataset_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise ValueError(f"dataset {dataset_dir!r} has no manifest.json")
-    with open(manifest_path, "r", encoding="ascii") as fh:
-        manifest = json.load(fh)
+    try:
+        with open(manifest_path, "r", encoding="ascii") as fh:
+            cfg = _adopt_dataset_config(cfg, json.load(fh))
+        cfg.validate()
+    except (ValueError, TypeError) as exc:
+        # a stored value of the wrong JSON type fails a build with TypeError
+        raise ValueError(f"dataset manifest {manifest_path}: {exc}") from None
     paths = _dataset_paths(dataset_dir)
     fields = {}
     for name, path in paths.items():
@@ -161,11 +173,15 @@ def _read_dataset(dataset_dir: str):
                 f"dataset {dataset_dir!r}: {name}.field must be a space-time field "
                 "on the observations' grid"
             )
-    return obs, fields["cost"].values, fields["cost_rate"].values, manifest, paths
+    return cfg, obs, fields["cost"].values, fields["cost_rate"].values, paths
 
 
-def _adopt_dataset_config(cfg: ExperimentConfig, manifest: dict) -> ExperimentConfig:
-    stored = manifest.get("config", {})
+def _adopt_dataset_config(cfg: ExperimentConfig, manifest) -> ExperimentConfig:
+    # keys outside DATASET_BOUND_FIELDS are not read, so the retired ones
+    # (step0, shrink, precondition, density_offset) load as before
+    stored = manifest.get("config", {}) if isinstance(manifest, dict) else None
+    if not isinstance(stored, dict):
+        raise ValueError("expected a JSON object whose 'config' is an object")
     # older manifests name the kernel; only the line Gaussian one exists
     variant = stored.get("kernel_variant", "line_gaussian")
     if variant != "line_gaussian":
@@ -279,9 +295,7 @@ def _invert_core(cfg: ExperimentConfig, obs, cost, cost_rate, out: str) -> dict:
 
 def cmd_invert(args) -> int:
     cfg = _config_from_args(args)
-    obs, cost, cost_rate, ds_manifest, ds_paths = _read_dataset(args.dataset)
-    cfg = _adopt_dataset_config(cfg, ds_manifest)
-    cfg.validate()
+    cfg, obs, cost, cost_rate, ds_paths = _read_dataset(args.dataset, cfg)
     out = _out_dir(args, cfg, "invert")
     _prepare_out(out, args.force)
     summary = _invert_core(cfg, obs, cost, cost_rate, out)
@@ -305,17 +319,13 @@ def cmd_sweep_lambda(args) -> int:
     if not args.lam_list:
         raise ValueError("--lambda needs at least one value")
     for lam in args.lam_list:
-        if not (np.isfinite(lam) and lam >= 0):
-            raise ValueError(f"--lambda values must be finite and nonnegative, got {lam:g}")
-        cfg.replace(lam=lam).carleman_params()
+        cfg.replace(lam=lam).validate()
     # each run is stored under its lambda's name, so names must not repeat
     names = [f"{lam:g}" for lam in args.lam_list]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ValueError(f"--lambda values share the run name lam_{repeated[0]}")
-    obs, cost, cost_rate, ds_manifest, ds_paths = _read_dataset(args.dataset)
-    cfg = _adopt_dataset_config(cfg, ds_manifest)
-    cfg.validate()
+    cfg, obs, cost, cost_rate, ds_paths = _read_dataset(args.dataset, cfg)
     out = _out_dir(args, cfg, "sweep")
     _prepare_out(out, args.force)
     rows = []

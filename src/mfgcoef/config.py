@@ -22,7 +22,7 @@ from typing import Tuple
 from .carleman import CarlemanParams
 from .grid import InteractionOperator, SpaceTimeGrid, restriction_strides
 from .inverse import SolverConfig
-from .phantoms import raster_letter
+from .phantoms import letter_phantom
 
 ENV_OUTPUT_ROOT = "MFGCOEF_OUTPUT_ROOT"
 
@@ -47,8 +47,6 @@ class ExperimentConfig:
     # phantom
     letter: str = "A"
     contrast: float = 2.0
-    # benchmark fields
-    density_offset: float = 2.0
     # noise
     delta: float = 0.0
     seed: int = 0
@@ -89,11 +87,11 @@ class ExperimentConfig:
         """Construct everything cheap once; raises on any bad combination.
 
         The coarse grid must nest in the fine one and resolve the letter's
-        strokes, and the weight sampled on it needs b > 0, or generation
-        would fail after the forward solve and inversion after the dataset
-        is written.  Every float must be
-        finite, except ``sigma = inf``, the flat kernel: a NaN slips past
-        every ordered comparison below.
+        strokes, and the weight sampled on it needs b > 0 and a >= -b, so
+        that it peaks at the outflow face, or generation would fail after
+        the forward solve and inversion after the dataset is written.
+        Every float must be finite, except ``sigma = inf``, the flat
+        kernel: a NaN slips past every ordered comparison below.
         """
         for name, value in dataclasses.asdict(self).items():
             if not isinstance(value, float) or math.isfinite(value):
@@ -105,9 +103,7 @@ class ExperimentConfig:
         self.carleman_params().balanced_log_weight(coarse)
         self.solver_config()
         InteractionOperator(coarse, self.sigma)
-        raster_letter(self.letter, coarse)
-        if self.contrast <= 0:
-            raise ValueError(f"contrast must be positive, got {self.contrast}")
+        letter_phantom(self.letter, coarse, self.contrast)
         if self.beta < 0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
         if self.delta < 0:
@@ -132,7 +128,6 @@ _SCHEMA = {
     "objective": {"beta": float},
     "kernel": {"sigma": float},
     "phantom": {"letter": str, "contrast": float},
-    "benchmark": {"density_offset": float},
     "noise": {"delta": float, "seed": int},
     "solver": {"grad_tol": float, "max_iter": int},
     "output": {"root": str},

@@ -84,35 +84,38 @@ def write_field(path, field: Field) -> None:
 
 
 def read_field(path) -> Field:
+    """The field stored at ``path``; every malformed-input error names the file."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    try:
+        return _parse_container(raw)
+    except ValueError as exc:
+        raise ValueError(f"malformed field file {path}: {exc}") from None
+
+
+def _parse_container(raw: bytes) -> Field:
     head_end = raw.find(b"\nend\n")
     if head_end < 0:
-        raise ValueError(f"field header has no 'end' line: {path}")
+        raise ValueError("field header has no 'end' line")
     head_end += len(b"\nend\n")
     entries = {}
     for line in raw[:head_end].decode("ascii").splitlines():
         key, _, rest = line.partition(" ")
         entries[key] = rest
     if MAGIC not in entries or int(entries[MAGIC]) != VERSION:
-        raise ValueError(f"not a version-{VERSION} field container: {path}")
+        raise ValueError(f"not a version-{VERSION} field container")
     for key in ("rank", "counts", "grid", "payload"):
         if key not in entries:
-            raise ValueError(f"field header has no {key!r} line: {path}")
-    rank = entries["rank"]
+            raise ValueError(f"field header has no {key!r} line")
     counts = tuple(int(s) for s in entries["counts"].split())
     grid = _parse_grid(entries["grid"].split())
     payload = raw[head_end:]
     declared = int(entries["payload"])
     if len(payload) != declared:
-        raise ValueError(
-            f"payload length {len(payload)} does not match declared {declared}: {path}"
-        )
+        raise ValueError(f"payload length {len(payload)} does not match declared {declared}")
     values = np.frombuffer(payload, dtype="<f8").reshape(counts)
-    field = Field(grid, rank, values.copy())
-    if field.values.shape != counts:
-        raise ValueError(f"counts {counts} inconsistent with rank {rank!r}: {path}")
-    return field
+    # the rank fixes the shape, so counts that disagree with it are refused here
+    return Field(grid, entries["rank"], values.copy())
 
 
 def write_csv(path, field: Field) -> None:

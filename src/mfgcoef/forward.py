@@ -184,12 +184,12 @@ class DensitySolution:
 
     ``slabs`` holds the fine time indices kept, ascending, and ``value``
     and ``density`` are indexed (x1, x2, position in ``slabs``).
-    ``min_density`` is the minimum |p| over every fine node, kept or
-    not, and ``min_node`` its (x1, x2, t) index, the earliest level where
-    it is reached.  ``preconditioned_sweeps`` counts the Richardson
-    sweeps of all steps, those of steps that then needed GMRES included,
-    and ``krylov_steps`` the steps that needed GMRES; both depend on the
-    data only, so they repeat exactly from run to run.  With the
+    ``min_density`` is the signed minimum of p over every fine node,
+    kept or not, and ``min_node`` its (x1, x2, t) index, the earliest
+    level where it is reached.  ``preconditioned_sweeps`` counts the
+    Richardson sweeps of all steps, those of steps that then needed GMRES
+    included, and ``krylov_steps`` the steps that needed GMRES; both
+    depend on the data only, so they repeat exactly from run to run.  With the
     extrapolated start, a step whose drift changes smoothly takes two to
     five sweeps.  A solve for the generation grid itself keeps every
     level, so its fields are the full (n1, n2, nt) arrays.
@@ -334,9 +334,9 @@ def solve_density(
     Returns the value and the density at the fine time levels that
     ``make_s`` and ``extract_observations`` read for the inversion grid
     ``coarse`` (``kept_slabs``; every level when ``coarse`` is
-    ``spec.grid``), the minimum |p| over every fine node and where it
-    sits (the caller decides whether that is close enough to zero to
-    matter; ``make_s`` enforces the hard floor), and the counts of
+    ``spec.grid``), the signed minimum of p over every fine node and
+    where it sits (the caller decides whether that is far enough above
+    zero; ``make_s`` enforces the hard floor), and the counts of
     Richardson sweeps and of steps that needed GMRES.
 
     The advection term div(p grad v) is discretized conservatively:
@@ -391,11 +391,10 @@ def solve_density(
         v[...] = spec.value_fn(x1, x2, times[n])
         return v
 
-    # the smallest |p| of a slab and its node, so no full-grid |p| is formed
+    # the smallest p of a slab and its node, so no full-grid minimum is formed
     def minimum(p: np.ndarray, n: int):
-        mags = np.abs(p)
-        k = int(np.argmin(mags))
-        return mags.flat[k], np.unravel_index(k, mags.shape) + (n,)
+        k = int(np.argmin(p))
+        return p.flat[k], np.unravel_index(k, p.shape) + (n,)
 
     sample_value(0)
     p = slab(density, 0)
@@ -535,9 +534,9 @@ def make_s(
     read those levels with zero weights.  So the result is bit for bit
     the one that a solve keeping every level gives.  With
     ``coarse = spec.grid`` every stride is 1 and this is the full-grid
-    construction.  The division requires |p| >= 1e-8 at every fine node,
-    which is checked against the solve's minimum; the error message names
-    the node where it is reached.
+    construction.  The division requires p >= 1e-8 at every fine node (a
+    density is positive), which is checked against the solve's signed
+    minimum; the error message names the node where it is reached.
 
     The largest temporaries are the zero-filled line stacks, one at a
     time, (n1, coarse n2, nt) or its x2 counterpart: 4.4 MB each on the
@@ -547,9 +546,9 @@ def make_s(
     if solution.min_density < DENSITY_FLOOR:
         i, j, n = solution.min_node
         raise ValueError(
-            f"|density| is {solution.min_density:.3e} at node (x1={g.x1[i]:.4f}, "
+            f"density is {solution.min_density:.3e} at node (x1={g.x1[i]:.4f}, "
             f"x2={g.x2[j]:.4f}, t={g.t[n]:.4f}), below the {DENSITY_FLOOR:.1e} floor; "
-            "the cost construction would blow up"
+            "a density must be positive, and the cost construction divides by it"
         )
 
     s1, s2, st_ = restriction_strides(g, coarse)

@@ -18,7 +18,7 @@ space-time fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np

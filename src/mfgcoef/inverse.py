@@ -72,9 +72,9 @@ class SolverConfig:
     iterations and 140 passes.
     """
 
+    grad_tol: float
+    max_iter: int
     step0: float = 0.1
-    grad_tol: float = 1e-2
-    max_iter: int = 20000
     precondition: bool = True
 
     def __post_init__(self) -> None:

@@ -149,12 +149,11 @@ def raster_letter(which: str, grid: SpaceTimeGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Phantom:
-    """Inclusion mask with its inside value; background is 1."""
+    """Inclusion mask with its inside value; the value outside is 1."""
 
     grid: SpaceTimeGrid
     mask: np.ndarray
     c_a: float
-    background: float = 1.0
 
     def __post_init__(self) -> None:
         mask = np.asarray(self.mask, dtype=bool)
@@ -163,7 +162,11 @@ class Phantom:
             raise ValueError(
                 f"mask shape {mask.shape} does not match the grid {self.grid.spatial_shape()}"
             )
-        if not mask.any() or mask.all():
+        # one count, not any() and all(): config validation builds a phantom
+        # before every run, and the first boolean reduction in a process
+        # maps about 0.2 MiB more of numpy, which would count toward the
+        # descent's peak resident memory
+        if np.count_nonzero(mask) in (0, mask.size):
             raise ValueError("mask must be nonempty and must not cover the whole domain")
         if self.c_a <= 0:
             raise ValueError(f"inside value must be positive, got {self.c_a}")
@@ -175,7 +178,7 @@ def letter_phantom(which: str, grid: SpaceTimeGrid, c_a: float) -> Phantom:
 
 def make_k(phantom: Phantom) -> Field:
     """The coefficient a phantom encodes: c_a on the mask, 1 off it."""
-    values = np.where(phantom.mask, phantom.c_a, phantom.background)
+    values = np.where(phantom.mask, phantom.c_a, 1.0)
     return Field(phantom.grid, SPATIAL, values)
 
 

@@ -36,11 +36,8 @@ def benchmark_value_fn(x1, x2, t):
     return 0.1 * np.cos(np.pi * x1) * np.sin(np.pi * x2) * (t * t + 1.0)
 
 
-def benchmark_density_fn(offset: float):
-    def fn(x1, x2, t):
-        return (t + 1.0) * (x1 * x2 + offset)
-
-    return fn
+def benchmark_density_fn(x1, x2, t):
+    return (t + 1.0) * (x1 * x2 + 2.0)
 
 
 def forward_spec(cfg: ExperimentConfig) -> ForwardSpec:
@@ -49,7 +46,7 @@ def forward_spec(cfg: ExperimentConfig) -> ForwardSpec:
     return ForwardSpec(
         grid=fine,
         value_fn=benchmark_value_fn,
-        density_fn=benchmark_density_fn(cfg.density_offset),
+        density_fn=benchmark_density_fn,
         coefficient=k_fine.values,
         sigma=cfg.sigma,
     )

@@ -52,10 +52,13 @@ def run_case(letter: str, contrast: float, **changes):
 
 
 def test_criterion_01_carleman_certification():
+    cfg = ExperimentConfig()
     lambdas = (1.0, 2.0, 4.0, 8.0)
-    status = run_certification(seed=0, n_trials=100, lambdas=lambdas).status
+    status = run_certification(
+        seed=0, n_trials=100, lambdas=lambdas, d=cfg.half_width, alpha=cfg.alpha
+    ).status
     held = int(np.count_nonzero(status == "holds"))
-    slope = ratio_log_slope(lambdas)
+    slope = ratio_log_slope(lambdas, d=cfg.half_width, alpha=cfg.alpha)
     ok = held == status.size and abs(slope + 0.5) <= 0.01
     verdict(1, ok, f"{held}/{status.size} inequalities hold, sharpened-constant slope {slope:.4f}")
 

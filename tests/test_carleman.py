@@ -159,6 +159,19 @@ def test_weight_needs_positive_b():
         CarlemanParams(lam=1.0, alpha=0.2).balanced_log_weight(g)
 
 
+def test_weight_needs_a_at_least_minus_b():
+    # with a < -b the weight peaks at x1 = a, so the balanced log weight
+    # is positive there and overflows for a large lam
+    g = SpaceTimeGrid(a=-3.0, b=1.0, half_width=0.5, horizon=1.0, n1=5, n2=3, nt=5)
+    with pytest.raises(ValueError, match="a must be at least -b"):
+        CarlemanParams(lam=3.0, alpha=0.2).balanced_log_weight(g)
+    # a = -b still peaks at x1 = b (and at x1 = a, equally)
+    g = SpaceTimeGrid(a=-1.0, b=1.0, half_width=0.5, horizon=1.0, n1=5, n2=3, nt=5)
+    lw = CarlemanParams(lam=100.0, alpha=0.2).balanced_log_weight(g)
+    assert lw.max() == 0.0
+    assert np.all(np.isfinite(np.exp(lw)))
+
+
 def test_bound_constant_closed_form():
     # d^((1-3a)/2) / (sqrt(2) (1+a)^(3/2)) at d = 0.5, a = 1/5
     expect = 0.5 ** (0.2) / (np.sqrt(2.0) * 1.2**1.5)
@@ -212,10 +225,10 @@ def test_margin_never_reverses_as_lambda_grows():
 
 
 def test_certification_suite_seeded():
-    r = run_certification(seed=123, n_trials=10, lambdas=(1.0, 8.0))
+    r = run_certification(seed=123, n_trials=10, lambdas=(1.0, 8.0), d=0.5, alpha=0.2)
     assert r.status.shape == (10, 2)
     assert (r.status == "holds").all()
-    again = run_certification(seed=123, n_trials=10, lambdas=(1.0, 8.0))
+    again = run_certification(seed=123, n_trials=10, lambdas=(1.0, 8.0), d=0.5, alpha=0.2)
     assert np.array_equal(r.lhs, again.lhs) and np.array_equal(r.rhs, again.rhs)
 
 
@@ -223,15 +236,16 @@ def test_ratio_closed_form_and_slope():
     c = bound_constant(0.5, 0.2)
     assert conventional_vs_new_ratio(1.0, 0.5, 0.2) == pytest.approx(c, rel=1e-14)
     assert conventional_vs_new_ratio(100.0, 0.5, 0.2) == pytest.approx(c / 10.0, rel=1e-14)
-    assert ratio_log_slope((1.0, 2.0, 4.0, 8.0)) == pytest.approx(-0.5, abs=1e-12)
+    assert ratio_log_slope((1.0, 2.0, 4.0, 8.0), 0.5, 0.2) == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_ratio_slope_fits_distinct_lambdas_only():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert ratio_log_slope((2.0, 2.0)) is None
-        assert ratio_log_slope((4.0,)) is None
-        assert ratio_log_slope((1.0, 1.0, 2.0, 8.0, 8.0)) == pytest.approx(-0.5, abs=1e-12)
+        assert ratio_log_slope((2.0, 2.0), 0.5, 0.2) is None
+        assert ratio_log_slope((4.0,), 0.5, 0.2) is None
+        slope = ratio_log_slope((1.0, 1.0, 2.0, 8.0, 8.0), 0.5, 0.2)
+        assert slope == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_ratio_dips_below_one_for_large_lambda():
@@ -277,7 +291,7 @@ def test_forms_match_direct_trapezoid_sums(knots):
 
 def test_certification_stops_where_the_direct_sums_settle():
     lams = (1.0, 8.0)
-    r = run_certification(seed=0, n_trials=10, lambdas=lams)
+    r = run_certification(seed=0, n_trials=10, lambdas=lams, d=0.5, alpha=0.2)
     knots = np.linspace(-0.5, 0.5, 17)
     profiles = np.random.default_rng(0).uniform(-1.0, 1.0, size=(10, 17))
     expected = [[direct_levels(knots, v, lam, 0.2) for lam in lams] for v in profiles]
@@ -351,7 +365,7 @@ def test_quadrature_work_counts_the_form_builds(monkeypatch):
 
     monkeypatch.setattr(carleman, "_level_forms", counted)
     # lam = 1000 settles far sooner than lam = 1
-    r = run_certification(seed=4, n_trials=3, lambdas=(1.0, 1000.0))
+    r = run_certification(seed=4, n_trials=3, lambdas=(1.0, 1000.0), d=0.5, alpha=0.2)
     work = r.quadrature_work()
     deepest = r.levels.max(axis=0)
     assert work["deepest_level"] == deepest.tolist()
@@ -366,7 +380,7 @@ def test_a_pair_that_never_settles_is_inconclusive(monkeypatch):
     # lam = 1e5 never settles, even by level 24; two levels reach the
     # inconclusive path without the deep quadrature
     monkeypatch.setattr(carleman, "MAX_LEVEL", START_LEVEL + 1)
-    r = run_certification(seed=7, n_trials=3, lambdas=(1e5,))
+    r = run_certification(seed=7, n_trials=3, lambdas=(1e5,), d=0.5, alpha=0.2)
     assert np.all(r.status == "inconclusive")
     assert np.all(r.levels == carleman.MAX_LEVEL)
     assert not r.converged.any()

@@ -214,15 +214,17 @@ def test_invert_rejects_a_dataset_of_another_kernel(workspace, tmp_path):
 
 def test_invert_accepts_manifests_with_retired_keys(workspace, tmp_path):
     root, config, dataset = workspace
-    # datasets written before the kernel and closure options were removed
+    # datasets written before the kernel, closure and density offset
+    # options were removed
     old = _with_stored_config(
-        dataset, tmp_path / "old", kernel_variant="line_gaussian", outflow_closure="neumann_scaled"
+        dataset, tmp_path / "old", kernel_variant="line_gaussian",
+        outflow_closure="neumann_scaled", density_offset=2.0,
     )
     out = tmp_path / "o"
     assert main(["invert", "--config", str(config), str(old), "--out", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["metrics"]["rel_l2"] < 0.10
-    assert not {"kernel_variant", "outflow_closure"} & set(manifest["config"])
+    assert not {"kernel_variant", "outflow_closure", "density_offset"} & set(manifest["config"])
 
 
 @pytest.mark.parametrize("name", ["cost", "cost_rate"])
@@ -466,6 +468,41 @@ def test_render_rejects_field_without_end_line(tmp_path, capsys):
     assert "'end'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, edited", [
+    (b"counts ", b"counts 5 4"),
+    (b"counts ", b"counts 5 x"),
+    (b"mfgcoef-field ", b"mfgcoef-field one"),
+    (b"grid ", b"grid 1 2 0.5"),
+    (b"rank ", b"rank volume"),
+], ids=["counts-disagree-with-payload", "non-numeric-counts", "non-numeric-version",
+        "short-grid-line", "unknown-rank"])
+def test_render_names_a_malformed_field_file(tmp_path, capsys, line, edited):
+    path = tmp_path / "bad.field"
+    grid = SpaceTimeGrid(a=1.0, b=2.0, half_width=0.5, horizon=1.0, n1=5, n2=5, nt=5)
+    write_field(path, Field(grid, SPATIAL, np.ones((5, 5))))
+    head, sep, payload = path.read_bytes().partition(b"\nend\n")
+    lines = [edited if row.startswith(line) else row for row in head.split(b"\n")]
+    path.write_bytes(b"\n".join(lines) + sep + payload)
+    assert main(["render", str(path), "--out", str(tmp_path / "r")]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed field file ") and str(path) in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"config": {"a": 1.0,}}', "[]", '{"config": {"fine": 5}}', '{"config": {"sigma": "wide"}}',
+], ids=["not-json", "not-an-object", "non-list-grid", "string-sigma"])
+def test_invert_names_a_malformed_dataset_manifest(workspace, tmp_path, capsys, text):
+    root, config, dataset = workspace
+    bad = tmp_path / "bad"
+    shutil.copytree(dataset, bad)
+    (bad / "manifest.json").write_text(text)
+    argv = ["invert", "--config", str(config), str(bad), "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("error: dataset manifest ") and str(bad / "manifest.json") in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--delta", "0.03"],
     ["generate", "--seed", "3"],
@@ -512,9 +549,12 @@ def test_non_finite_values_are_rejected_before_any_output(argv, tmp_path, capsys
     ("[solver]\nshrink = 0.25\n", "unknown key 'shrink'"),
     ("[solver]\nprecondition = no\n", "unknown key 'precondition'"),
     ("[geometry]\na = -1\nb = 0\n", "b must be positive"),
+    ("[geometry]\na = -3\nb = 1\n", "a must be at least -b"),
+    ("[benchmark]\ndensity_offset = 2\n", "unknown config section [benchmark]"),
 ], ids=[
     "duplicate-key", "no-section-header", "negative-beta", "overflowing-lambda",
-    "step0", "shrink", "precondition", "nonpositive-b",
+    "step0", "shrink", "precondition", "nonpositive-b", "weight-peaks-at-a",
+    "density-offset",
 ])
 def test_bad_config_file_is_rejected_before_any_output(
     workspace, tmp_path, capsys, command, text, named

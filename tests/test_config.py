@@ -26,7 +26,7 @@ def test_builders_construct_consistent_objects():
     assert (coarse.n1, coarse.n2, coarse.nt) == (21, 21, 11)
     assert fine.a == coarse.a and fine.horizon == coarse.horizon
     assert InteractionOperator(coarse, cfg.sigma).grid == coarse
-    assert cfg.solver_config() == SolverConfig()
+    assert cfg.solver_config() == SolverConfig(grad_tol=1e-2, max_iter=20000)
     params = cfg.carleman_params()
     assert params.lam == 3.0 and params.alpha == 0.2
 
@@ -101,6 +101,7 @@ def test_ini_rejects_unknown_or_malformed_entries(tmp_path, body, match):
         {"grad_tol": float("nan")},
         {"sigma": float("nan")},
         {"sigma": float("-inf")},
+        {"a": -3.0, "b": 1.0},
     ],
     ids=[
         "unknown-letter", "zero-contrast", "negative-delta", "negative-seed",
@@ -108,6 +109,7 @@ def test_ini_rejects_unknown_or_malformed_entries(tmp_path, body, match):
         "coarse-nt-does-not-nest", "coarse-too-coarse-for-letter", "nan-delta",
         "infinite-contrast", "nan-lam", "infinite-beta", "negative-beta",
         "minus-infinite-horizon", "nan-grad-tol", "nan-sigma", "minus-infinite-sigma",
+        "weight-peaks-off-the-outflow-face",
     ],
 )
 def test_validate_rejects_bad_combinations(changes):

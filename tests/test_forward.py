@@ -75,9 +75,8 @@ def sampled_solution(spec, density_fn):
     x1, x2 = g.meshgrid()
     value = np.stack([spec.value_fn(x1, x2, t) for t in g.t]).transpose(1, 2, 0)
     density = np.stack([density_fn(x1, x2, t) for t in g.t]).transpose(1, 2, 0)
-    mags = np.abs(density)
-    node = np.unravel_index(int(np.argmin(mags)), mags.shape)
-    return DensitySolution(kept_slabs(g, g)[1], value, density, float(mags[node]), node, 0, 0)
+    node = np.unravel_index(int(np.argmin(density)), density.shape)
+    return DensitySolution(kept_slabs(g, g)[1], value, density, float(density[node]), node, 0, 0)
 
 
 def solve_error(p_str, v_str, g):
@@ -167,8 +166,8 @@ def test_interior_step_matches_full_node_operator():
     solution = solve_density(spec, g, source=fsrc)
     expected = reference_density(spec, fsrc)
     assert max_rel_diff(solution.density, expected) <= 1e-13
-    assert solution.min_density == float(np.min(np.abs(solution.density)))
-    assert solution.min_density == pytest.approx(float(np.min(np.abs(expected))), rel=1e-13)
+    assert solution.min_density == float(np.min(solution.density))
+    assert solution.min_density == pytest.approx(float(np.min(expected)), rel=1e-13)
 
 
 def drift_jump_spec(factor):
@@ -389,6 +388,18 @@ def test_make_s_rejects_vanishing_density():
     spec = spec_for(g, fv, fp)
     with pytest.raises(ValueError, match="floor"):
         make_s(spec, sampled_solution(spec, fp), g)
+
+
+def test_make_s_rejects_a_negative_density():
+    # p changes sign between nodes, and no node comes within 0.03 of zero,
+    # so a floor on |p| would let it through
+    g = grid(9, 9, 5)
+    fp, fv, _ = manufactured("(t + 1) * (x1*x2 + 0.97)", "cos(pi*x1) * sin(pi*x2) / 10")
+    spec = spec_for(g, fv, fp)
+    solution = sampled_solution(spec, fp)
+    assert np.min(np.abs(solution.density)) > 0.02
+    with pytest.raises(ValueError, match="density is -6.000e-02 .* floor"):
+        make_s(spec, solution, g)
 
 
 def test_extract_observations_values_and_shapes():

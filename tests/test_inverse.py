@@ -272,8 +272,8 @@ def test_invert_runs_end_to_end():
 
 def test_solver_config_validation():
     with pytest.raises(ValueError, match="step0"):
-        SolverConfig(step0=0.0)
+        SolverConfig(grad_tol=1e-2, max_iter=20000, step0=0.0)
     with pytest.raises(ValueError, match="grad_tol"):
-        SolverConfig(grad_tol=-1.0)
+        SolverConfig(grad_tol=-1.0, max_iter=20000)
     with pytest.raises(ValueError, match="max_iter"):
-        SolverConfig(max_iter=0)
+        SolverConfig(grad_tol=1e-2, max_iter=0)

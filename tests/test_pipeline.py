@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfgcoef.cli import _adopt_dataset_config, _read_dataset
+from mfgcoef.cli import _read_dataset
 from mfgcoef.config import ExperimentConfig
 from mfgcoef.noise import inject, smooth_observations
 from mfgcoef.pipeline import build_context, run_generation, run_inversion
@@ -75,8 +75,9 @@ def test_reference_descent_stops_on_grad_tol_within_budget(delta, budget):
     # the committed reference dataset at lam = 3; the noisy case is the
     # benchmark's invert-noisy run (noise seed 17).  Without the density
     # flux in the curvature estimate these took 276 and 273 iterations
-    obs, cost, cost_rate, manifest, _ = _read_dataset(str(REFERENCE))
-    cfg = _adopt_dataset_config(ExperimentConfig(delta=delta, seed=17), manifest)
+    cfg, obs, cost, cost_rate, _ = _read_dataset(
+        str(REFERENCE), ExperimentConfig(delta=delta, seed=17)
+    )
     assert cfg.lam == 3.0
     result = run_inversion(cfg, obs, cost, cost_rate).result
     assert result.stop_reason == "grad_tol"
@@ -88,8 +89,9 @@ def test_outcome_scores_the_start_iterate(delta, expected):
     # the coefficient the data-blended start implies, before any descent;
     # the full descent takes the clean score to 0.0095 and the noisy one
     # (seed 17) to 0.0692, so only the clean descent improves on it
-    obs, cost, cost_rate, manifest, _ = _read_dataset(str(REFERENCE))
-    cfg = _adopt_dataset_config(ExperimentConfig(delta=delta, seed=17, max_iter=1), manifest)
+    cfg, obs, cost, cost_rate, _ = _read_dataset(
+        str(REFERENCE), ExperimentConfig(delta=delta, seed=17, max_iter=1)
+    )
     out = run_inversion(cfg, obs, cost, cost_rate)
     assert out.result.iterations == 1
     assert out.start_rel_l2 == pytest.approx(expected, abs=1e-4)
