@@ -11,22 +11,15 @@ That lam^(-3/2) decay (against the lam^(-1) of the conventional weight) is
 what the certification suite checks numerically, for every random profile
 and every lam.
 
-Both sides are evaluated by trapezoid quadrature on 2^L intervals,
-doubling L until two levels agree.  A profile f is piecewise linear in its
-knot values v, and so is its running integral, so at each level the two
-trapezoid sums are exact quadratic forms v^T K_L v and v^T G_L v whose
-(m, m) matrices depend only on the knots, alpha, lam and L.  The profiles
-of a run share their knots, so ``certify`` builds (G_L, K_L) once per level
-for every lam that still has an unsettled profile, in O(2^L) work each,
-and evaluates both forms for all profiles at once.
-
-A level is built one knot interval at a time, so no array spans its 2^L + 1
-nodes: the working set is about ten arrays of the longest interval's node
-count.  Measured on a 2-core x86-64 host, the default certification (17
-knots, 100 profiles, lam = 1, 2, 4, 8, settling by level 19) peaks at
-about 40 MiB resident, of which the imports take about 34, and a run that
-reaches level 24 at about 125 MiB, against 55 and 381 MiB with
-whole-level arrays.
+Both sides are integrals of the weight times a square.  A profile f is
+piecewise linear in its knot values v, so its running integral from the
+midpoint is exactly piecewise quadratic, and the two sides are quadratic
+forms v^T K v and v^T G v whose (m, m) matrices depend only on the knots,
+alpha and lam.  Only the outer weighted integrals need quadrature: a
+Gauss-Legendre rule on pieces graded toward the weight's kink at t = 0
+computes them to rounding.  The profiles of a run share their knots, so
+``certify`` builds (G, K) once per lam, by two rules, and evaluates both
+forms for all profiles at once.
 """
 
 from __future__ import annotations
@@ -42,9 +35,8 @@ from .grid import SpaceTimeGrid
 
 QUAD_AGREE_RTOL = 1e-8
 HOLDS_REL_SLACK = 1e-10
-# the quadrature doubles from 2^START_LEVEL intervals up to 2^MAX_LEVEL
-START_LEVEL = 6
-MAX_LEVEL = 24
+# points of the coarser of the two Gauss rules; the finer has twice as many
+GAUSS_POINTS = 16
 # equispaced knots of each random profile of ``run_certification``
 N_KNOTS = 17
 
@@ -134,127 +126,67 @@ def conventional_vs_new_ratio(lam: float, d: float, alpha: float) -> float:
     return bound_constant(d, alpha) / np.sqrt(lam)
 
 
-def _level_forms(knots: np.ndarray, alpha: float, level: int, lams: np.ndarray):
-    """G_L and K_L, shape (len(lams), m, m), in O(2^level) work per lam.
+def _gauss_legendre(points: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], by Golub & Welsch.
 
-    The level's nodes are t_j = np.linspace(-d, d, n + 1)[j], n = 2^level.
-    Node t_j belongs to the knot interval i with knots[i] <= t_j < knots[i+1]
-    (the last interval also takes t_n = d).  There only phi_i = 1 - s and
-    phi_{i+1} = s are nonzero, and psi_k is constant outside hat k's two
-    intervals: right[k] past them, left[k] before them.  So on interval i
-
-        f     = v_i (1 - s) + v_{i+1} s
-        inner = (a_i . v) (1 - s + s) + v_i psi_i + v_{i+1} psi_{i+1}
-
-    with a_i holding right[k] for k < i and left[k] for k > i + 1, and the
-    interval adds the weighted products of its four rows (1 - s, s, psi_i,
-    psi_{i+1}) to both forms.
-
-    No array spans the level.  A first pass over the intervals sums the hat
-    samples that right, left and psi need; a second forms each interval's
-    nodes and rows again and weights them one lam at a time.  So the
-    working set is a few arrays of the longest interval's node count, and
-    every sum is taken over the same nodes in the same order as on the
-    whole-level array, bit for bit.
+    The nodes are the eigenvalues of the Legendre recurrence's Jacobi
+    matrix and each weight is twice the squared first component of its
+    eigenvector (Math. Comp. 23, 1969).
     """
+    k = np.arange(1.0, points)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 * vecs[0] ** 2
+
+
+def _forms(knots: np.ndarray, lam: float, alpha: float, rule):
+    """G and K, shape (m, m), for one lam by the Gauss rule on graded pieces.
+
+    The pieces run outward from t = 0 on each side.  Their cuts are the
+    knots and the points d / 2^j, j = 1..depth, so every piece off 0 spans
+    at most a factor 2 in |t| and the weight is smooth on it.  The depth
+    halves toward the weight's kink at t = 0 until 2 lam r^(1+alpha) < 1e-4
+    at the innermost cut r, where the weight is 1 to within that much.
+
+    On a piece with inner end e at distance u from a node t, the hats are
+    linear, so their running integrals from 0 are exactly
+
+        psi(t) = psi(e) + sign * u * (phi(e) + phi(t)) / 2
+
+    and psi(e) is summed piece by piece outward from psi(0) = 0.  Returns
+    the forms and the number of nodes they weight.
+    """
+    x, wq = rule
     m = knots.size
     d = knots[-1]
-    n = 2**level
-    h = 2.0 * d / n
-
-    def node(j: int) -> float:
-        return d if j == n else j * h - d
-
-    def nodes(lo: int, hi: int) -> np.ndarray:
-        # the linspace nodes lo..hi-1: j * step + start, the last set to stop
-        t = np.arange(lo, hi, dtype=float) * h - d
-        if hi == n + 1:
-            t[-1] = d
-        return t
-
-    def first_node_from(x: float) -> int:
-        # searchsorted(nodes, x): the estimate corrected against node()
-        j = min(max(math.ceil((x + d) / h), 0), n + 1)
-        while j > 0 and node(j - 1) >= x:
-            j -= 1
-        while j <= n and node(j) < x:
-            j += 1
-        return j
-
-    bounds = np.array([0] + [first_node_from(x) for x in knots[1:-1]] + [n + 1])
-
-    def slopes(i: int) -> np.ndarray:
-        # the clip matches np.interp's end values when knots[0] is a hair off -d
-        t = nodes(bounds[i], bounds[i + 1])
-        return np.clip((t - knots[i]) / (knots[i + 1] - knots[i]), 0.0, 1.0)
-
-    # psi_k(j) = F_k(j) - F_k(c) at the midpoint node c, where F_k(j) = h *
-    # (sum of hat k's samples up to node j) - h/2 * phi_k(t_j) is the
-    # trapezoid sum from node 0 less its first half-step, which cancels
-    c = n // 2
-    ic = int(np.searchsorted(bounds, c, side="right")) - 1
-    # sums of hat k's samples over its rising interval k - 1 and its falling
-    # interval k
-    rise, fall = np.zeros(m), np.zeros(m)
-    for i in range(m - 1):
-        s = slopes(i)
-        rise[i + 1] = s.sum()
-        if i == ic:
-            head = s[: c - bounds[ic] + 1]
-            size, total, last = head.size, head.sum(), head[-1]
-    # the form pass below holds no array of this pass
-    del s, head
-    fall[:-1] = np.diff(bounds) - rise[1:]
-    at_mid = np.zeros(m)
-    at_mid[:ic] = h * (rise + fall)[:ic]
-    at_mid[ic] = h * (rise[ic] + size - total - 0.5 * (1.0 - last))
-    at_mid[ic + 1] = h * (total - 0.5 * last)
-    right = h * (rise + fall) - at_mid
-    left = -at_mid
-
-    # the rows and their weighted copy reuse one buffer each across the
-    # intervals: made and freed per interval, glibc's default thresholds hand
-    # their pages back to the system and fault them in again: about 10^4
-    # page faults per level-19 build, slower than the whole-level build
-    width = 4 * int(np.diff(bounds).max())
-    rows_buf, weighted_buf = np.empty(width), np.empty(width)
-
-    def weighted_sums(i: int) -> np.ndarray:
-        # h * sum over interval i's nodes of w_lam rows rows^T, (len(lams), 4, 4);
-        # its other arrays are freed on return, before the next interval's
-        lo, hi = bounds[i], bounds[i + 1]
-        rows = rows_buf[: 4 * (hi - lo)].reshape(4, hi - lo)
-        weighted = weighted_buf[: rows.size].reshape(rows.shape)
-        rows[1] = slopes(i)
-        s = rows[1]
-        rows[0] = 1.0 - s
-        rows[2] = h * (rise[i] + np.cumsum(rows[0]) - 0.5 * rows[0]) - at_mid[i]
-        rows[3] = h * (np.cumsum(s) - 0.5 * s) - at_mid[i + 1]
-        power = np.abs(nodes(lo, hi)) ** (1.0 + alpha)
-        sums = np.empty((lams.size, 4, 4))
-        for k, rate in enumerate(-2.0 * lams):
-            weight = rate * power
-            np.exp(weight, out=weight)
-            if lo == 0:
-                weight[0] *= 0.5
-            if hi == n + 1:
-                weight[-1] *= 0.5
-            np.multiply(rows, weight, out=weighted)
-            sums[k] = h * (weighted @ rows.T)
-        return sums
-
-    gram = np.zeros((lams.size, m, m))
-    kern = np.zeros((lams.size, m, m))
-    for i in range(m - 1):
-        if bounds[i] == bounds[i + 1]:
-            continue
-        sums = weighted_sums(i)
-        gram[:, i : i + 2, i : i + 2] += sums[:, :2, :2]
-        coef = np.zeros((4, m))
-        coef[:2, :i], coef[:2, i + 2 :] = right[:i], left[i + 2 :]
-        coef[2, i] = coef[3, i + 1] = 1.0
-        kern += coef.T @ sums @ coef
-    return gram, kern
+    # lam r^(1+alpha) = (scale r)^(1+alpha): no overflow or subnormal for any lam
+    scale = lam ** (1.0 / (1.0 + alpha))
+    # the innermost cut r = d / 2^depth is the first with 2 lam r^(1+alpha) < 1e-4
+    depth = max(0, math.floor(math.log2(d * scale / 5e-5 ** (1.0 / (1.0 + alpha)))) + 1)
+    dyadic = d * 0.5 ** np.arange(1, depth + 1)
+    eye = np.eye(m)
+    gram = np.zeros((m, m))
+    kern = np.zeros((m, m))
+    nodes = 0
+    for sign in (1.0, -1.0):
+        side = sign * knots[sign * knots > 0]
+        radii = np.unique(np.concatenate(([0.0], side, dyadic[dyadic < side.max()])))
+        half = 0.5 * np.diff(radii)[:, None]
+        u = half * (1.0 + x)
+        rho = radii[:-1, None] + u
+        # the hats at the cuts, (pieces + 1, m), and at the nodes, (pieces, m, points)
+        ends = np.stack([np.interp(sign * radii, knots, row) for row in eye], axis=1)
+        phi = np.stack([np.interp(sign * rho, knots, row) for row in eye], axis=1)
+        steps = sign * half * (ends[:-1] + ends[1:])
+        inner = np.concatenate((np.zeros((1, m)), np.cumsum(steps[:-1], axis=0)))
+        psi = inner[:, :, None] + (sign * 0.5 * u)[:, None, :] * (ends[:-1, :, None] + phi)
+        weight = (np.exp(-2.0 * (scale * rho) ** (1.0 + alpha)) * half * wq)[:, None, :]
+        # one small product per piece: a single product over every node
+        # spins at two OpenBLAS threads
+        gram += ((phi * weight) @ phi.transpose(0, 2, 1)).sum(axis=0)
+        kern += ((psi * weight) @ psi.transpose(0, 2, 1)).sum(axis=0)
+        nodes += rho.size
+    return gram, kern, nodes
 
 
 def validate_lambdas(lambdas: Sequence[float]) -> np.ndarray:
@@ -281,37 +213,31 @@ def validate_lambdas(lambdas: Sequence[float]) -> np.ndarray:
 class Certification:
     """Outcome of a certification, one row per profile, one column per lam.
 
-    ``levels`` is the level at which each pair's two sides settled, or
-    ``MAX_LEVEL`` for a pair that never did; ``status`` is "holds",
-    "violated" or, for a pair that never settled, "inconclusive".
+    ``converged`` marks the pairs that were decided: their two rules
+    agreed and their bound is a normal float.  ``status`` is "holds",
+    "violated" or, for a pair not decided, "inconclusive".  ``nodes``
+    counts, per lam, the nodes the finer rule weights.
     """
 
     lhs: np.ndarray
     rhs: np.ndarray
-    levels: np.ndarray
     converged: np.ndarray
     status: np.ndarray
-
-    def quadrature_work(self) -> dict:
-        """The quadrature work of the run, counted from ``levels``.
-
-        A lam's forms are built at every level from ``START_LEVEL`` to the
-        deepest level of its pairs, and a build at level L weights the
-        level's 2^L + 1 nodes.  Returns the deepest level per lam, the
-        number of (lam, level) builds and the nodes they weight.
-        """
-        deepest = self.levels.max(axis=0, initial=START_LEVEL - 1)
-        built = [level for top in deepest for level in range(START_LEVEL, int(top) + 1)]
-        return {
-            "deepest_level": [int(top) for top in deepest],
-            "form_builds": len(built),
-            "form_nodes": sum(2**level + 1 for level in built),
-        }
+    nodes: tuple
 
 
-def _quadratic_forms(profiles: np.ndarray, forms: np.ndarray) -> np.ndarray:
-    """v^T F v for every profile v and every form F, shape (profiles, forms)."""
-    return np.einsum("li,kij,lj->lk", profiles, forms, profiles)
+def _sides(knots, profiles, lams, alpha, points):
+    """lhs and the rhs integral of every pair by the points-point rule.
+
+    Returns both as (profiles, lams) arrays, and each lam's node count.
+    """
+    rule = _gauss_legendre(points)
+    gram, kern, nodes = zip(*(_forms(knots, lam, alpha, rule) for lam in lams))
+
+    def quadratic(forms):
+        return np.einsum("li,kij,lj->lk", profiles, np.array(forms), profiles)
+
+    return quadratic(kern), quadratic(gram), nodes
 
 
 def certify(
@@ -322,12 +248,11 @@ def certify(
 ) -> Certification:
     """Certify the weighted Volterra inequality for piecewise-linear profiles.
 
-    Both sides are evaluated by trapezoid quadrature on 2^L intervals, L
-    doubling from ``START_LEVEL``; each (profile, lam) pair is frozen at the
-    first level whose two sides agree with the previous level's to
-    ``QUAD_AGREE_RTOL`` relative.  A pair that never settles by
-    ``MAX_LEVEL`` is reported as inconclusive rather than as a pass or
-    fail.
+    Both sides are evaluated by a ``GAUSS_POINTS``-point and a twice as
+    fine Gauss rule on the same graded pieces; a pair whose two rules
+    agree to ``QUAD_AGREE_RTOL`` relative is decided by the finer one,
+    and a pair whose rules disagree is reported as inconclusive rather
+    than as a pass or fail.
 
     Parameters
     ----------
@@ -338,13 +263,10 @@ def certify(
         Each row is one profile's values at the knots.
     lambdas : sequence of float
         Weight strengths; any value ``validate_lambdas`` accepts is
-        admissible to the inequality, which carries no large-lam
-        threshold, but not every one is decidable by this quadrature.
-        The weight narrows around t = 0 as lam grows, and uniform
-        doubling needs ever more levels to settle: pairs settle at
-        levels 18-20 for lam = 100 and 23-24 for lam = 1e4, and at
-        lam = 1e5 every pair stays inconclusive at ``MAX_LEVEL`` (24).
-        That is the quadrature's limit, not the inequality's.
+        admissible, since the inequality carries no large-lam threshold.
+        The grading follows the weight's width, so the rules agree to
+        about 1e-11 at any lam.  Past about lam = 1e130 the bound falls
+        below the normal floats, and such a pair is inconclusive too.
     alpha : float
         Temporal exponent, odd/odd in (0, 1/3).
     """
@@ -365,33 +287,18 @@ def certify(
         raise ValueError("profile must live on a symmetric interval [-d, d]")
     const = bound_constant(d, alpha)
 
-    shape = (profiles.shape[0], lams.size)
-    lhs = np.full(shape, np.nan)
-    rhs_int = np.full(shape, np.nan)
-    levels = np.full(shape, START_LEVEL)
-    converged = np.zeros(shape, dtype=bool)
-    for level in range(START_LEVEL, MAX_LEVEL + 1):
-        # forms only for the lam with a pair still open
-        cols = np.flatnonzero(~converged.all(axis=0))
-        if cols.size == 0:
-            break
-        gram, kern = _level_forms(knots, alpha, level, lams[cols])
-        cur_lhs = _quadratic_forms(profiles, kern)
-        cur_rhs = _quadratic_forms(profiles, gram)
-        open_ = ~converged[:, cols]
-        if level > START_LEVEL:
-            scale = np.maximum(np.maximum(np.abs(cur_lhs), np.abs(cur_rhs)), 1e-300)
-            converged[:, cols] |= (
-                np.abs(cur_lhs - lhs[:, cols]) <= QUAD_AGREE_RTOL * scale
-            ) & (np.abs(cur_rhs - rhs_int[:, cols]) <= QUAD_AGREE_RTOL * scale)
-        lhs[:, cols] = np.where(open_, cur_lhs, lhs[:, cols])
-        rhs_int[:, cols] = np.where(open_, cur_rhs, rhs_int[:, cols])
-        levels[:, cols] = np.where(open_, level, levels[:, cols])
-
+    coarse_lhs, coarse_rhs, _ = _sides(knots, profiles, lams, alpha, GAUSS_POINTS)
+    lhs, rhs_int, nodes = _sides(knots, profiles, lams, alpha, 2 * GAUSS_POINTS)
+    scale = np.maximum(np.abs(lhs), np.abs(rhs_int))
+    converged = (np.abs(lhs - coarse_lhs) <= QUAD_AGREE_RTOL * scale) & (
+        np.abs(rhs_int - coarse_rhs) <= QUAD_AGREE_RTOL * scale
+    )
     rhs = lams ** (-1.5) * const * rhs_int
+    # a bound below the normal floats has lost its digits to underflow
+    converged &= rhs >= np.finfo(float).tiny
     holds = lhs <= rhs * (1.0 + HOLDS_REL_SLACK)
     status = np.where(converged, np.where(holds, "holds", "violated"), "inconclusive")
-    return Certification(lhs=lhs, rhs=rhs, levels=levels, converged=converged, status=status)
+    return Certification(lhs=lhs, rhs=rhs, converged=converged, status=status, nodes=nodes)
 
 
 def run_certification(

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .carleman import ratio_log_slope, run_certification, validate_lambdas
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config, stored_setting
 from .fieldio import read_field, write_csv, write_field, write_pgm
 from .forward import OBSERVATION_FIELDS, ObservationData
 from .grid import SPACE_TIME, SPATIAL, DenominatorError, Field, InteractionOperator
@@ -156,7 +156,6 @@ def _read_dataset(dataset_dir: str, cfg: ExperimentConfig):
             cfg = _adopt_dataset_config(cfg, json.load(fh))
         cfg.validate()
     except (ValueError, TypeError) as exc:
-        # a stored value of the wrong JSON type fails a build with TypeError
         raise ValueError(f"dataset manifest {manifest_path}: {exc}") from None
     paths = _dataset_paths(dataset_dir)
     fields = {}
@@ -192,10 +191,7 @@ def _adopt_dataset_config(cfg: ExperimentConfig, manifest) -> ExperimentConfig:
     changes = {}
     for name in DATASET_BOUND_FIELDS:
         if name in stored:
-            value = stored[name]
-            if name in ("fine", "coarse"):
-                value = tuple(value)
-            changes[name] = value
+            changes[name] = stored_setting(name, stored[name])
     return cfg.replace(**changes) if changes else cfg
 
 
@@ -401,7 +397,7 @@ def cmd_verify_carleman(args) -> int:
         "versions": _versions(),
         "counts": counts,
         "slope": slope,
-        "quadrature": result.quadrature_work(),
+        "quadrature": {"nodes": list(result.nodes)},
         "outputs": _hash_map({"report": report_path}),
     })
     bad = counts["violated"] + counts["inconclusive"]
@@ -409,8 +405,8 @@ def cmd_verify_carleman(args) -> int:
     if bad:
         raise NumericalFailure(
             f"{counts['violated']} certification trials violated the inequality and "
-            f"{counts['inconclusive']} were inconclusive (no two quadrature levels "
-            "agreed by the deepest level)"
+            f"{counts['inconclusive']} were inconclusive (the two quadrature rules "
+            "disagreed, or the bound underflowed)"
         )
     return EXIT_OK
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import json
 import math
 import os
 from dataclasses import dataclass
@@ -134,6 +135,12 @@ _SCHEMA = {
 }
 
 _FIELD_NAMES = {("output", "root"): "output_root"}
+# each field's kind, by the name the dataclass gives it
+_KINDS = {
+    _FIELD_NAMES.get((section, key), key): kind
+    for section, keys in _SCHEMA.items()
+    for key, kind in keys.items()
+}
 
 
 def _parse_value(kind, raw: str):
@@ -143,6 +150,25 @@ def _parse_value(kind, raw: str):
             raise ValueError(f"expected three node counts, got {raw!r}")
         return tuple(int(p) for p in parts)
     return kind(raw)
+
+
+def stored_setting(name: str, value):
+    """A setting read back from a JSON manifest, checked against its kind.
+
+    The tests are exact, since JSON true and false load as bools, which
+    pass for numbers everywhere downstream.
+    """
+    kind = _KINDS[name]
+    if kind == "triple":
+        ok = type(value) is list and len(value) == 3 and all(type(n) is int for n in value)
+        expected = "a list of three integers"
+    elif kind is float:
+        ok, expected = type(value) in (int, float), "a number"
+    else:
+        ok, expected = type(value) is kind, f"of type {kind.__name__}"
+    if not ok:
+        raise ValueError(f"stored {name!r} must be {expected}, got {json.dumps(value)}")
+    return tuple(value) if kind == "triple" else value
 
 
 def load_config(path) -> ExperimentConfig:

@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,9 +7,9 @@ from scipy.integrate import quad
 from mfgcoef.carleman import (
     HOLDS_REL_SLACK,
     QUAD_AGREE_RTOL,
-    START_LEVEL,
     CarlemanParams,
-    _level_forms,
+    _forms,
+    _gauss_legendre,
     bound_constant,
     certify,
     conventional_vs_new_ratio,
@@ -22,89 +21,37 @@ from mfgcoef import carleman
 from mfgcoef.grid import SpaceTimeGrid
 
 
-def direct_sums(knots, values, lam, alpha, level):
-    """Both level sums node by node: (lhs_L, rhs_int_L)."""
-    d = knots[-1]
-    n = 2**level
-    t = np.linspace(-d, d, n + 1)
-    f = np.interp(t, knots, values)
-    w = np.exp(-2.0 * lam * np.abs(t) ** (1.0 + alpha))
-    h = 2.0 * d / n
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * h * (f[1:] + f[:-1]))))
-    inner = cum - cum[n // 2]
-    return np.trapezoid(w * inner * inner, dx=h), np.trapezoid(w * f * f, dx=h)
+def running_integral(knots, values, t):
+    """The profile's integral from 0 to t: exact trapezoid sums on its pieces."""
+    inside = knots[(knots > min(t, 0.0)) & (knots < max(t, 0.0))]
+    s = np.sort(np.concatenate(([0.0, t], inside)))
+    f = np.interp(s, knots, values)
+    return np.sign(t) * np.sum(0.5 * np.diff(s) * (f[1:] + f[:-1]))
 
 
-def direct_levels(knots, values, lam, alpha, start_level=6):
-    """The level at which the node-by-node sums first settle."""
-    prev = direct_sums(knots, values, lam, alpha, start_level)
-    for level in range(start_level + 1, 25):
-        cur = direct_sums(knots, values, lam, alpha, level)
-        scale = max(abs(cur[0]), abs(cur[1]))
-        if all(abs(c - p) <= QUAD_AGREE_RTOL * scale for c, p in zip(cur, prev)):
-            return level
-        prev = cur
-    return None
+def quad_sides(knots, values, lam, alpha):
+    """(lhs, rhs_int) by adaptive quad between the knots, 0 and the weight's scales."""
+    width = (2.0 * lam) ** (-1.0 / (1.0 + alpha))
+    scales = width * np.array([0.1, 1.0, 3.0, 10.0, 30.0])
+    cuts = np.concatenate((knots, [0.0], scales, -scales))
+    cuts = np.unique(cuts[(cuts >= knots[0]) & (cuts <= knots[-1])])
+    w = lambda t: np.exp(-2.0 * lam * abs(t) ** (1.0 + alpha))
+    f = lambda t: np.interp(t, knots, values)
+    psi = lambda t: running_integral(knots, values, t)
+
+    def integral(g):
+        return sum(
+            quad(g, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            for lo, hi in zip(cuts[:-1], cuts[1:])
+        )
+
+    return integral(lambda t: w(t) * psi(t) ** 2), integral(lambda t: w(t) * f(t) ** 2)
 
 
 def symmetric_unaligned_knots():
-    # no interior knot lies on a grid node at any level, t = 0 included
+    # no interior knot is a dyadic cut d / 2^j, and t = 0 is no knot
     half = np.array([0.0173, 0.061, 0.1337, 0.2011, 0.29, 0.3583, 0.4419, 0.5])
     return np.concatenate((-half[::-1], half))
-
-
-def whole_level_forms(knots, alpha, level, lams):
-    """(G_L, K_L) built from arrays that span the whole level.
-
-    The construction the streamed ``_level_forms`` replaced: it forms the
-    node array, every interval's slopes and all lam's weights at once.
-    """
-    m = knots.size
-    d = knots[-1]
-    n = 2**level
-    h = 2.0 * d / n
-    t = np.linspace(-d, d, n + 1)
-    bounds = np.searchsorted(t, knots)
-    bounds[0], bounds[-1] = 0, n + 1
-    spans = [slice(bounds[i], bounds[i + 1]) for i in range(m - 1)]
-    slopes = [
-        np.clip((t[span] - knots[i]) / (knots[i + 1] - knots[i]), 0.0, 1.0)
-        for i, span in enumerate(spans)
-    ]
-    rise, fall = np.zeros(m), np.zeros(m)
-    rise[1:] = [s.sum() for s in slopes]
-    fall[:-1] = np.diff(bounds) - rise[1:]
-    c = n // 2
-    ic = int(np.searchsorted(bounds, c, side="right")) - 1
-    s = slopes[ic][: c - bounds[ic] + 1]
-    at_mid = np.zeros(m)
-    at_mid[:ic] = h * (rise + fall)[:ic]
-    at_mid[ic] = h * (rise[ic] + s.size - s.sum() - 0.5 * (1.0 - s[-1]))
-    at_mid[ic + 1] = h * (s.sum() - 0.5 * s[-1])
-    right = h * (rise + fall) - at_mid
-    left = -at_mid
-    gram = np.zeros((lams.size, m, m))
-    kern = np.zeros((lams.size, m, m))
-    for i, (span, s) in enumerate(zip(spans, slopes)):
-        if s.size == 0:
-            continue
-        rows = np.empty((4, s.size))
-        rows[0] = 1.0 - s
-        rows[1] = s
-        rows[2] = h * (rise[i] + np.cumsum(rows[0]) - 0.5 * rows[0]) - at_mid[i]
-        rows[3] = h * (np.cumsum(s) - 0.5 * s) - at_mid[i + 1]
-        weight = np.exp(np.multiply.outer(-2.0 * lams, np.abs(t[span]) ** (1.0 + alpha)))
-        if span.start == 0:
-            weight[:, 0] *= 0.5
-        if span.stop == n + 1:
-            weight[:, -1] *= 0.5
-        sums = h * ((rows * weight[:, None, :]) @ rows.T)
-        gram[:, i : i + 2, i : i + 2] += sums[:, :2, :2]
-        coef = np.zeros((4, m))
-        coef[:2, :i], coef[:2, i + 2 :] = right[:i], left[i + 2 :]
-        coef[2, i] = coef[3, i + 1] = 1.0
-        kern += coef.T @ sums @ coef
-    return gram, kern
 
 
 def test_exponent_validation():
@@ -184,11 +131,11 @@ def test_check_against_quad_oracle_constant_profile():
     knots = np.linspace(-d, d, 17)
     r = certify(knots, np.ones((1, 17)), [lam], alpha)
     w = lambda t: np.exp(-2.0 * lam * abs(t) ** (1.0 + alpha))
-    lhs_oracle = 2.0 * quad(lambda t: w(t) * t * t, 0.0, d, epsabs=1e-13)[0]
-    rhs_int_oracle = 2.0 * quad(w, 0.0, d, epsabs=1e-13)[0]
-    assert r.lhs[0, 0] == pytest.approx(lhs_oracle, rel=1e-7)
+    lhs_oracle = 2.0 * quad(lambda t: w(t) * t * t, 0.0, d, epsabs=0.0, epsrel=1e-13)[0]
+    rhs_int_oracle = 2.0 * quad(w, 0.0, d, epsabs=0.0, epsrel=1e-13)[0]
+    assert r.lhs[0, 0] == pytest.approx(lhs_oracle, rel=1e-12)
     expect = lam**-1.5 * bound_constant(d, alpha) * rhs_int_oracle
-    assert r.rhs[0, 0] == pytest.approx(expect, rel=1e-7)
+    assert r.rhs[0, 0] == pytest.approx(expect, rel=1e-12)
     assert r.status[0, 0] == "holds" and r.converged[0, 0]
 
 
@@ -198,8 +145,8 @@ def test_check_against_quad_oracle_linear_profile():
     r = certify(knots, knots[None, :], [lam], alpha)
     w = lambda t: np.exp(-2.0 * lam * abs(t) ** (1.0 + alpha))
     # inner integral of f(t) = t from 0 is t^2/2
-    lhs_oracle = 2.0 * quad(lambda t: w(t) * (t * t / 2.0) ** 2, 0.0, d, epsabs=1e-14)[0]
-    assert r.lhs[0, 0] == pytest.approx(lhs_oracle, rel=1e-7)
+    lhs_oracle = quad(lambda t: w(t) * (t * t / 2.0) ** 2, 0.0, d, epsabs=0.0, epsrel=1e-13)[0]
+    assert r.lhs[0, 0] == pytest.approx(2.0 * lhs_oracle, rel=1e-12)
     assert r.status[0, 0] == "holds"
 
 
@@ -276,33 +223,78 @@ def test_profile_input_validation():
         certify(knots, np.ones(17), [1.0], 0.2)
 
 
-@pytest.mark.parametrize("knots", [np.linspace(-0.5, 0.5, 17), symmetric_unaligned_knots()])
-def test_forms_match_direct_trapezoid_sums(knots):
+KNOT_SETS = {
+    "equispaced": np.linspace(-0.5, 0.5, 17),
+    "unaligned": symmetric_unaligned_knots(),
+    # one knot interval some 250 times narrower than its neighbours
+    "narrow-interval": np.array([-0.5, 0.002, 0.004, 0.5]),
+    "first-knot-inside": np.concatenate(([-0.5 + 1e-12], np.linspace(-0.5, 0.5, 17)[1:])),
+}
+
+
+def test_gauss_rule_integrates_polynomials_exactly():
+    for points in (1, 2, 16, 32):
+        nodes, weights = _gauss_legendre(points)
+        assert np.all(np.diff(nodes) > 0) and np.all(weights > 0)
+        np.testing.assert_allclose(nodes, -nodes[::-1], rtol=0.0, atol=1e-15)
+        for power in range(2 * points):
+            exact = 2.0 / (power + 1) if power % 2 == 0 else 0.0
+            assert weights @ nodes**power == pytest.approx(exact, rel=1e-13, abs=1e-14)
+
+
+@pytest.mark.parametrize("name", list(KNOT_SETS))
+def test_forms_match_quad_oracles(name):
+    knots = KNOT_SETS[name]
     rng = np.random.default_rng(11)
-    lams = (1.0, 8.0, 100.0)
-    for level in range(6, 13):
-        gram, kern = _level_forms(knots, 0.2, level, np.array(lams))
-        for i, lam in enumerate(lams):
-            for values in (rng.uniform(-1.0, 1.0, knots.size), knots.copy(), np.ones(knots.size)):
-                lhs, rhs_int = direct_sums(knots, values, lam, 0.2, level)
-                assert values @ kern[i] @ values == pytest.approx(lhs, rel=1e-12, abs=0.0)
-                assert values @ gram[i] @ values == pytest.approx(rhs_int, rel=1e-12, abs=0.0)
+    rule = _gauss_legendre(2 * carleman.GAUSS_POINTS)
+    for lam in (1.0, 8.0, 100.0, 1e5):
+        gram, kern, _ = _forms(knots, lam, 0.2, rule)
+        for values in (rng.uniform(-1.0, 1.0, knots.size), np.ones(knots.size)):
+            lhs, rhs_int = quad_sides(knots, values, lam, 0.2)
+            assert values @ kern @ values == pytest.approx(lhs, rel=1e-12, abs=0.0), lam
+            assert values @ gram @ values == pytest.approx(rhs_int, rel=1e-12, abs=0.0), lam
 
 
-def test_certification_stops_where_the_direct_sums_settle():
+def test_certification_decides_by_the_finer_rule():
     lams = (1.0, 8.0)
-    r = run_certification(seed=0, n_trials=10, lambdas=lams, d=0.5, alpha=0.2)
-    knots = np.linspace(-0.5, 0.5, 17)
-    profiles = np.random.default_rng(0).uniform(-1.0, 1.0, size=(10, 17))
-    expected = [[direct_levels(knots, v, lam, 0.2) for lam in lams] for v in profiles]
-    assert r.levels.tolist() == expected
-
     knots = symmetric_unaligned_knots()
     profiles = np.random.default_rng(5).uniform(-1.0, 1.0, size=(4, knots.size))
     r = certify(knots, profiles, lams, 0.2)
-    expected = [[direct_levels(knots, v, lam, 0.2) for lam in lams] for v in profiles]
-    assert r.levels.tolist() == expected
-    assert (r.status == "holds").all()
+    assert r.converged.all() and (r.status == "holds").all()
+    rule = _gauss_legendre(2 * carleman.GAUSS_POINTS)
+    const = bound_constant(0.5, 0.2)
+    for j, lam in enumerate(lams):
+        gram, kern, nodes = _forms(knots, lam, 0.2, rule)
+        assert r.nodes[j] == nodes
+        for i, values in enumerate(profiles):
+            assert r.lhs[i, j] == pytest.approx(values @ kern @ values, rel=1e-13)
+            rhs = lam**-1.5 * const * (values @ gram @ values)
+            assert r.rhs[i, j] == pytest.approx(rhs, rel=1e-13)
+
+
+def test_the_grading_deepens_as_the_weight_narrows(monkeypatch):
+    built = []
+
+    def counted(knots, lam, alpha, rule):
+        forms = _forms(knots, lam, alpha, rule)
+        built.append((lam, rule[0].size, forms[2]))
+        return forms
+
+    monkeypatch.setattr(carleman, "_forms", counted)
+    lams = (1.0, 8.0, 1000.0)
+    r = run_certification(seed=4, n_trials=3, lambdas=lams, d=0.5, alpha=0.2)
+    points = carleman.GAUSS_POINTS
+    assert sorted(built) == sorted(
+        [(lam, points, n // 2) for lam, n in zip(lams, r.nodes)]
+        + [(lam, 2 * points, n) for lam, n in zip(lams, r.nodes)]
+    )
+    for lam, nodes in zip(lams, r.nodes):
+        # 8 knot pieces a side, d/2..d/8 among the knots, then one piece
+        # per further halving: the innermost cut is the first with
+        # 2 lam r^(1+alpha) < 1e-4
+        depth = nodes // (2 * 2 * points) - 8 + 3
+        assert 2.0 * lam * (0.5 / 2**depth) ** 1.2 < 1e-4
+        assert 2.0 * lam * (0.5 / 2 ** (depth - 1)) ** 1.2 >= 1e-4
 
 
 def test_one_profile_certifies_alike_alone_and_in_a_batch():
@@ -312,75 +304,23 @@ def test_one_profile_certifies_alike_alone_and_in_a_batch():
     batch = certify(knots, profiles, lams, 0.2)
     for i in range(profiles.shape[0]):
         alone = certify(knots, profiles[i : i + 1], lams, 0.2)
-        assert np.array_equal(alone.levels[0], batch.levels[i])
+        assert np.array_equal(alone.status[0], batch.status[i])
         np.testing.assert_allclose(alone.lhs[0], batch.lhs[i], rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(alone.rhs[0], batch.rhs[i], rtol=1e-13, atol=0.0)
 
 
-# an empty interval: at level 6 no node lies in [0.002, 0.004)
-EMPTY_INTERVAL_KNOTS = np.array([-0.5, 0.002, 0.004, 0.5])
-
-
-@pytest.mark.parametrize("knots", [
-    np.linspace(-0.5, 0.5, 17),
-    symmetric_unaligned_knots(),
-    EMPTY_INTERVAL_KNOTS,
-    np.concatenate(([-0.5 + 1e-12], np.linspace(-0.5, 0.5, 17)[1:])),
-], ids=["equispaced", "unaligned", "empty-interval", "first-knot-inside"])
-def test_streamed_forms_equal_the_whole_level_forms_bit_for_bit(knots):
-    lams = np.array([1.0, 2.0, 4.0, 8.0, 100.0])
-    for level in range(6, 15):
-        gram, kern = _level_forms(knots, 0.2, level, lams)
-        ref_gram, ref_kern = whole_level_forms(knots, 0.2, level, lams)
-        assert np.array_equal(gram, ref_gram), level
-        assert np.array_equal(kern, ref_kern), level
-
-
-def test_empty_interval_layout_has_an_empty_interval_at_level_6():
-    t = np.linspace(-0.5, 0.5, 2**6 + 1)
-    bounds = np.searchsorted(t, EMPTY_INTERVAL_KNOTS)
-    assert bounds[1] == bounds[2]
-
-
-def test_level_forms_hold_no_level_wide_array():
-    # the bar is one level's float64 node array; the whole-level
-    # construction peaks at about 3.5 times that
-    knots = np.linspace(-0.5, 0.5, 17)
-    level = 20
-    tracemalloc.start()
-    try:
-        _level_forms(knots, 0.2, level, np.array([1.0, 2.0, 4.0, 8.0]))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * (2**level + 1)
-
-
-def test_quadrature_work_counts_the_form_builds(monkeypatch):
-    builds = []
-
-    def counted(knots, alpha, level, lams):
-        builds.extend((level, lam) for lam in lams)
-        return _level_forms(knots, alpha, level, lams)
-
-    monkeypatch.setattr(carleman, "_level_forms", counted)
-    # lam = 1000 settles far sooner than lam = 1
-    r = run_certification(seed=4, n_trials=3, lambdas=(1.0, 1000.0), d=0.5, alpha=0.2)
-    work = r.quadrature_work()
-    deepest = r.levels.max(axis=0)
-    assert work["deepest_level"] == deepest.tolist()
-    assert deepest[0] != deepest[1]
-    assert work["form_builds"] == len(builds)
-    assert work["form_nodes"] == sum(2**level + 1 for level, _ in builds)
-    for lam, top in zip((1.0, 1000.0), deepest):
-        assert sorted(level for level, l in builds if l == lam) == list(range(START_LEVEL, top + 1))
-
-
 def test_a_pair_that_never_settles_is_inconclusive(monkeypatch):
-    # lam = 1e5 never settles, even by level 24; two levels reach the
-    # inconclusive path without the deep quadrature
-    monkeypatch.setattr(carleman, "MAX_LEVEL", START_LEVEL + 1)
-    r = run_certification(seed=7, n_trials=3, lambdas=(1e5,), d=0.5, alpha=0.2)
+    # a one-point rule against a two-point rule cannot agree to QUAD_AGREE_RTOL
+    monkeypatch.setattr(carleman, "GAUSS_POINTS", 1)
+    r = run_certification(seed=7, n_trials=3, lambdas=(8.0,), d=0.5, alpha=0.2)
     assert np.all(r.status == "inconclusive")
-    assert np.all(r.levels == carleman.MAX_LEVEL)
     assert not r.converged.any()
+
+
+def test_large_lambdas_are_decided_until_the_bound_underflows():
+    # the grading follows the weight's width, so lam = 1e100 is decided;
+    # at lam = 1e150 the bound is below the smallest normal float
+    r = run_certification(seed=7, n_trials=3, lambdas=(1e5, 1e100, 1e150), d=0.5, alpha=0.2)
+    assert (r.status[:, :2] == "holds").all()
+    assert (r.status[:, 2] == "inconclusive").all()
+    assert (r.rhs[:, 1] >= np.finfo(float).tiny).all()

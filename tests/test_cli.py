@@ -331,13 +331,10 @@ def test_verify_carleman_passes_and_reports(workspace, tmp_path):
     assert [(row[0], row[1]) for row in rows] == [
         (str(trial), lam) for trial in range(2) for lam in ("1", "2", "4", "8")
     ]
-    # the quadrature work: every lam's pairs settle by level 18, so each lam
-    # builds its forms at levels 6..18, weighting 2^L + 1 nodes each time
-    assert manifest["quadrature"] == {
-        "deepest_level": [18, 18, 18, 18],
-        "form_builds": 4 * 13,
-        "form_nodes": 4 * sum(2**level + 1 for level in range(6, 19)),
-    }
+    # the finer rule's 32 nodes on each piece: 8 knot pieces a side, and
+    # the grading toward t = 0 adds 8, 9, 10 and 11 pieces a side for
+    # lam = 1, 2, 4 and 8
+    assert manifest["quadrature"] == {"nodes": [1024, 1088, 1152, 1216]}
     # the counts stay out of the hashed report, which keeps its two summary lines
     assert len([line for line in report.splitlines() if line.startswith("#")]) == 2
 
@@ -356,11 +353,22 @@ def _report_rows(report: str):
     return [line for line in report.splitlines()[1:] if not line.startswith("#")]
 
 
-def test_verify_carleman_names_inconclusive_pairs(monkeypatch, tmp_path, capsys):
-    # lam = 1e5 never settles; capping the levels reaches that path cheaply
-    monkeypatch.setattr(carleman, "MAX_LEVEL", carleman.START_LEVEL + 1)
+def test_verify_carleman_decides_a_large_lambda(tmp_path):
+    # the grading follows the weight's width, which shrinks like
+    # lam^(-1/(1+alpha)) around t = 0
     out = tmp_path / "carl"
-    code = main(["verify-carleman", "--out", str(out), "--lambda", "1e5", "--trials", "2"])
+    code = main(["verify-carleman", "--out", str(out), "--lambda", "1e5", "--trials", "3"])
+    assert code == EXIT_OK
+    rows = _report_rows((out / "report.txt").read_text())
+    assert len(rows) == 3
+    assert all(row.endswith(" holds") for row in rows)
+
+
+def test_verify_carleman_names_inconclusive_pairs(monkeypatch, tmp_path, capsys):
+    # a one-point rule against a two-point rule never agrees
+    monkeypatch.setattr(carleman, "GAUSS_POINTS", 1)
+    out = tmp_path / "carl"
+    code = main(["verify-carleman", "--out", str(out), "--lambda", "8", "--trials", "2"])
     assert code == EXIT_NUMERICAL
     rows = _report_rows((out / "report.txt").read_text())
     assert len(rows) == 2
@@ -503,6 +511,24 @@ def test_invert_names_a_malformed_dataset_manifest(workspace, tmp_path, capsys, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("sigma", True), ("a", True), ("contrast", False),
+    ("fine", [41.0, 41, 41]), ("coarse", [21, 21, True]), ("letter", 1),
+], ids=["bool-sigma", "bool-a", "bool-contrast", "float-in-fine", "bool-in-coarse", "int-letter"])
+def test_invert_rejects_a_stored_setting_of_the_wrong_type(
+    workspace, tmp_path, capsys, key, value
+):
+    # a JSON bool passes for a number downstream ("sigma": true inverts at
+    # sigma = 1), so each stored value is checked against its field's type
+    root, config, dataset = workspace
+    bad = _with_stored_config(dataset, tmp_path / "bad", **{key: value})
+    argv = ["invert", "--config", str(config), str(bad), "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: dataset manifest {bad / 'manifest.json'}: stored {key!r} ")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--delta", "0.03"],
     ["generate", "--seed", "3"],
@@ -610,6 +636,23 @@ def test_noisy_invert_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert one[0] == two[0]
 
 
+def test_verify_carleman_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the forms are summed piece by piece in a fixed order, so the report
+    # hashes alike at one and two OpenBLAS threads
+    def run(threads):
+        out = tmp_path / f"threads{threads}"
+        argv = ["verify-carleman", "--seed", "7", "--out", str(out)]
+        child = _run_child(
+            f"import mfgcoef.cli as cli\nassert cli.main({argv!r}) == 0\n",
+            tmp_path, OPENBLAS_NUM_THREADS=str(threads),
+        )
+        assert child.returncode == 0, child.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        return {name: entry["sha256"] for name, entry in manifest["outputs"].items()}
+
+    assert run(1) == run(2)
+
+
 def test_imports_load_only_the_layers_they_need(tmp_path):
     # the package root re-exports nothing, and the certification stands on
     # the grid alone
@@ -627,25 +670,36 @@ def test_imports_load_only_the_layers_they_need(tmp_path):
     assert loaded("mfgcoef.carleman") == "['mfgcoef', 'mfgcoef.carleman', 'mfgcoef.grid']"
 
 
-def test_no_command_loads_scipy(tmp_path):
-    # every solver is numpy-only, so a fresh interpreter running any
-    # command, generation included, must not pay for importing scipy
+def _commands_and_what_they_load(tmp_path, package):
+    """Each command run in a fresh child, with the modules of package it loaded."""
     data = Path(__file__).resolve().parents[1] / "benchmarks" / "data"
     smoke = str(data / "smoke.ini")
-
-    def scipy_loaded(argv):
+    commands = [
+        ["verify-carleman", "--trials", "2", "--seed", "1", "--out", "carl"],
+        ["invert", str(data / "smoke"), "--delta", "0.03", "--config", smoke, "--out", "inv"],
+        ["generate", "--config", smoke, "--out", "ds"],
+    ]
+    for argv in commands:
         child = _run_child(
             "import sys\n"
             "import mfgcoef.cli as cli\n"
             f"assert cli.main({argv!r}) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n",
+            f"print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))\n",
             tmp_path,
         )
         assert child.returncode == 0, child.stderr
-        return child.stdout.splitlines()[-1]
+        yield argv[0], child.stdout.splitlines()[-1]
 
-    certify = ["verify-carleman", "--trials", "2", "--seed", "1", "--out", "carl"]
-    assert scipy_loaded(certify) == "[]"
-    noisy = ["invert", str(data / "smoke"), "--delta", "0.03", "--config", smoke, "--out", "inv"]
-    assert scipy_loaded(noisy) == "[]"
-    assert scipy_loaded(["generate", "--config", smoke, "--out", "ds"]) == "[]"
+
+def test_no_command_loads_scipy(tmp_path):
+    # every solver is numpy-only, so a fresh interpreter running any
+    # command, generation included, must not pay for importing scipy
+    for command, loaded in _commands_and_what_they_load(tmp_path, "scipy"):
+        assert loaded == "[]", command
+
+
+def test_no_command_loads_numpy_polynomial(tmp_path):
+    # importing numpy.polynomial costs about 0.9 MiB of resident memory;
+    # the Gauss rule of the certification is built without it
+    for command, loaded in _commands_and_what_they_load(tmp_path, "numpy.polynomial"):
+        assert loaded == "[]", command
