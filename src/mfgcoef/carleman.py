@@ -139,14 +139,26 @@ def _gauss_legendre(points: int):
     return nodes, 2.0 * vecs[0] ** 2
 
 
+def _radii(side: np.ndarray, d: float, scale: float, alpha: float) -> np.ndarray:
+    """The cuts of one side's pieces, |t| increasing from 0.
+
+    ``side`` holds the side's knots as distances from 0, and scale is
+    lam^(1/(1+alpha)).  The cuts are 0, the knots and d / 2^j for
+    j = 1..depth, where the innermost r = d / 2^depth is the first with
+    2 lam r^(1+alpha) < 1e-4.
+    """
+    depth = max(0, math.floor(math.log2(d * scale / 5e-5 ** (1.0 / (1.0 + alpha)))) + 1)
+    dyadic = d * 0.5 ** np.arange(1, depth + 1)
+    return np.unique(np.concatenate(([0.0], side, dyadic[dyadic < side.max()])))
+
+
 def _forms(knots: np.ndarray, lam: float, alpha: float, rule):
     """G and K, shape (m, m), for one lam by the Gauss rule on graded pieces.
 
-    The pieces run outward from t = 0 on each side.  Their cuts are the
-    knots and the points d / 2^j, j = 1..depth, so every piece off 0 spans
-    at most a factor 2 in |t| and the weight is smooth on it.  The depth
-    halves toward the weight's kink at t = 0 until 2 lam r^(1+alpha) < 1e-4
-    at the innermost cut r, where the weight is 1 to within that much.
+    The pieces run outward from t = 0 on each side, cut by ``_radii`` at
+    the knots and at d / 2^j, so every piece off 0 spans at most a factor 2
+    in |t| and the weight is smooth on it.  The halving toward the weight's
+    kink at t = 0 stops where the weight is 1 to within 1e-4.
 
     On a piece with inner end e at distance u from a node t, the hats are
     linear, so their running integrals from 0 are exactly
@@ -158,19 +170,14 @@ def _forms(knots: np.ndarray, lam: float, alpha: float, rule):
     """
     x, wq = rule
     m = knots.size
-    d = knots[-1]
     # lam r^(1+alpha) = (scale r)^(1+alpha): no overflow or subnormal for any lam
     scale = lam ** (1.0 / (1.0 + alpha))
-    # the innermost cut r = d / 2^depth is the first with 2 lam r^(1+alpha) < 1e-4
-    depth = max(0, math.floor(math.log2(d * scale / 5e-5 ** (1.0 / (1.0 + alpha)))) + 1)
-    dyadic = d * 0.5 ** np.arange(1, depth + 1)
     eye = np.eye(m)
     gram = np.zeros((m, m))
     kern = np.zeros((m, m))
     nodes = 0
     for sign in (1.0, -1.0):
-        side = sign * knots[sign * knots > 0]
-        radii = np.unique(np.concatenate(([0.0], side, dyadic[dyadic < side.max()])))
+        radii = _radii(sign * knots[sign * knots > 0], knots[-1], scale, alpha)
         half = 0.5 * np.diff(radii)[:, None]
         u = half * (1.0 + x)
         rho = radii[:-1, None] + u

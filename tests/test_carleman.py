@@ -255,6 +255,30 @@ def test_forms_match_quad_oracles(name):
             assert values @ gram @ values == pytest.approx(rhs_int, rel=1e-12, abs=0.0), lam
 
 
+@pytest.mark.parametrize("knots", [np.linspace(-0.5, 0.5, 17), symmetric_unaligned_knots()])
+def test_forms_match_direct_trapezoid_sums(knots):
+    # the same Gauss nodes, with the profile interpolated there and its
+    # running integral taken as exact trapezoid sums from t = 0
+    alpha = 0.2
+    rng = np.random.default_rng(11)
+    x, wq = rule = _gauss_legendre(2 * carleman.GAUSS_POINTS)
+    for lam in (1.0, 8.0, 100.0):
+        gram, kern, _ = _forms(knots, lam, alpha, rule)
+        scale = lam ** (1.0 / (1.0 + alpha))
+        for values in (rng.uniform(-1.0, 1.0, knots.size), knots.copy(), np.ones(knots.size)):
+            lhs = rhs_int = 0.0
+            for sign in (1.0, -1.0):
+                radii = carleman._radii(sign * knots[sign * knots > 0], knots[-1], scale, alpha)
+                half = 0.5 * np.diff(radii)[:, None]
+                t = sign * (radii[:-1, None] + half * (1.0 + x))
+                w = np.exp(-2.0 * lam * np.abs(t) ** (1.0 + alpha)) * half * wq
+                psi = np.array([[running_integral(knots, values, s) for s in row] for row in t])
+                lhs += np.sum(w * psi**2)
+                rhs_int += np.sum(w * np.interp(t, knots, values) ** 2)
+            assert values @ kern @ values == pytest.approx(lhs, rel=1e-12, abs=0.0), lam
+            assert values @ gram @ values == pytest.approx(rhs_int, rel=1e-12, abs=0.0), lam
+
+
 def test_certification_decides_by_the_finer_rule():
     lams = (1.0, 8.0)
     knots = symmetric_unaligned_knots()
