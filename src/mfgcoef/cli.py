@@ -29,10 +29,16 @@ from . import __version__
 from .carleman import ratio_log_slope, run_certification, validate_lambdas
 from .config import ExperimentConfig, load_config, stored_setting
 from .fieldio import read_field, write_csv, write_field, write_pgm
-from .forward import OBSERVATION_FIELDS, ObservationData
-from .grid import SPACE_TIME, SPATIAL, DenominatorError, Field, InteractionOperator
+from .grid import (
+    OBSERVATION_FIELDS,
+    SPACE_TIME,
+    SPATIAL,
+    DenominatorError,
+    Field,
+    InteractionOperator,
+    ObservationData,
+)
 from .phantoms import LETTERS
-from .pipeline import run_generation, run_inversion
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -144,9 +150,11 @@ def _read_dataset(dataset_dir: str, cfg: ExperimentConfig):
     """A dataset's observations, cost and rate, and ``cfg`` bound to it.
 
     Returns ``(cfg, obs, cost, cost_rate, paths)``: ``cfg`` takes the
-    dataset's ``DATASET_BOUND_FIELDS`` from its manifest and is validated.
-    Every error that a malformed manifest or field file raises names that
-    file.
+    dataset's ``DATASET_BOUND_FIELDS`` from its manifest and is validated,
+    and its inversion grid must be the fields' grid.  Every error that a
+    malformed manifest or field file raises names that file, and every
+    field that does not fit the observation record is named with the
+    dataset.
     """
     manifest_path = os.path.join(dataset_dir, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -163,15 +171,23 @@ def _read_dataset(dataset_dir: str, cfg: ExperimentConfig):
         if not os.path.exists(path):
             raise ValueError(f"dataset {dataset_dir!r} is missing {name}.field")
         fields[name] = read_field(path)
-    obs = ObservationData(
-        grid=fields["v0"].grid, **{name: fields[name] for name in OBSERVATION_FIELDS}
-    )
+    try:
+        obs = ObservationData(
+            grid=fields["v0"].grid, **{name: fields[name] for name in OBSERVATION_FIELDS}
+        )
+    except ValueError as exc:
+        raise ValueError(f"dataset {dataset_dir!r}: {exc}") from None
     for name in ("cost", "cost_rate"):
         if fields[name].rank != SPACE_TIME or fields[name].grid != obs.grid:
             raise ValueError(
                 f"dataset {dataset_dir!r}: {name}.field must be a space-time field "
                 "on the observations' grid"
             )
+    if cfg.coarse_grid() != obs.grid:
+        raise ValueError(
+            f"dataset manifest {manifest_path}: its inversion grid {cfg.coarse_grid()} "
+            f"is not the fields' grid {obs.grid}"
+        )
     return cfg, obs, fields["cost"].values, fields["cost_rate"].values, paths
 
 
@@ -196,6 +212,9 @@ def _adopt_dataset_config(cfg: ExperimentConfig, manifest) -> ExperimentConfig:
 
 
 def cmd_generate(args) -> int:
+    # the pipeline loads the solvers, so only the commands that run them import it
+    from .pipeline import run_generation
+
     cfg = _config_from_args(args)
     out = _out_dir(args, cfg, "dataset")
     _prepare_out(out, args.force)
@@ -226,6 +245,8 @@ def cmd_generate(args) -> int:
 
 def _invert_core(cfg: ExperimentConfig, obs, cost, cost_rate, out: str) -> dict:
     """Shared by invert and the sweep: run, persist, return the summary row."""
+    from .pipeline import run_inversion
+
     try:
         outcome = run_inversion(cfg, obs, cost, cost_rate)
     except DenominatorError as exc:

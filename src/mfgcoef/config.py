@@ -3,8 +3,9 @@
 A run is described by a flat dataclass mirroring a small INI file with
 one section per concern.  Every field has a working default (the
 benchmark setup), so an empty config is runnable; a file only lists what
-it changes.  `validate` constructs every downstream object once, so a
-bad combination fails before any compute starts rather than mid-run.
+it changes.  `validate` constructs every downstream object once and
+checks the descent's two settings, so a bad combination fails before any
+compute starts rather than mid-run.
 
 The default output root comes from the MFGCOEF_OUTPUT_ROOT environment
 variable when set; a config file or a command-line flag overrides it.
@@ -22,7 +23,6 @@ from typing import Tuple
 
 from .carleman import CarlemanParams
 from .grid import InteractionOperator, SpaceTimeGrid, restriction_strides
-from .inverse import SolverConfig
 from .phantoms import letter_phantom
 
 ENV_OUTPUT_ROOT = "MFGCOEF_OUTPUT_ROOT"
@@ -81,9 +81,6 @@ class ExperimentConfig:
     def carleman_params(self) -> CarlemanParams:
         return CarlemanParams(lam=self.lam, alpha=self.alpha)
 
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(grad_tol=self.grad_tol, max_iter=self.max_iter)
-
     def validate(self) -> None:
         """Construct everything cheap once; raises on any bad combination.
 
@@ -102,7 +99,6 @@ class ExperimentConfig:
         coarse = self.coarse_grid()
         restriction_strides(self.fine_grid(), coarse)
         self.carleman_params().balanced_log_weight(coarse)
-        self.solver_config()
         InteractionOperator(coarse, self.sigma)
         letter_phantom(self.letter, coarse, self.contrast)
         if self.beta < 0:
@@ -111,6 +107,10 @@ class ExperimentConfig:
             raise ValueError(f"noise level must be nonnegative, got {self.delta}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.grad_tol < 0:
+            raise ValueError(f"grad_tol must be nonnegative, got {self.grad_tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
     def replace(self, **changes) -> "ExperimentConfig":
         return dataclasses.replace(self, **changes)

@@ -50,11 +50,11 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .grid import (
-    BOUNDARY_TRACE,
     GAMMA_TRACE,
     SPATIAL,
     Field,
     InteractionOperator,
+    ObservationData,
     SpaceTimeGrid,
     apply_along_axis,
     first_diff_matrix,
@@ -104,46 +104,6 @@ class ForwardSpec:
             raise ValueError(
                 f"coefficient must be sampled on the grid {shape}, got {self.coefficient.shape}"
             )
-
-
-# the observation set, in the order that fixes each field's noise stream
-OBSERVATION_FIELDS = ("v0", "p0", "g01", "g02", "g11", "g12")
-
-
-@dataclass
-class ObservationData:
-    """Single-measurement data the inversion is allowed to see.
-
-    Midpoint slices of value and density, Dirichlet traces of both on the
-    whole lateral boundary, and Neumann traces of both on the outflow face
-    x1 = b.  Everything lives on the inversion grid.
-    """
-
-    grid: SpaceTimeGrid
-    v0: Field
-    p0: Field
-    g01: Field
-    g02: Field
-    g11: Field
-    g12: Field
-
-    def __post_init__(self) -> None:
-        pairs = (
-            (self.v0, SPATIAL),
-            (self.p0, SPATIAL),
-            (self.g01, BOUNDARY_TRACE),
-            (self.g02, BOUNDARY_TRACE),
-            (self.g11, GAMMA_TRACE),
-            (self.g12, GAMMA_TRACE),
-        )
-        for f, rank in pairs:
-            if f.rank != rank:
-                raise ValueError(f"expected rank {rank!r}, got {f.rank!r}")
-            if f.grid is not self.grid and f.grid != self.grid:
-                raise ValueError("all observation fields must share the grid")
-
-    def fields(self):
-        return {name: getattr(self, name) for name in OBSERVATION_FIELDS}
 
 
 @dataclass

@@ -10,7 +10,9 @@ integral of the density as one trapezoid quadrature along x2, with the
 guarded midpoint denominator that the coefficient elimination divides
 by; and ``H2Form``, the H2 penalty of the objective, the per-axis
 difference operators and Gram matrices from which its value, its
-gradient and its diagonal are all read.
+gradient and its diagonal are all read.  The record the two halves
+exchange, ``ObservationData``, is defined here too, beside the field
+ranks it is built from.
 
 Array layout is row-major (x1, x2) for spatial fields and (x1, x2, t) for
 space-time fields.
@@ -354,6 +356,41 @@ class Field:
 
     def copy(self) -> "Field":
         return Field(self.grid, self.rank, self.values.copy())
+
+
+# the observation set, in the order that fixes each field's noise stream
+OBSERVATION_FIELDS = ("v0", "p0", "g01", "g02", "g11", "g12")
+
+
+@dataclass
+class ObservationData:
+    """Single-measurement data the inversion is allowed to see.
+
+    Midpoint slices of value and density, Dirichlet traces of both on the
+    whole lateral boundary, and Neumann traces of both on the outflow face
+    x1 = b.  Everything lives on the inversion grid.  The forward half
+    writes this record and the inverse half reads it.
+    """
+
+    grid: SpaceTimeGrid
+    v0: Field
+    p0: Field
+    g01: Field
+    g02: Field
+    g11: Field
+    g12: Field
+
+    def __post_init__(self) -> None:
+        ranks = (SPATIAL, SPATIAL, BOUNDARY_TRACE, BOUNDARY_TRACE, GAMMA_TRACE, GAMMA_TRACE)
+        for name, rank in zip(OBSERVATION_FIELDS, ranks):
+            f = getattr(self, name)
+            if f.rank != rank:
+                raise ValueError(f"observation {name}: expected rank {rank!r}, got {f.rank!r}")
+            if f.grid is not self.grid and f.grid != self.grid:
+                raise ValueError(f"observation {name}: not on the observations' grid")
+
+    def fields(self):
+        return {name: getattr(self, name) for name in OBSERVATION_FIELDS}
 
 
 class H2Form:

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import ObservationData
-from .grid import FACES, SpaceTimeGrid, apply_along_axis, first_diff_matrix
+from .grid import FACES, ObservationData, SpaceTimeGrid, apply_along_axis, first_diff_matrix
 from .objective import (
     ObjectiveContext,
     curvature_diagonal,
@@ -43,47 +42,6 @@ MIN_STEP = 1e-14
 
 class StallError(RuntimeError):
     """Raised when backtracking cannot find a descending step."""
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Descent controls.
-
-    Iterations stop when the reduced gradient max-norm drops below
-    ``grad_tol``, or after ``max_iter``; these two are the ``[solver]``
-    keys of a config file.  Each line search tries step 1 along the
-    L-BFGS direction and shrinks by ``SHRINK`` until the objective
-    decreases; a step below ``MIN_STEP`` raises ``StallError``.
-
-    ``step0`` and ``precondition`` are for tests, which use them to
-    follow the descent on an exactly solvable quadratic; runs keep the
-    defaults.  ``step0`` scales the first direction (and the one after a
-    memory reset): the gradient times ``step0``, divided by the
-    curvature when preconditioned.  With ``precondition`` on, the initial
-    inverse Hessian of the recursion is the reciprocal of
-    ``curvature_diagonal`` taken at the start, node by node; otherwise it
-    is a multiple of the identity.  The stopping test always reads the
-    unscaled gradient.  The weight spans many orders of magnitude across
-    the slab, and without this scaling the weakly weighted region relaxes
-    slowly: on the reference dataset (lam = 3) the unscaled descent meets
-    ``grad_tol`` after 3028 iterations and 3180 objective passes (rel_l2
-    0.0105), the scaled one after 156 iterations and 164 passes (rel_l2
-    0.0095); with noise (delta 0.03, seed 17) the scaled one takes 134
-    iterations and 140 passes.
-    """
-
-    grad_tol: float
-    max_iter: int
-    step0: float = 0.1
-    precondition: bool = True
-
-    def __post_init__(self) -> None:
-        if self.step0 <= 0:
-            raise ValueError(f"step0 must be positive, got {self.step0}")
-        if self.grad_tol < 0:
-            raise ValueError(f"grad_tol must be nonnegative, got {self.grad_tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 # free nodes of both fields: off the inflow, outflow and x2 faces and the
@@ -213,20 +171,46 @@ def _two_loop(grad: np.ndarray, pairs, h0: np.ndarray) -> np.ndarray:
     return r
 
 
-def descend(ctx: ObjectiveContext, start: np.ndarray, config: SolverConfig) -> ReconstructionResult:
+def descend(
+    ctx: ObjectiveContext, start: np.ndarray, grad_tol: float, max_iter: int,
+    *, step0: float = 0.1, precondition: bool = True,
+) -> ReconstructionResult:
     """Monotone projected L-BFGS descent from ``start`` on the free nodes.
+
+    Iterations stop when the reduced gradient max-norm drops below
+    ``grad_tol``, or after ``max_iter``; these two are the ``[solver]``
+    keys of a config file, checked by ``ExperimentConfig.validate``.
 
     The direction is the two-loop recursion over the last ``MEMORY``
     pairs of free-node displacements and reduced-gradient changes, with
     H0 = gamma / curvature (gamma = s.y / y.(y / curvature) of the newest
     pair, ``step0`` while the memory is empty).  The line search tries
-    step 1 and shrinks until the objective strictly decreases; before it
-    gives up it clears the memory once and retries along the
-    preconditioned gradient.  Every accepted iterate strictly decreases
-    the objective; the histories record the objective's parts per
-    accepted step and the raw reduced gradient max-norm per iteration,
-    which is also what the stopping test reads.
+    step 1 and shrinks by ``SHRINK`` until the objective strictly
+    decreases; before it gives up it clears the memory once and retries
+    along the preconditioned gradient, and a step below ``MIN_STEP``
+    there raises ``StallError``.  Every accepted iterate strictly
+    decreases the objective; the histories record the objective's parts
+    per accepted step and the raw reduced gradient max-norm per
+    iteration, which is also what the stopping test reads.
+
+    ``step0`` and ``precondition`` are for tests, which use them to
+    follow the descent on an exactly solvable quadratic; runs keep the
+    defaults.  ``step0`` scales the first direction (and the one after a
+    memory reset): the gradient times ``step0``, divided by the
+    curvature when preconditioned.  With ``precondition`` on, the
+    initial inverse Hessian of the recursion is the reciprocal of
+    ``curvature_diagonal`` taken at the start, node by node; otherwise
+    it is a multiple of the identity.  The stopping test always reads
+    the unscaled gradient.  The weight spans many orders of magnitude
+    across the slab, and without this scaling the weakly weighted region
+    relaxes slowly: on the reference dataset (lam = 3) the unscaled
+    descent meets ``grad_tol`` after 3028 iterations and 3180 objective
+    passes (rel_l2 0.0105), the scaled one after 156 iterations and 164
+    passes (rel_l2 0.0095); with noise (delta 0.03, seed 17) the scaled
+    one takes 134 iterations and 140 passes.
     """
+    if step0 <= 0:
+        raise ValueError(f"step0 must be positive, got {step0}")
     constraints = DataConstraints(ctx.observations)
     x = constraints.free(start)
     z = constraints.embed(x)
@@ -235,7 +219,7 @@ def descend(ctx: ObjectiveContext, start: np.ndarray, config: SolverConfig) -> R
     passes = 1
     if not np.isfinite(value):
         raise ValueError(f"objective is not finite at the start: {value}")
-    if config.precondition:
+    if precondition:
         curv = curvature_diagonal(ctx, z)
         floor = 1e-12 * max(float(curv.max()), 1.0)
         inv_curv = 1.0 / np.maximum(constraints.free(curv), floor)
@@ -247,17 +231,17 @@ def descend(ctx: ObjectiveContext, start: np.ndarray, config: SolverConfig) -> R
     parts_hist = [parts]
     grad_hist = []
     stop_reason = "max_iter"
-    for _ in range(config.max_iter):
+    for _ in range(max_iter):
         gmax = float(np.max(np.abs(red)))
         grad_hist.append(gmax)
-        if gmax < config.grad_tol:
+        if gmax < grad_tol:
             stop_reason = "grad_tol"
             break
         if pairs:
             _, y, rho = pairs[-1]
             gamma = 1.0 / (rho * float(y @ (inv_curv * y)))
         else:
-            gamma = config.step0
+            gamma = step0
         direction = _two_loop(red, pairs, gamma * inv_curv)
         step = 1.0
         while True:
@@ -276,7 +260,7 @@ def descend(ctx: ObjectiveContext, start: np.ndarray, config: SolverConfig) -> R
                         f"max-norm {gmax:.3e}; the objective cannot decrease further"
                     )
                 pairs.clear()
-                direction = config.step0 * inv_curv * red
+                direction = step0 * inv_curv * red
                 step = 1.0
         trial_red = constraints.pullback(trial_grad)
         s = trial_x - x

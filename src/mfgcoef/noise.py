@@ -36,8 +36,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .forward import OBSERVATION_FIELDS, ObservationData
-from .grid import FACES, GAMMA_TRACE, SPATIAL, Field
+from .grid import FACES, GAMMA_TRACE, OBSERVATION_FIELDS, SPATIAL, Field, ObservationData
 
 # penalty orders, two above the highest derivative read off each surface:
 # the Laplacian of the midpoint slices, the time derivative of the traces

@@ -46,8 +46,7 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .carleman import CarlemanParams
-from .forward import ObservationData
-from .grid import H2Form, InteractionOperator, apply_along_axis, volterra_matrix
+from .grid import H2Form, InteractionOperator, ObservationData, apply_along_axis, volterra_matrix
 
 
 class ObjectiveParts(NamedTuple):
@@ -262,7 +261,7 @@ def curvature_diagonal(ctx: ObjectiveContext, start: np.ndarray) -> np.ndarray:
     The carried Carleman weight spans many orders of magnitude across the
     slab, which makes the raw gradient a badly scaled direction in the
     weakly weighted region; dividing by this diagonal restores a uniform
-    per-node step scale (see ``SolverConfig`` for the iteration counts).
+    per-node step scale (see ``descend`` for the iteration counts).
     """
     ctx._check(start)
     shape = ctx.grid.spacetime_shape()

@@ -19,13 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .forward import (
-    ForwardSpec,
-    GeneratedData,
-    ObservationData,
-    generate,
-)
-from .grid import Field
+from .forward import ForwardSpec, GeneratedData, generate
+from .grid import Field, ObservationData
 from .inverse import ReconstructionResult, descend, initial_guess
 from .noise import inject, smooth_observations
 from .objective import ObjectiveContext, recover_coefficient
@@ -98,7 +93,7 @@ def run_inversion(
     """Noise (if configured), context build, descent from the data-blended start, scoring."""
     ctx = build_context(cfg, obs, cost, cost_rate)
     start = initial_guess(ctx.observations)
-    result = descend(ctx, start, cfg.solver_config())
+    result = descend(ctx, start, cfg.grad_tol, cfg.max_iter)
     phantom = letter_phantom(cfg.letter, obs.grid, cfg.contrast)
     k_true = make_k(phantom)
     metrics = score(result.coefficient, k_true, phantom.mask)

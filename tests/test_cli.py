@@ -227,20 +227,63 @@ def test_invert_accepts_manifests_with_retired_keys(workspace, tmp_path):
     assert not {"kernel_variant", "outflow_closure", "density_offset"} & set(manifest["config"])
 
 
-@pytest.mark.parametrize("name", ["cost", "cost_rate"])
-def test_invert_rejects_cost_fields_on_another_grid(workspace, tmp_path, name):
+def _field_on_another_grid(path):
     # same node counts, so the values have the observations' shape; only
     # the grid line of the container says they belong to another slab
+    f = read_field(path)
+    g = f.grid
+    return Field(SpaceTimeGrid(a=-3.0, b=g.b, half_width=g.half_width, horizon=5.0,
+                               n1=g.n1, n2=g.n2, nt=g.nt), f.rank, f.values)
+
+
+@pytest.mark.parametrize("name", ["cost", "cost_rate"])
+def test_invert_rejects_cost_fields_on_another_grid(workspace, tmp_path, name):
     root, config, dataset = workspace
     moved = tmp_path / "moved"
     shutil.copytree(dataset, moved)
-    f = read_field(moved / f"{name}.field")
-    g = f.grid
-    other = SpaceTimeGrid(a=-3.0, b=g.b, half_width=g.half_width, horizon=5.0,
-                          n1=g.n1, n2=g.n2, nt=g.nt)
-    write_field(moved / f"{name}.field", Field(other, f.rank, f.values))
+    write_field(moved / f"{name}.field", _field_on_another_grid(moved / f"{name}.field"))
     code = main(["invert", "--config", str(config), str(moved), "--out", str(tmp_path / "o")])
     assert code == EXIT_PRECONDITION
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("stored", [
+    {"coarse": [41, 41, 9]}, {"b": 2.5}, {"coarse": [41, 41, 9], "b": 2.5},
+], ids=["node-counts", "extent", "both"])
+def test_invert_rejects_a_manifest_whose_grid_is_not_the_fields(
+    workspace, tmp_path, capsys, stored
+):
+    # the manifest's settings are adopted, so a grid that disagrees with
+    # the fields would invert on one grid and report the other
+    root, config, dataset = workspace
+    bad = _with_stored_config(dataset, tmp_path / "bad", **stored)
+    argv = ["invert", "--config", str(config), str(bad), "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: dataset manifest {bad / 'manifest.json'}: ")
+    fields_grid = read_field(bad / "v0.field").grid
+    n1, n2, nt = stored.get("coarse", (fields_grid.n1, fields_grid.n2, fields_grid.nt))
+    stored_grid = SpaceTimeGrid(a=1.0, b=stored.get("b", 2.0), half_width=0.5, horizon=1.0,
+                                n1=n1, n2=n2, nt=nt)
+    assert str(stored_grid) in err and str(fields_grid) in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name, replace", [
+    ("v0", lambda ds: read_field(ds / "cost.field")),
+    ("g11", lambda ds: _field_on_another_grid(ds / "g11.field")),
+], ids=["space-time-v0", "g11-on-another-grid"])
+def test_invert_names_the_dataset_field_that_does_not_fit(
+    workspace, tmp_path, capsys, name, replace
+):
+    root, config, dataset = workspace
+    bad = tmp_path / "bad"
+    shutil.copytree(dataset, bad)
+    write_field(bad / f"{name}.field", replace(bad))
+    argv = ["invert", "--config", str(config), str(bad), "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: dataset {str(bad)!r}: observation {name}: ")
     assert not (tmp_path / "o").exists()
 
 
@@ -653,9 +696,15 @@ def test_verify_carleman_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert run(1) == run(2)
 
 
+# the layers that solve and descend; the commands that run neither load none
+SOLVER_MODULES = ("forward", "objective", "inverse", "noise", "pipeline")
+
+
 def test_imports_load_only_the_layers_they_need(tmp_path):
-    # the package root re-exports nothing, and the certification stands on
-    # the grid alone
+    # the package root re-exports nothing, the certification stands on the
+    # grid alone, the inverse half reads the observation record from the
+    # grid and not from the forward solver, and the command layer loads the
+    # solvers only in the commands that run them
     def loaded(module):
         child = _run_child(
             "import sys\n"
@@ -668,6 +717,16 @@ def test_imports_load_only_the_layers_they_need(tmp_path):
 
     assert loaded("mfgcoef") == "['mfgcoef']"
     assert loaded("mfgcoef.carleman") == "['mfgcoef', 'mfgcoef.carleman', 'mfgcoef.grid']"
+    assert loaded("mfgcoef.cli") == str(["mfgcoef"] + [
+        f"mfgcoef.{name}" for name in ("carleman", "cli", "config", "fieldio", "grid", "phantoms")
+    ])
+    config = loaded("mfgcoef.config")
+    assert not [name for name in SOLVER_MODULES if f"'mfgcoef.{name}'" in config], config
+    for module in ("noise", "objective", "inverse"):
+        assert "'mfgcoef.forward'" not in loaded(f"mfgcoef.{module}"), module
+    command, modules = next(_commands_and_what_they_load(tmp_path, "mfgcoef"))
+    assert command == "verify-carleman"
+    assert not [name for name in SOLVER_MODULES if f"'mfgcoef.{name}'" in modules], modules
 
 
 def _commands_and_what_they_load(tmp_path, package):

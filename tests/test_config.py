@@ -5,7 +5,6 @@ import pytest
 
 from mfgcoef.config import _SCHEMA, ENV_OUTPUT_ROOT, ExperimentConfig, load_config
 from mfgcoef.grid import InteractionOperator
-from mfgcoef.inverse import SolverConfig
 
 
 def test_defaults_are_the_benchmark_setup():
@@ -17,6 +16,7 @@ def test_defaults_are_the_benchmark_setup():
     assert cfg.lam == 3.0 and cfg.alpha == 0.2 and cfg.beta == 1e-3
     assert cfg.letter == "A" and cfg.contrast == 2.0
     assert cfg.delta == 0.0
+    assert cfg.grad_tol == 1e-2 and cfg.max_iter == 20000
 
 
 def test_builders_construct_consistent_objects():
@@ -26,7 +26,6 @@ def test_builders_construct_consistent_objects():
     assert (coarse.n1, coarse.n2, coarse.nt) == (21, 21, 11)
     assert fine.a == coarse.a and fine.horizon == coarse.horizon
     assert InteractionOperator(coarse, cfg.sigma).grid == coarse
-    assert cfg.solver_config() == SolverConfig(grad_tol=1e-2, max_iter=20000)
     params = cfg.carleman_params()
     assert params.lam == 3.0 and params.alpha == 0.2
 
@@ -90,6 +89,7 @@ def test_ini_rejects_unknown_or_malformed_entries(tmp_path, body, match):
         {"lam": -1.0},
         {"alpha": 0.5},
         {"max_iter": 0},
+        {"grad_tol": -1.0},
         {"coarse": (21, 21, 13)},
         {"fine": (41, 41, 9), "coarse": (11, 11, 5)},
         {"delta": float("nan")},
@@ -106,6 +106,7 @@ def test_ini_rejects_unknown_or_malformed_entries(tmp_path, body, match):
     ids=[
         "unknown-letter", "zero-contrast", "negative-delta", "negative-seed",
         "zero-sigma", "negative-lam", "even-alpha-denominator", "zero-max-iter",
+        "negative-grad-tol",
         "coarse-nt-does-not-nest", "coarse-too-coarse-for-letter", "nan-delta",
         "infinite-contrast", "nan-lam", "infinite-beta", "negative-beta",
         "minus-infinite-horizon", "nan-grad-tol", "nan-sigma", "minus-infinite-sigma",

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
-from mfgcoef.forward import ObservationData
-from mfgcoef.grid import FACES, GAMMA_TRACE, SPATIAL, Field, apply_along_axis, first_diff_matrix
+from mfgcoef.grid import (
+    FACES,
+    GAMMA_TRACE,
+    SPATIAL,
+    Field,
+    ObservationData,
+    apply_along_axis,
+    first_diff_matrix,
+)
 from mfgcoef.inverse import (
     FREE,
     DataConstraints,
     ReconstructionResult,
-    SolverConfig,
     StallError,
     descend,
     initial_guess,
@@ -173,8 +179,7 @@ def test_quadratic_mode_second_lbfgs_step_lands_on_the_minimizer():
     mu = 0.5 / sigma
     start = c.embed(w_star + eigvecs[:, -1])
     tol = 1e-8 * np.max(np.abs(r0))
-    config = SolverConfig(step0=mu, grad_tol=1.01 * tol, max_iter=8, precondition=False)
-    result = descend(ctx, start, config)
+    result = descend(ctx, start, 1.01 * tol, 8, step0=mu, precondition=False)
     hist = result.gradient_history
     assert hist[1] / hist[0] == pytest.approx(abs(1.0 - mu * sigma), rel=1e-8)
     assert hist[2] < tol
@@ -187,8 +192,7 @@ def test_descend_reaches_the_linear_solve_in_fewer_than_dim_iterations():
     dim = 2 * c.nfree
     r0, hess = quadratic_hessian(reduced, dim)
     w_star = np.linalg.solve(hess, -r0)
-    config = SolverConfig(grad_tol=1e-8 * np.max(np.abs(r0)), max_iter=dim - 1)
-    result = descend(ctx, c.embed(np.zeros(dim)), config)
+    result = descend(ctx, c.embed(np.zeros(dim)), 1e-8 * np.max(np.abs(r0)), dim - 1)
     assert result.converged
     w = c.free(result.iterate)
     assert np.max(np.abs(w - w_star)) < 1e-6
@@ -201,13 +205,13 @@ def test_descend_decreases_monotonically_and_stops():
     r0 = reduced(np.zeros(2 * c.nfree))
     tol = 0.2 * np.max(np.abs(r0))
     start = c.embed(np.zeros(2 * c.nfree))
-    result = descend(ctx, start, SolverConfig(grad_tol=tol, max_iter=2000))
+    result = descend(ctx, start, tol, 2000)
     assert result.converged
     assert result.stop_reason == "grad_tol"
     assert result.gradient_history[-1] < tol
     assert np.all(np.diff(result.objective_history) < 0)
     # re-running from the result is an immediate stop after one pass
-    again = descend(ctx, result.iterate, SolverConfig(grad_tol=tol, max_iter=10))
+    again = descend(ctx, result.iterate, tol, 10)
     assert again.iterations == 0 and again.converged
     assert again.objective_passes == 1
 
@@ -218,18 +222,18 @@ def test_descend_stalls_when_no_descent_exists():
     r0, hess = quadratic_hessian(reduced, dim)
     w_star = np.linalg.solve(hess, -r0)
     with pytest.raises(StallError, match="stalled"):
-        descend(ctx, c.embed(w_star), SolverConfig(grad_tol=0.0, max_iter=5))
+        descend(ctx, c.embed(w_star), 0.0, 5)
     # from afar the memory is full when rounding stops the decrease: the
     # reset retries along the preconditioned gradient, then stalls too
     with pytest.raises(StallError, match="stalled"):
-        descend(ctx, c.embed(np.zeros(dim)), SolverConfig(grad_tol=0.0, max_iter=10000))
+        descend(ctx, c.embed(np.zeros(dim)), 0.0, 10000)
 
 
 def test_descend_respects_iteration_budget():
     g = grid(7, 7, 5)
     ctx = make_context(g)
     rng = np.random.default_rng(12)
-    result = descend(ctx, random_iterate(g, rng), SolverConfig(grad_tol=1e-12, max_iter=3))
+    result = descend(ctx, random_iterate(g, rng), 1e-12, 3)
     assert result.iterations == 3
     assert not result.converged
     assert result.stop_reason == "max_iter"
@@ -263,17 +267,15 @@ def test_initial_guess_blends_faces():
 def test_invert_runs_end_to_end():
     g = grid(7, 7, 5)
     ctx = make_context(g)
-    config = SolverConfig(grad_tol=1e-12, max_iter=40)
-    result = descend(ctx, initial_guess(ctx.observations), config)
+    result = descend(ctx, initial_guess(ctx.observations), 1e-12, 40)
     assert isinstance(result, ReconstructionResult)
     assert result.coefficient.shape == g.spatial_shape()
     assert result.objective_history[-1] < result.objective_history[0]
 
 
-def test_solver_config_validation():
+def test_descend_rejects_a_nonpositive_step0():
+    # grad_tol and max_iter come from the config, which validate checks
+    g = grid(7, 7, 5)
+    ctx = make_context(g)
     with pytest.raises(ValueError, match="step0"):
-        SolverConfig(grad_tol=1e-2, max_iter=20000, step0=0.0)
-    with pytest.raises(ValueError, match="grad_tol"):
-        SolverConfig(grad_tol=-1.0, max_iter=20000)
-    with pytest.raises(ValueError, match="max_iter"):
-        SolverConfig(grad_tol=1e-2, max_iter=0)
+        descend(ctx, initial_guess(ctx.observations), 1e-2, 20000, step0=0.0)

@@ -7,12 +7,12 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from mfgcoef.carleman import CarlemanParams
-from mfgcoef.forward import ObservationData
 from mfgcoef.grid import (
     FACES,
     GAMMA_TRACE,
     SPATIAL,
     Field,
+    ObservationData,
     SpaceTimeGrid,
     apply_along_axis,
     first_diff_matrix,
