@@ -27,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .carleman import ratio_log_slope, run_certification, validate_lambdas
-from .config import ExperimentConfig, load_config, stored_setting
-from .fieldio import read_field, write_csv, write_field, write_pgm
+from .config import DATASET_BOUND_FIELDS, ExperimentConfig, read_settings, stored_setting
+from .fieldio import read_field, write_csv, write_field, write_json, write_pgm, write_rows
 from .grid import (
     OBSERVATION_FIELDS,
     SPACE_TIME,
@@ -45,13 +45,6 @@ EXIT_PRECONDITION = 2
 EXIT_NUMERICAL = 3
 
 DATASET_FIELDS = OBSERVATION_FIELDS + ("cost", "cost_rate")
-
-# config fields an inversion must inherit from the dataset it reads,
-# so the two halves of a run cannot silently disagree
-DATASET_BOUND_FIELDS = (
-    "a", "b", "half_width", "horizon", "fine", "coarse",
-    "sigma", "letter", "contrast",
-)
 
 
 class NumericalFailure(RuntimeError):
@@ -82,31 +75,8 @@ def _prepare_out(path: str, force: bool) -> None:
         )
 
 
-def _write_manifest(out_dir: str, payload: dict) -> str:
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    return path
-
-
-def _write_rows(path: str, header: str, rows) -> None:
-    """A CSV file: the header line, then one line per row.
-
-    A string cell is written as it is, an integer in decimal and any other
-    number to 17 significant digits, so every float reads back exactly.
-    """
-    def cell(value) -> str:
-        if isinstance(value, str):
-            return value
-        if isinstance(value, (int, np.integer)):
-            return str(value)
-        return f"{value:.17g}"
-
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(cell(value) for value in row) + "\n")
+def _write_manifest(out_dir: str, payload: dict) -> None:
+    write_json(os.path.join(out_dir, "manifest.json"), payload)
 
 
 def _hash_map(paths: dict) -> dict:
@@ -123,19 +93,19 @@ OVERRIDE_FLAGS = {
 }
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
+def _config_from_args(args):
+    """``(cfg, stated)``: the validated config, and the settings that the
+    config file and the flags state, by field name."""
+    stated = read_settings(args.config) if args.config else {}
     for name in OVERRIDE_FLAGS:
         value = getattr(args, name, None)
         if value is not None:
-            overrides[name] = value
+            stated[name] = value
     if getattr(args, "out", None):
-        overrides["output_root"] = args.out
-    if overrides:
-        cfg = cfg.replace(**overrides)
+        stated["output_root"] = args.out
+    cfg = ExperimentConfig(**stated)
     cfg.validate()
-    return cfg
+    return cfg, stated
 
 
 def _out_dir(args, cfg: ExperimentConfig, default_name: str) -> str:
@@ -146,7 +116,7 @@ def _dataset_paths(dataset_dir: str) -> dict:
     return {name: os.path.join(dataset_dir, name + ".field") for name in DATASET_FIELDS}
 
 
-def _read_dataset(dataset_dir: str, cfg: ExperimentConfig):
+def _read_dataset(dataset_dir: str, cfg: ExperimentConfig, stated: dict):
     """A dataset's observations, cost and rate, and ``cfg`` bound to it.
 
     Returns ``(cfg, obs, cost, cost_rate, paths)``: ``cfg`` takes the
@@ -154,7 +124,8 @@ def _read_dataset(dataset_dir: str, cfg: ExperimentConfig):
     and its inversion grid must be the fields' grid.  Every error that a
     malformed manifest or field file raises names that file, and every
     field that does not fit the observation record is named with the
-    dataset.
+    dataset.  A bound setting in ``stated`` that differs from the
+    dataset's is refused, so a run cannot record values it did not use.
     """
     manifest_path = os.path.join(dataset_dir, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -188,6 +159,12 @@ def _read_dataset(dataset_dir: str, cfg: ExperimentConfig):
             f"dataset manifest {manifest_path}: its inversion grid {cfg.coarse_grid()} "
             f"is not the fields' grid {obs.grid}"
         )
+    for name in DATASET_BOUND_FIELDS:
+        if name in stated and stated[name] != getattr(cfg, name):
+            raise ValueError(
+                f"{name} = {stated[name]!r} contradicts dataset {dataset_dir!r}, "
+                f"generated with {name} = {getattr(cfg, name)!r}"
+            )
     return cfg, obs, fields["cost"].values, fields["cost_rate"].values, paths
 
 
@@ -215,7 +192,7 @@ def cmd_generate(args) -> int:
     # the pipeline loads the solvers, so only the commands that run them import it
     from .pipeline import run_generation
 
-    cfg = _config_from_args(args)
+    cfg, _ = _config_from_args(args)
     out = _out_dir(args, cfg, "dataset")
     _prepare_out(out, args.force)
     data = run_generation(cfg)
@@ -277,17 +254,17 @@ def _invert_core(cfg: ExperimentConfig, obs, cost, cost_rate, out: str) -> dict:
     write_field(paths["u"], Field(grid, SPACE_TIME, result.iterate[0]))
     write_field(paths["m"], Field(grid, SPACE_TIME, result.iterate[1]))
     metrics = outcome.metrics
-    _write_rows(paths["metrics"], "rel_l2,mask_rel_l2,contrast,converged,iterations", [(
+    write_rows(paths["metrics"], ["rel_l2,mask_rel_l2,contrast,converged,iterations"], [(
         metrics.rel_l2, metrics.mask_rel_l2, metrics.contrast,
         int(result.converged), result.iterations,
     )])
-    _write_rows(paths["objective_history"], "step,objective", enumerate(result.objective_history))
-    _write_rows(
-        paths["objective_parts"], "step,first,second,smoothness",
+    write_rows(paths["objective_history"], ["step,objective"], enumerate(result.objective_history))
+    write_rows(
+        paths["objective_parts"], ["step,first,second,smoothness"],
         ((i, *row) for i, row in enumerate(result.parts_history)),
     )
-    _write_rows(
-        paths["gradient_history"], "iteration,gradient_max", enumerate(result.gradient_history)
+    write_rows(
+        paths["gradient_history"], ["iteration,gradient_max"], enumerate(result.gradient_history)
     )
 
     return {
@@ -311,8 +288,8 @@ def _invert_core(cfg: ExperimentConfig, obs, cost, cost_rate, out: str) -> dict:
 
 
 def cmd_invert(args) -> int:
-    cfg = _config_from_args(args)
-    cfg, obs, cost, cost_rate, ds_paths = _read_dataset(args.dataset, cfg)
+    cfg, stated = _config_from_args(args)
+    cfg, obs, cost, cost_rate, ds_paths = _read_dataset(args.dataset, cfg, stated)
     out = _out_dir(args, cfg, "invert")
     _prepare_out(out, args.force)
     summary = _invert_core(cfg, obs, cost, cost_rate, out)
@@ -332,7 +309,7 @@ def cmd_invert(args) -> int:
 
 
 def cmd_sweep_lambda(args) -> int:
-    cfg = _config_from_args(args)
+    cfg, stated = _config_from_args(args)
     if not args.lam_list:
         raise ValueError("--lambda needs at least one value")
     for lam in args.lam_list:
@@ -342,7 +319,7 @@ def cmd_sweep_lambda(args) -> int:
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ValueError(f"--lambda values share the run name lam_{repeated[0]}")
-    cfg, obs, cost, cost_rate, ds_paths = _read_dataset(args.dataset, cfg)
+    cfg, obs, cost, cost_rate, ds_paths = _read_dataset(args.dataset, cfg, stated)
     out = _out_dir(args, cfg, "sweep")
     _prepare_out(out, args.force)
     rows = []
@@ -361,7 +338,7 @@ def cmd_sweep_lambda(args) -> int:
         rows.append((name, status, m["rel_l2"], m["contrast"], int(summary["converged"])))
         per_lam[name] = {"status": status, **summary}
     summary_path = os.path.join(out, "summary.csv")
-    _write_rows(summary_path, "lambda,status,rel_l2,contrast,converged", rows)
+    write_rows(summary_path, ["lambda,status,rel_l2,contrast,converged"], rows)
     _write_manifest(out, {
         "command": "sweep-lambda",
         "config": cfg.to_dict(),
@@ -376,7 +353,7 @@ def cmd_sweep_lambda(args) -> int:
 
 
 def cmd_verify_carleman(args) -> int:
-    cfg = _config_from_args(args)
+    cfg, _ = _config_from_args(args)
     lambdas = args.lam_list
     if not lambdas:
         raise ValueError("--lambda needs at least one value")

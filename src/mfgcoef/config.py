@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -88,13 +87,11 @@ class ExperimentConfig:
         strokes, and the weight sampled on it needs b > 0 and a >= -b, so
         that it peaks at the outflow face, or generation would fail after
         the forward solve and inversion after the dataset is written.
-        Every float must be finite, except ``sigma = inf``, the flat
-        kernel: a NaN slips past every ordered comparison below.
+        Every float must be finite: a NaN slips past every ordered
+        comparison below, and a manifest cannot store either.
         """
         for name, value in dataclasses.asdict(self).items():
-            if not isinstance(value, float) or math.isfinite(value):
-                continue
-            if not (name == "sigma" and value == math.inf):
+            if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         coarse = self.coarse_grid()
         restriction_strides(self.fine_grid(), coarse)
@@ -141,6 +138,13 @@ _KINDS = {
     for section, keys in _SCHEMA.items()
     for key, kind in keys.items()
 }
+# an inversion takes the settings of the sections generation reads from
+# its dataset, so the two halves of a run cannot silently disagree
+DATASET_BOUND_FIELDS = tuple(
+    _FIELD_NAMES.get((section, key), key)
+    for section in ("geometry", "grid", "kernel", "phantom")
+    for key in _SCHEMA[section]
+)
 
 
 def _parse_value(kind, raw: str):
@@ -167,12 +171,12 @@ def stored_setting(name: str, value):
     else:
         ok, expected = type(value) is kind, f"of type {kind.__name__}"
     if not ok:
-        raise ValueError(f"stored {name!r} must be {expected}, got {json.dumps(value)}")
+        raise ValueError(f"stored {name!r} must be {expected}, got {value!r}")
     return tuple(value) if kind == "triple" else value
 
 
-def load_config(path) -> ExperimentConfig:
-    """Defaults overlaid with an INI file; unknown keys and malformed files are errors."""
+def read_settings(path) -> dict:
+    """The settings an INI file states, by field name; unknown keys and malformed files are errors."""
     parser = configparser.ConfigParser()
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -192,4 +196,4 @@ def load_config(path) -> ExperimentConfig:
                 changes[name] = _parse_value(_SCHEMA[section][key], raw)
             except ValueError as exc:
                 raise ValueError(f"bad value for [{section}] {key} in {path}: {exc}")
-    return ExperimentConfig(**changes)
+    return changes

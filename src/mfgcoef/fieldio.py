@@ -1,15 +1,17 @@
-"""On-disk formats for grid fields: binary containers, CSV, PGM heatmaps.
+"""On-disk formats: binary field containers, CSV, JSON, PGM heatmaps.
 
 A field file is a short ASCII header followed by the raw values as
 row-major little-endian float64, so write -> read returns bit-identical
 arrays.  The header names the rank, the axes with their node counts and
-extents, the full grid geometry, and the payload length; a reader can
-validate every line against the others.
+extents, the full grid geometry, and the payload length; the reader
+checks the magic, rank, counts, grid and payload lines, and skips the
+axes and extents lines, which restate the rank and the grid.
 
-CSV carries one node per row with its coordinates, printed at 17
-significant digits (enough to round-trip a double exactly).  PGM output
-is 8-bit grayscale with the min/max scaling recorded in a JSON sidecar,
-since the image alone cannot be inverted back to values.
+This module writes every CSV and JSON file the commands produce: CSV
+floats at 17 significant digits (enough to round-trip a double
+exactly), and strict JSON.  PGM output is 8-bit grayscale with the
+min/max scaling recorded in a JSON sidecar, since the image alone
+cannot be inverted back to values.
 """
 
 from __future__ import annotations
@@ -31,8 +33,14 @@ RANK_AXES = {
 }
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _fmt(value) -> str:
+    """A string as it is, an integer in decimal and any other number to 17
+    significant digits, enough to round-trip a double exactly."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    return f"{value:.17g}"
 
 
 def _axis_extents(grid: SpaceTimeGrid, axis: str):
@@ -66,14 +74,21 @@ def _header(field: Field) -> str:
 
 def _grid_line(g: SpaceTimeGrid) -> str:
     """The grid geometry as one header line, the inverse of ``_parse_grid``."""
-    numbers = [_fmt(g.a), _fmt(g.b), _fmt(g.half_width), _fmt(g.horizon)]
-    return "grid " + " ".join(numbers + [str(n) for n in (g.n1, g.n2, g.nt)])
+    return "grid " + " ".join(map(_fmt, (g.a, g.b, g.half_width, g.horizon, g.n1, g.n2, g.nt)))
 
 
 def _parse_grid(tokens) -> SpaceTimeGrid:
     a, b, hw, horizon = (float(s) for s in tokens[:4])
     n1, n2, nt = (int(s) for s in tokens[4:])
     return SpaceTimeGrid(a=a, b=b, half_width=hw, horizon=horizon, n1=n1, n2=n2, nt=nt)
+
+
+def write_json(path, payload) -> None:
+    """Strict JSON, sorted and indented; a NaN or an infinity raises
+    before the file is opened, so it leaves no truncated file."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text + "\n")
 
 
 def write_field(path, field: Field) -> None:
@@ -118,22 +133,27 @@ def _parse_container(raw: bytes) -> Field:
     return Field(grid, entries["rank"], values.copy())
 
 
+def write_rows(path, head, rows) -> None:
+    """A CSV file: the ``head`` lines as they are, then each row's cells by ``_fmt``."""
+    with open(path, "w", encoding="ascii") as fh:
+        for line in head:
+            fh.write(line + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
+
+
 def write_csv(path, field: Field) -> None:
     g = field.grid
     axes = RANK_AXES[field.rank]
-    coords = {"x1": g.x1, "x2": g.x2, "t": g.t}
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# {MAGIC} {VERSION}\n")
-        fh.write(f"# rank {field.rank}\n")
-        fh.write(f"# {_grid_line(g)}\n")
-        fh.write(",".join(axes) + ",value\n")
-        vals = field.values
-        for index in np.ndindex(vals.shape):
-            row = []
-            for ax, i in zip(axes, index):
-                row.append(_fmt(coords[ax][i]) if ax in coords else str(i))
-            row.append(_fmt(vals[index]))
-            fh.write(",".join(row) + "\n")
+    # the boundary trace's axis has no coordinates, so its rows carry the index
+    coords = [{"x1": g.x1, "x2": g.x2, "t": g.t}.get(ax) for ax in axes]
+    head = [f"# {MAGIC} {VERSION}", f"# rank {field.rank}", f"# {_grid_line(g)}",
+            ",".join(axes) + ",value"]
+    vals = field.values
+    write_rows(path, head, (
+        [i if c is None else c[i] for c, i in zip(coords, index)] + [vals[index]]
+        for index in np.ndindex(vals.shape)
+    ))
 
 
 def write_pgm(path, values: np.ndarray) -> None:
@@ -141,11 +161,15 @@ def write_pgm(path, values: np.ndarray) -> None:
 
     Image rows run from high x2 down and columns from low x1 up.  The
     sidecar records the value range used for scaling; a constant field is
-    rendered mid-gray and flagged.
+    rendered mid-gray and flagged.  Non-finite values have no gray level,
+    so they are refused before any file is opened.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"heatmap needs a 2-d array, got shape {values.shape}")
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise ValueError(f"heatmap needs finite values, got {bad} NaN or infinite")
     lo = float(values.min())
     hi = float(values.max())
     constant = hi == lo
@@ -169,9 +193,7 @@ def write_pgm(path, values: np.ndarray) -> None:
         "row_axis": "x2 descending",
         "col_axis": "x1 ascending",
     }
-    with open(str(path) + ".json", "w", encoding="ascii") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(str(path) + ".json", sidecar)
 
 
 def read_pgm(path) -> np.ndarray:

@@ -20,6 +20,7 @@ space-time fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -45,7 +46,8 @@ class SpaceTimeGrid:
     Parameters
     ----------
     a, b : float
-        Extent of the first spatial axis, a < b.
+        Extent of the first spatial axis, a < b.  Like ``half_width`` and
+        ``horizon``, both must be finite.
     half_width : float
         The second spatial axis spans [-half_width, half_width].
     horizon : float
@@ -65,6 +67,9 @@ class SpaceTimeGrid:
     nt: int
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "half_width", "horizon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.b > self.a):
             raise ValueError(f"need b > a, got a={self.a}, b={self.b}")
         if self.half_width <= 0:

@@ -13,7 +13,7 @@ import mfgcoef
 from mfgcoef import carleman
 from mfgcoef.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, _write_manifest, main
 from mfgcoef.fieldio import read_field, read_pgm, write_field
-from mfgcoef.grid import SPATIAL, Field, SpaceTimeGrid
+from mfgcoef.grid import OBSERVATION_FIELDS, SPATIAL, Field, SpaceTimeGrid
 
 SMALL_INI = """\
 [grid]
@@ -194,6 +194,36 @@ def test_invert_adopts_generation_identity_from_dataset(workspace):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["coarse"] == [21, 21, 5]
     assert manifest["config"]["letter"] == "A"
+
+
+@pytest.mark.parametrize("command", ["invert", "sweep-lambda"])
+def test_a_config_that_contradicts_the_dataset_is_refused(workspace, tmp_path, capsys, command):
+    # the dataset's settings are adopted, so a file that states others
+    # would run on the dataset's and report nothing of the file's
+    root, config, dataset = workspace
+    path = tmp_path / "c.ini"
+    path.write_text(SMALL_INI + "[kernel]\nsigma = 0.3\n[phantom]\nletter = SZ\n")
+    argv = [command, "--config", str(path), str(dataset), "--out", str(tmp_path / "o")]
+    if command == "sweep-lambda":
+        argv += ["--lambda", "3"]
+    assert main(argv) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == (
+        f"error: sigma = 0.3 contradicts dataset {str(dataset)!r}, generated with sigma = 0.2\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_config_that_restates_the_dataset_is_accepted(workspace, tmp_path):
+    root, config, dataset = workspace
+    path = tmp_path / "c.ini"
+    path.write_text(SMALL_INI.replace("max_iter = 2500", "max_iter = 5") + (
+        "[geometry]\na = 1\nb = 2.0\nhalf_width = 0.5\nhorizon = 1\n"
+        "[kernel]\nsigma = 0.2\n[phantom]\nletter = A\ncontrast = 2\n"
+    ))
+    out = tmp_path / "o"
+    assert main(["invert", "--config", str(path), str(dataset), "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["sigma"] == 0.2 and manifest["config"]["letter"] == "A"
 
 
 def _with_stored_config(dataset, dest, **stored):
@@ -525,8 +555,9 @@ def test_render_rejects_field_without_end_line(tmp_path, capsys):
     (b"mfgcoef-field ", b"mfgcoef-field one"),
     (b"grid ", b"grid 1 2 0.5"),
     (b"rank ", b"rank volume"),
+    (b"grid ", b"grid 1 inf 0.5 nan 5 5 5"),
 ], ids=["counts-disagree-with-payload", "non-numeric-counts", "non-numeric-version",
-        "short-grid-line", "unknown-rank"])
+        "short-grid-line", "unknown-rank", "non-finite-grid"])
 def test_render_names_a_malformed_field_file(tmp_path, capsys, line, edited):
     path = tmp_path / "bad.field"
     grid = SpaceTimeGrid(a=1.0, b=2.0, half_width=0.5, horizon=1.0, n1=5, n2=5, nt=5)
@@ -537,6 +568,20 @@ def test_render_names_a_malformed_field_file(tmp_path, capsys, line, edited):
     assert main(["render", str(path), "--out", str(tmp_path / "r")]) == EXIT_PRECONDITION
     err = capsys.readouterr().err
     assert err.startswith("error: malformed field file ") and str(path) in err
+
+
+@pytest.mark.parametrize("values", [
+    np.where(np.arange(25).reshape(5, 5) == 7, np.nan, 1.0), np.full((5, 5), np.inf),
+], ids=["one-nan", "all-infinite"])
+def test_render_refuses_non_finite_values_and_writes_nothing(tmp_path, capsys, values):
+    # a NaN has no gray level, and strict JSON holds neither it nor an
+    # infinity, so the heatmap and its sidecar are refused up front
+    path = tmp_path / "bad.field"
+    grid = SpaceTimeGrid(a=1.0, b=2.0, half_width=0.5, horizon=1.0, n1=5, n2=5, nt=5)
+    write_field(path, Field(grid, SPATIAL, values))
+    assert main(["render", str(path)]) == EXIT_PRECONDITION
+    assert "finite values" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("text", [
@@ -620,10 +665,11 @@ def test_non_finite_values_are_rejected_before_any_output(argv, tmp_path, capsys
     ("[geometry]\na = -1\nb = 0\n", "b must be positive"),
     ("[geometry]\na = -3\nb = 1\n", "a must be at least -b"),
     ("[benchmark]\ndensity_offset = 2\n", "unknown config section [benchmark]"),
+    ("[kernel]\nsigma = inf\n", "sigma must be finite"),
 ], ids=[
     "duplicate-key", "no-section-header", "negative-beta", "overflowing-lambda",
     "step0", "shrink", "precondition", "nonpositive-b", "weight-peaks-at-a",
-    "density-offset",
+    "density-offset", "flat-kernel",
 ])
 def test_bad_config_file_is_rejected_before_any_output(
     workspace, tmp_path, capsys, command, text, named
@@ -646,6 +692,8 @@ def test_manifest_refuses_non_finite_numbers(tmp_path):
     # NaN and Infinity are not JSON; a manifest must stay parseable
     with pytest.raises(ValueError):
         _write_manifest(str(tmp_path), {"delta": float("nan")})
+    # serialized before the file is opened, so no truncated manifest is left
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def _run_child(code: str, cwd: Path, **env_vars: str) -> subprocess.CompletedProcess:
@@ -677,6 +725,25 @@ def test_noisy_invert_does_not_depend_on_the_blas_thread_count(tmp_path):
     one, two = run(1), run(2)
     assert one[1] == two[1]
     assert one[0] == two[0]
+
+
+def test_generate_observations_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the forward solve gives the same observation bits at one and two
+    # OpenBLAS threads.  cost and cost_rate are left out: the products of
+    # make_s round by the GEMM tiling, so they still differ (ROADMAP item
+    # 13's open half)
+    def run(threads):
+        out = tmp_path / f"threads{threads}"
+        argv = ["generate", "--out", str(out)]
+        child = _run_child(
+            f"import mfgcoef.cli as cli\nassert cli.main({argv!r}) == 0\n",
+            tmp_path, OPENBLAS_NUM_THREADS=str(threads),
+        )
+        assert child.returncode == 0, child.stderr
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        return {name: outputs[name]["sha256"] for name in OBSERVATION_FIELDS}
+
+    assert run(1) == run(2)
 
 
 def test_verify_carleman_does_not_depend_on_the_blas_thread_count(tmp_path):

@@ -6,7 +6,9 @@ from mfgcoef.fieldio import (
     read_pgm,
     write_csv,
     write_field,
+    write_json,
     write_pgm,
+    write_rows,
 )
 from mfgcoef.grid import (
     BOUNDARY_TRACE,
@@ -148,3 +150,31 @@ def test_pgm_constant_field_is_flagged_mid_gray(tmp_path):
 def test_pgm_rejects_non_2d(tmp_path):
     with pytest.raises(ValueError, match="2-d"):
         write_pgm(tmp_path / "f.pgm", np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pgm_refuses_non_finite_values_before_writing(tmp_path, bad):
+    values = np.ones((3, 4))
+    values[1, 2] = bad
+    with pytest.raises(ValueError, match="finite values"):
+        write_pgm(tmp_path / "f.pgm", values)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_json_is_strict_and_refused_values_leave_no_file(tmp_path):
+    write_json(tmp_path / "ok.json", {"b": 0.1, "a": [1, "\u00e9"]})
+    assert (tmp_path / "ok.json").read_text() == (
+        '{\n  "a": [\n    1,\n    "\\u00e9"\n  ],\n  "b": 0.1\n}\n'
+    )
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "bad.json", {"x": [bad]})
+    assert not (tmp_path / "bad.json").exists()
+
+
+def test_rows_print_floats_to_17_digits_and_ints_and_strings_as_they_are(tmp_path):
+    path = tmp_path / "r.csv"
+    write_rows(path, ["# note", "name,n,x"], [("a", 3, 0.1), ("b", np.int64(4), np.float64(1) / 3)])
+    assert path.read_text() == (
+        "# note\nname,n,x\na,3,0.10000000000000001\nb,4,0.33333333333333331\n"
+    )

@@ -41,6 +41,18 @@ def test_rejects_degenerate_axes():
         SpaceTimeGrid(a=1.0, b=2.0, half_width=0.5, horizon=1.0, n1=2, n2=5, nt=5)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("a", float("-inf")), ("b", float("inf")), ("half_width", float("nan")),
+    ("horizon", float("inf")),
+])
+def test_rejects_a_non_finite_extent(name, value):
+    # each passes the ordered checks (b > a, positive widths), and gives
+    # infinite or NaN steps
+    extents = dict(a=1.0, b=2.0, half_width=0.5, horizon=1.0)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SpaceTimeGrid(**{**extents, name: value}, n1=5, n2=5, nt=5)
+
+
 def test_field_shape_validation():
     g = base_grid()
     with pytest.raises(ValueError):

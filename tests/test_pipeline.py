@@ -76,7 +76,7 @@ def test_reference_descent_stops_on_grad_tol_within_budget(delta, budget):
     # benchmark's invert-noisy run (noise seed 17).  Without the density
     # flux in the curvature estimate these took 276 and 273 iterations
     cfg, obs, cost, cost_rate, _ = _read_dataset(
-        str(REFERENCE), ExperimentConfig(delta=delta, seed=17)
+        str(REFERENCE), ExperimentConfig(delta=delta, seed=17), {}
     )
     assert cfg.lam == 3.0
     result = run_inversion(cfg, obs, cost, cost_rate).result
@@ -90,7 +90,7 @@ def test_outcome_scores_the_start_iterate(delta, expected):
     # the full descent takes the clean score to 0.0095 and the noisy one
     # (seed 17) to 0.0692, so only the clean descent improves on it
     cfg, obs, cost, cost_rate, _ = _read_dataset(
-        str(REFERENCE), ExperimentConfig(delta=delta, seed=17, max_iter=1)
+        str(REFERENCE), ExperimentConfig(delta=delta, seed=17, max_iter=1), {}
     )
     out = run_inversion(cfg, obs, cost, cost_rate)
     assert out.result.iterations == 1

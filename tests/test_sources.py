@@ -27,3 +27,35 @@ def test_the_guard_sees_an_unused_alias():
 @pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+def record_writers(source: str):
+    """The JSON dumps and 17-digit float formats a module holds, in walk order.
+
+    ``fieldio`` writes every JSON and CSV file the commands produce, so no
+    other module should restate either format.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+                and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            found.append(f"json.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found += [f"json.{a.name}" for a in node.names if a.name in ("dump", "dumps")]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and ".17g" in node.value:
+            found.append(".17g")
+    return found
+
+
+def test_the_guard_sees_every_record_writer():
+    source = (
+        "import json\nfrom json import dumps\n"
+        "json.dump({}, fh)\ntext = f'{x:.17g}'\nmore = format(y, '.17g')\n"
+    )
+    assert sorted(record_writers(source)) == [".17g", ".17g", "json.dump", "json.dumps"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_only_fieldio_writes_json_or_17_digit_floats(path):
+    found = record_writers(path.read_text())
+    assert bool(found) == (path.name == "fieldio.py"), found
