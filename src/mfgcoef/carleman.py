@@ -139,6 +139,15 @@ def _gauss_legendre(points: int):
     return nodes, 2.0 * vecs[0] ** 2
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a NaN-free array, as ``np.unique``
+    gives them, without its import of ``numpy.ma``."""
+    ordered = np.sort(values)
+    keep = np.ones(ordered.size, dtype=bool)
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
+
+
 def _radii(side: np.ndarray, d: float, scale: float, alpha: float) -> np.ndarray:
     """The cuts of one side's pieces, |t| increasing from 0.
 
@@ -149,7 +158,7 @@ def _radii(side: np.ndarray, d: float, scale: float, alpha: float) -> np.ndarray
     """
     depth = max(0, math.floor(math.log2(d * scale / 5e-5 ** (1.0 / (1.0 + alpha)))) + 1)
     dyadic = d * 0.5 ** np.arange(1, depth + 1)
-    return np.unique(np.concatenate(([0.0], side, dyadic[dyadic < side.max()])))
+    return _distinct(np.concatenate(([0.0], side, dyadic[dyadic < side.max()])))
 
 
 def _forms(knots: np.ndarray, lam: float, alpha: float, rule):
@@ -331,7 +340,7 @@ def ratio_log_slope(lambdas: Iterable[float], d: float, alpha: float) -> Optiona
     The fit runs over the distinct lam; with fewer than two there is no
     slope and the result is None.
     """
-    lams = np.unique(np.asarray(list(lambdas), dtype=float))
+    lams = _distinct(np.asarray(list(lambdas), dtype=float))
     if lams.size < 2:
         return None
     ratios = np.array([conventional_vs_new_ratio(l, d, alpha) for l in lams])

@@ -156,20 +156,28 @@ def write_csv(path, field: Field) -> None:
     ))
 
 
-def write_pgm(path, values: np.ndarray) -> None:
-    """8-bit grayscale heatmap of a spatial array, plus a JSON sidecar.
-
-    Image rows run from high x2 down and columns from low x1 up.  The
-    sidecar records the value range used for scaling; a constant field is
-    rendered mid-gray and flagged.  Non-finite values have no gray level,
-    so they are refused before any file is opened.
-    """
+def heatmap_values(values) -> np.ndarray:
+    """``values`` as the float array ``write_pgm`` draws; a ValueError
+    unless it is 2-d and finite, since a NaN or an infinity has no gray
+    level."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"heatmap needs a 2-d array, got shape {values.shape}")
     bad = np.count_nonzero(~np.isfinite(values))
     if bad:
         raise ValueError(f"heatmap needs finite values, got {bad} NaN or infinite")
+    return values
+
+
+def write_pgm(path, values: np.ndarray) -> None:
+    """8-bit grayscale heatmap of a spatial array, plus a JSON sidecar.
+
+    Image rows run from high x2 down and columns from low x1 up.  The
+    sidecar records the value range used for scaling; a constant field is
+    rendered mid-gray and flagged.  The values are checked by
+    ``heatmap_values`` before any file is opened.
+    """
+    values = heatmap_values(values)
     lo = float(values.min())
     hi = float(values.max())
     constant = hi == lo

@@ -89,6 +89,9 @@ class ForwardSpec:
     the grid, and ``sigma`` is the width of the interaction kernel
     (``grid.InteractionOperator``).  The functions are sampled one time
     level at a time, so no field over the whole grid is formed from them.
+    They are called with broadcast coordinates, x1 of shape (n1, 1) and
+    x2 of shape (1, n2), and must return arrays that broadcast to
+    (n1, n2); so must the ``source`` of ``solve_density``.
     """
 
     grid: SpaceTimeGrid
@@ -335,7 +338,9 @@ def solve_density(
     """
     g = spec.grid
     n1, n2 = g.n1, g.n2
-    x1, x2 = g.meshgrid()
+    # broadcast coordinates: the functions evaluate on n1 + n2 points
+    # wherever they factor by axis, not on every node
+    x1, x2 = g.x1[:, None], g.x2[None, :]
     times = g.t
     slabs = kept_slabs(g, coarse)[1]
     stored = np.full(g.nt, -1)

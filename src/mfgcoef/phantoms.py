@@ -192,6 +192,18 @@ class Metrics:
     contrast: float
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-d array, bit for bit, without its import of
+    ``numpy.ma`` (about 8 ms of every inversion's start); NaN in, NaN out."""
+    ordered = np.sort(values)
+    if ordered.size == 0 or np.isnan(ordered[-1]):
+        return np.nan
+    mid = ordered.size // 2
+    if ordered.size % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def score(k_comp, k_true, mask: np.ndarray) -> Metrics:
     """Compare a reconstructed coefficient against the truth.
 
@@ -209,5 +221,5 @@ def score(k_comp, k_true, mask: np.ndarray) -> Metrics:
     diff = comp - true
     rel = float(np.sqrt(np.sum(diff**2) / np.sum(true**2)))
     mask_rel = float(np.sqrt(np.sum(diff[mask] ** 2) / np.sum(true[mask] ** 2)))
-    contrast = float(np.median(comp[mask]) / np.median(comp[~mask]))
+    contrast = float(_median(comp[mask]) / _median(comp[~mask]))
     return Metrics(rel_l2=rel, mask_rel_l2=mask_rel, contrast=contrast)

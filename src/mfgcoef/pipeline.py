@@ -15,16 +15,20 @@ command layer's job.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .forward import ForwardSpec, GeneratedData, generate
 from .grid import Field, ObservationData
-from .inverse import ReconstructionResult, descend, initial_guess
-from .noise import inject, smooth_observations
-from .objective import ObjectiveContext, recover_coefficient
 from .phantoms import Metrics, letter_phantom, make_k, score
+
+# each half imports its solvers where it runs them, so generation does not
+# load the inverse layers and an inversion does not load the forward one
+if TYPE_CHECKING:
+    from .forward import ForwardSpec, GeneratedData
+    from .inverse import ReconstructionResult
+    from .objective import ObjectiveContext
 
 
 def benchmark_value_fn(x1, x2, t):
@@ -36,6 +40,8 @@ def benchmark_density_fn(x1, x2, t):
 
 
 def forward_spec(cfg: ExperimentConfig) -> ForwardSpec:
+    from .forward import ForwardSpec
+
     fine = cfg.fine_grid()
     k_fine = make_k(letter_phantom(cfg.letter, fine, cfg.contrast))
     return ForwardSpec(
@@ -49,6 +55,8 @@ def forward_spec(cfg: ExperimentConfig) -> ForwardSpec:
 
 def run_generation(cfg: ExperimentConfig) -> GeneratedData:
     """Forward solve on the fine grid, observations on the inversion grid."""
+    from .forward import generate
+
     return generate(forward_spec(cfg), cfg.coarse_grid())
 
 
@@ -59,6 +67,9 @@ def build_context(
     cost_rate: np.ndarray,
 ) -> ObjectiveContext:
     """The objective of one inversion, on the noised and fitted observations."""
+    from .noise import inject, smooth_observations
+    from .objective import ObjectiveContext
+
     return ObjectiveContext(
         observations=smooth_observations(inject(obs, cfg.delta, cfg.seed), cfg.delta),
         sigma=cfg.sigma,
@@ -91,6 +102,9 @@ def run_inversion(
     cost_rate: np.ndarray,
 ) -> InversionOutcome:
     """Noise (if configured), context build, descent from the data-blended start, scoring."""
+    from .inverse import descend, initial_guess
+    from .objective import recover_coefficient
+
     ctx = build_context(cfg, obs, cost, cost_rate)
     start = initial_guess(ctx.observations)
     result = descend(ctx, start, cfg.grad_tol, cfg.max_iter)

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import shutil
@@ -575,13 +576,16 @@ def test_render_names_a_malformed_field_file(tmp_path, capsys, line, edited):
 ], ids=["one-nan", "all-infinite"])
 def test_render_refuses_non_finite_values_and_writes_nothing(tmp_path, capsys, values):
     # a NaN has no gray level, and strict JSON holds neither it nor an
-    # infinity, so the heatmap and its sidecar are refused up front
+    # infinity, so the heatmap and its sidecar are refused up front, before
+    # a new output directory is made, and the message names the field file
     path = tmp_path / "bad.field"
     grid = SpaceTimeGrid(a=1.0, b=2.0, half_width=0.5, horizon=1.0, n1=5, n2=5, nt=5)
     write_field(path, Field(grid, SPATIAL, values))
-    assert main(["render", str(path)]) == EXIT_PRECONDITION
-    assert "finite values" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == [path]
+    for out in ([], ["--out", str(tmp_path / "new")]):
+        assert main(["render", str(path), *out]) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: field file {path}: heatmap needs finite values"), err
+        assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("text", [
@@ -767,11 +771,36 @@ def test_verify_carleman_does_not_depend_on_the_blas_thread_count(tmp_path):
 SOLVER_MODULES = ("forward", "objective", "inverse", "noise", "pipeline")
 
 
-def test_imports_load_only_the_layers_they_need(tmp_path):
+@pytest.fixture(scope="module")
+def command_modules(tmp_path_factory):
+    """Each command run once in a fresh child, with every module it loaded."""
+    cwd = tmp_path_factory.mktemp("commands")
+    data = Path(__file__).resolve().parents[1] / "benchmarks" / "data"
+    smoke = str(data / "smoke.ini")
+    commands = [
+        ["verify-carleman", "--trials", "2", "--seed", "1", "--out", "carl"],
+        ["invert", str(data / "smoke"), "--delta", "0.03", "--config", smoke, "--out", "inv"],
+        ["generate", "--config", smoke, "--out", "ds"],
+    ]
+    loaded = {}
+    for argv in commands:
+        child = _run_child(
+            "import sys\n"
+            "import mfgcoef.cli as cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print(' '.join(sorted(sys.modules)))\n",
+            cwd,
+        )
+        assert child.returncode == 0, child.stderr
+        loaded[argv[0]] = child.stdout.splitlines()[-1].split()
+    return loaded
+
+
+def test_imports_load_only_the_layers_they_need(tmp_path, command_modules):
     # the package root re-exports nothing, the certification stands on the
     # grid alone, the inverse half reads the observation record from the
-    # grid and not from the forward solver, and the command layer loads the
-    # solvers only in the commands that run them
+    # grid and not from the forward solver, and the command layer and the
+    # pipeline load each solver only in the commands that run it
     def loaded(module):
         child = _run_child(
             "import sys\n"
@@ -791,41 +820,45 @@ def test_imports_load_only_the_layers_they_need(tmp_path):
     assert not [name for name in SOLVER_MODULES if f"'mfgcoef.{name}'" in config], config
     for module in ("noise", "objective", "inverse"):
         assert "'mfgcoef.forward'" not in loaded(f"mfgcoef.{module}"), module
-    command, modules = next(_commands_and_what_they_load(tmp_path, "mfgcoef"))
-    assert command == "verify-carleman"
-    assert not [name for name in SOLVER_MODULES if f"'mfgcoef.{name}'" in modules], modules
+    solvers = {
+        command: {name for name in SOLVER_MODULES if f"mfgcoef.{name}" in modules}
+        for command, modules in command_modules.items()
+    }
+    assert solvers == {
+        "verify-carleman": set(),
+        "invert": {"objective", "inverse", "noise", "pipeline"},
+        "generate": {"forward", "pipeline"},
+    }
 
 
-def _commands_and_what_they_load(tmp_path, package):
-    """Each command run in a fresh child, with the modules of package it loaded."""
-    data = Path(__file__).resolve().parents[1] / "benchmarks" / "data"
-    smoke = str(data / "smoke.ini")
-    commands = [
-        ["verify-carleman", "--trials", "2", "--seed", "1", "--out", "carl"],
-        ["invert", str(data / "smoke"), "--delta", "0.03", "--config", smoke, "--out", "inv"],
-        ["generate", "--config", smoke, "--out", "ds"],
-    ]
-    for argv in commands:
-        child = _run_child(
-            "import sys\n"
-            "import mfgcoef.cli as cli\n"
-            f"assert cli.main({argv!r}) == 0\n"
-            f"print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))\n",
-            tmp_path,
-        )
-        assert child.returncode == 0, child.stderr
-        yield argv[0], child.stdout.splitlines()[-1]
+# scipy is a test-only dependency; numpy.polynomial costs about 0.9 MiB of
+# resident memory, and the Gauss rule of the certification is built
+# without it; numpy.ma, which np.median and np.unique load, costs about
+# 8 ms of start-up
+@pytest.mark.parametrize("package", ["scipy", "numpy.polynomial", "numpy.ma"])
+def test_no_command_loads(command_modules, package):
+    for command, modules in command_modules.items():
+        assert not [m for m in modules if (m + ".").startswith(package + ".")], command
 
 
-def test_no_command_loads_scipy(tmp_path):
-    # every solver is numpy-only, so a fresh interpreter running any
-    # command, generation included, must not pay for importing scipy
-    for command, loaded in _commands_and_what_they_load(tmp_path, "scipy"):
-        assert loaded == "[]", command
-
-
-def test_no_command_loads_numpy_polynomial(tmp_path):
-    # importing numpy.polynomial costs about 0.9 MiB of resident memory;
-    # the Gauss rule of the certification is built without it
-    for command, loaded in _commands_and_what_they_load(tmp_path, "numpy.polynomial"):
-        assert loaded == "[]", command
+@pytest.mark.skipif(
+    os.name != "posix" or not hasattr(ctypes.CDLL(None), "mallopt"),
+    reason="no mallopt in the C library",
+)
+def test_invert_does_not_fault_its_pass_temporaries_back_in(tmp_path):
+    # at glibc's default thresholds the heap that each objective pass frees
+    # goes back to the kernel and is faulted in again at the next pass:
+    # about 44k minor faults for this inversion, against 1.8k with the
+    # allocator policy that the commands that descend set
+    reference = Path(__file__).resolve().parents[1] / "benchmarks" / "data" / "reference"
+    argv = ["invert", str(reference), "--delta", "0.03", "--seed", "17", "--out", "inv"]
+    child = _run_child(
+        "import resource\n"
+        "import mfgcoef.cli as cli\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n",
+        tmp_path,
+    )
+    assert child.returncode == 0, child.stderr
+    assert int(child.stdout.splitlines()[-1]) < 10_000

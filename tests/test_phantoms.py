@@ -142,6 +142,21 @@ def test_score_is_permutation_invariant_within_classes():
     assert b.mask_rel_l2 == pytest.approx(a.mask_rel_l2, rel=1e-14)
 
 
+@pytest.mark.parametrize("inside", [12, 13], ids=["even-inside", "odd-inside"])
+def test_contrast_is_the_ratio_of_numpy_medians_bit_for_bit(inside):
+    # 25 nodes, so one class has an odd count and the other an even one
+    rng = np.random.default_rng(inside)
+    comp = rng.lognormal(size=(5, 5))
+    mask = np.zeros(25, dtype=bool)
+    mask[rng.permutation(25)[:inside]] = True
+    mask = mask.reshape(5, 5)
+    contrast = score(comp, np.ones((5, 5)), mask).contrast
+    assert contrast == float(np.median(comp[mask]) / np.median(comp[~mask]))
+    # a NaN sorts last, away from the middle, but still makes the median NaN
+    comp[mask & (comp == comp[mask].max())] = np.nan
+    assert np.isnan(score(comp, np.ones((5, 5)), mask).contrast)
+
+
 def test_score_shape_mismatch_raises():
     g = grid(21, 21, 5)
     ph = letter_phantom("A", g, c_a=2.0)
