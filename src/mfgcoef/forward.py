@@ -24,22 +24,25 @@ coarser inversion grid.
 
 The solve streams its time levels and forms no matrix and no fine-grid
 space-time array.  It samples v one slab at a time, steps with the last
-three density slabs, and keeps v and p only at the fine time levels that
-the outputs read (``kept_slabs``): the coarse times, the levels beside
-them that the time difference of s reads, and the levels beside those
-that v_t reads.  On the default grids (81x81x321 fine, 21x21x11 coarse)
-that is 53 of 321 levels, 2.8 MB per field against 16.8 MB, and the
-traced allocation peak of ``generate`` is about 12 MB.
+three solved interiors, and keeps v and p only at the fine time levels
+that the outputs read (``kept_slabs``): the coarse times, the levels
+beside them that the time difference of s reads, and the levels beside
+those that v_t reads.  On the default grids (81x81x321 fine, 21x21x11
+coarse) that is 53 of 321 levels, 2.8 MB per field against 16.8 MB, and
+the traced allocation peak of ``generate`` is about 12 MB.  Everything a
+sweep touches is contiguous: the interiors, the coefficient arrays, and
+the four neighbour arrays of the step operator, which are shifted views
+of one zero-padded flat buffer (``_padded``).
 
 The step keeps both solvers because neither covers the other's cases.
 Sweeps alone diverge on the drift-jump grids of the tests (50- and
 200-fold jumps) and on long horizons.  GMRES alone, started from the
-same extrapolated guess on the default 81x81x321 grid, makes 915
-Arnoldi products plus one update per step, 1235 preconditioner
-applications against the sweeps' 932, and takes 0.57-0.59 s against
-0.35-0.38 s (2-core x86-64 host), since each cycle forms extra
-residuals and builds an Arnoldi basis; it moves the density, which
-peaks at 6, by 7.6e-13.
+same extrapolated guess on the default 81x81x321 grid, makes 901
+Arnoldi products plus one update per step, 1221 preconditioner
+applications against the sweeps' 932, and takes 0.41-0.43 s against
+0.23 s (the contiguous step operator; one BLAS thread on a 2-core x86-64
+host), since each cycle forms extra residuals and builds an Arnoldi
+basis; it moves the density, which peaks at 6, by 7.7e-13.
 """
 
 from __future__ import annotations
@@ -176,16 +179,15 @@ class DensitySolution:
 def _start(recent: List[np.ndarray], n: int) -> np.ndarray:
     """Interior density at step n extrapolated from the steps before it.
 
-    ``recent`` holds the last three density slabs, oldest first (fewer
+    ``recent`` holds the last three solved interiors, oldest first (fewer
     before the third step).  Quadratic through the three, linear through
-    the last two at n = 3, and the last slab at n = 2.
+    the last two at n = 3, and the last interior at n = 2.
     """
-    prev = [q[1:-1, 1:-1] for q in recent]
     if n > 3:
-        return 3.0 * prev[-1] - 3.0 * prev[-2] + prev[-3]
+        return 3.0 * recent[-1] - 3.0 * recent[-2] + recent[-3]
     if n == 3:
-        return 2.0 * prev[-1] - prev[-2]
-    return prev[-1]
+        return 2.0 * recent[-1] - recent[-2]
+    return recent[-1]
 
 
 def _sine_basis(m: int, h: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -200,13 +202,68 @@ def _sine_basis(m: int, h: float) -> Tuple[np.ndarray, np.ndarray]:
     return basis, (2.0 / h) ** 2 * np.sin(0.5 * np.pi * j / (m + 1)) ** 2
 
 
-def _five_point(coeffs, q: np.ndarray) -> np.ndarray:
-    """Off-center part of a step operator on a full (n1, n2) slab.
+def _five_point(coeffs, near) -> np.ndarray:
+    """Off-center part of a step operator, ((w W + s S) + n N) + e E.
 
-    ``coeffs`` holds the west, south, north and east coefficient arrays.
+    ``coeffs`` holds the west, south, north and east coefficient arrays
+    and ``near`` the neighbour values they multiply, in the same order.
     """
     west, south, north, east = coeffs
-    return west * q[:-2, 1:-1] + south * q[1:-1, :-2] + north * q[1:-1, 2:] + east * q[2:, 1:-1]
+    q_west, q_south, q_north, q_east = near
+    total = west * q_west
+    total += south * q_south
+    total += north * q_north
+    total += east * q_east
+    return total
+
+
+def _framed(q: np.ndarray):
+    """The west, south, north and east neighbours of a full slab's interior."""
+    return q[:-2, 1:-1], q[1:-1, :-2], q[1:-1, 2:], q[2:, 1:-1]
+
+
+def _padded(m1: int, m2: int):
+    """A zero-padded flat buffer for an (m1, m2) interior, as contiguous views.
+
+    Returns the view that holds the interior and the views of its west,
+    south, north and east neighbours, each (m1, m2) and contiguous.  A row
+    of m2 zeros pads the interior on either side, so the west and east
+    shifts (by m2) read zeros beyond the first and last rows.  The south
+    and north shifts (by 1) read the last node of the row before from
+    the first column and the first node of the row after from the last
+    column, so ``_step_operator`` zeroes the coefficients there.
+    """
+    size = m1 * m2
+    pad = np.zeros(size + 2 * m2)
+    views = [pad[s : s + size].reshape(m1, m2) for s in (m2, 0, m2 - 1, m2 + 1, 2 * m2)]
+    return views[0], tuple(views[1:])
+
+
+def _step_operator(center: np.ndarray, off, padded):
+    """The map x -> center * x + _five_point(off, neighbours of x) on an interior.
+
+    ``padded`` is a buffer of ``_padded``, which each call fills with x.
+    The south coefficients of the first column and the north ones of the
+    last are set to zero in ``off`` itself, so form anything that reads
+    them (the boundary coupling) first.  Wherever center * x is nonzero
+    the result has the bits that the interior framed by zeros gives: a
+    dropped term is 0 * x where the frame gives c * 0, a zero whose sign
+    alone may differ, and a zero added to a nonzero number leaves it
+    exact.
+    """
+    inner, near = padded
+    off[1][:, 0] = 0.0
+    off[2][:, -1] = 0.0
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        inner[...] = x
+        # a sum of two terms is the same either way round, so this is
+        # center * x + _five_point(off, near) bit for bit
+        out = _five_point(off, near)
+        out += center * x
+        return out
+
+    return apply
 
 
 def _richardson(apply, precondition, rhs: np.ndarray, x: np.ndarray, bound: float):
@@ -310,7 +367,22 @@ def solve_density(
     the Dirichlet values of its boundary neighbours move to the
     right-hand side.  The step operator is applied to an interior slab
     by shifted-slice products with its five coefficient arrays; no
-    matrix is formed.
+    matrix is formed.  The east and west coefficients are read from one
+    array of x1 face differences of v, the north and south ones from one
+    of x2 face differences.
+
+    Every array a sweep reads is contiguous.  Each product copies the
+    interior once into a zero-padded flat buffer, whose shifts by the row
+    length give the west and east neighbours and whose shifts by one give
+    the south and north ones (``_padded``, ``_step_operator``).  Those
+    read across a row end at the first and last columns, so the
+    coefficients there are zero.  The framed slab gives c * 0 there and
+    the buffer 0 * x, zeros whose signs may differ, in the same place of
+    the same sum; a zero added to a nonzero number leaves it exact, so
+    every node where center * x is nonzero gets the bits of
+    ``center * x + _five_point(off, _framed(framed))``, by the same IEEE
+    operations in the same order.  The boundary coupling is still formed
+    by ``_five_point`` on the full slab, with the unmasked coefficients.
 
     The step matrix is (1/ht) I - lap_h plus the drift part, and the sine
     bases of the x1 and x2 lines diagonalize the first part exactly, so
@@ -330,8 +402,8 @@ def solve_density(
 
     The solve streams its levels.  v is sampled one level at a time, by
     the same ``value_fn`` calls in the same order as a sampling of the
-    whole grid, and besides the kept levels only the last three density
-    slabs and the current one are held.  The kept levels are stored
+    whole grid, and besides the kept levels only the last three solved
+    interiors and the current slab are held.  The kept levels are stored
     time-major, (slab, n1, n2), and returned as their (n1, n2, slab)
     views: on the default grids 53 of 321 levels, 2.8 MB per field
     against 16.8 MB for a field on every fine node.
@@ -365,22 +437,28 @@ def solve_density(
     p = slab(density, 0)
     p[...] = spec.density_fn(x1, x2, times[0])
     smallest = minimum(p, 0)
-    recent = [p]
+    recent = [p[1:-1, 1:-1].copy()]
 
     inv_h1sq = 1.0 / (g.h1 * g.h1)
     inv_h2sq = 1.0 / (g.h2 * g.h2)
+    # time and diffusion part of the center coefficient
+    diagonal = 1.0 / g.ht + 2.0 * (inv_h1sq + inv_h2sq)
 
     basis1, eig1 = _sine_basis(n1 - 2, g.h1)
     basis2, eig2 = _sine_basis(n2 - 2, g.h2)
     inv_eig = 1.0 / (1.0 / g.ht + eig1[:, None] + eig2[None, :])
+    work = np.empty((2, n1 - 2, n2 - 2))
 
+    # P^-1 r, returned in a buffer that the next call overwrites
     def precondition(r: np.ndarray) -> np.ndarray:
-        return basis1 @ ((basis1 @ r @ basis2) * inv_eig) @ basis2
+        left, right = work
+        np.matmul(basis1, r, out=left)
+        np.matmul(left, basis2, out=right)
+        right *= inv_eig
+        np.matmul(basis1, right, out=left)
+        return np.matmul(left, basis2, out=right)
 
-    # an interior slab inside a zero frame, so the boundary-facing
-    # coefficients of the step operator multiply zeros
-    framed = np.zeros((n1, n2))
-    inner = framed[1:-1, 1:-1]
+    padded = _padded(n1 - 2, n2 - 2)
 
     sweeps = 0
     krylov_steps = 0
@@ -388,44 +466,34 @@ def solve_density(
         t = times[n]
         v = sample_value(n)
 
-        # advection coefficients from half-node fluxes of dv
-        a_e = (v[2:, 1:-1] - v[1:-1, 1:-1]) / g.h1
-        a_w = (v[1:-1, 1:-1] - v[:-2, 1:-1]) / g.h1
-        a_n = (v[1:-1, 2:] - v[1:-1, 1:-1]) / g.h2
-        a_s = (v[1:-1, 1:-1] - v[1:-1, :-2]) / g.h2
-
-        # center: time, diffusion, advection
+        # advection coefficients from half-node fluxes of dv: the east
+        # and west ones are rows of d1, the north and south columns of d2
+        d1 = (v[1:, 1:-1] - v[:-1, 1:-1]) / g.h1
+        d2 = (v[1:-1, 1:] - v[1:-1, :-1]) / g.h2
         center = (
-            1.0 / g.ht
-            + 2.0 * (inv_h1sq + inv_h2sq)
-            - 0.5 * (a_e - a_w) / g.h1
-            - 0.5 * (a_n - a_s) / g.h2
+            diagonal - 0.5 * (d1[1:] - d1[:-1]) / g.h1 - 0.5 * (d2[:, 1:] - d2[:, :-1]) / g.h2
         )
+        half1 = 0.5 * d1 / g.h1
+        half2 = 0.5 * d2 / g.h2
         off = (
-            -inv_h1sq + 0.5 * a_w / g.h1,
-            -inv_h2sq + 0.5 * a_s / g.h2,
-            -inv_h2sq - 0.5 * a_n / g.h2,
-            -inv_h1sq - 0.5 * a_e / g.h1,
+            -inv_h1sq + half1[:-1],
+            -inv_h2sq + half2[:, :-1],
+            -inv_h2sq - half2[:, 1:],
+            -inv_h1sq - half1[1:],
         )
-
-        def apply(x: np.ndarray) -> np.ndarray:
-            inner[...] = x
-            return center * x + _five_point(off, framed)
-
-        def magnitude(x: np.ndarray) -> np.ndarray:
-            inner[...] = x
-            return np.abs(center) * x + _five_point([np.abs(c) for c in off], framed)
 
         # Dirichlet data; the zeroed interior drops interior neighbours
         # from the coupling
         p = slab(density, n)
         p[...] = spec.density_fn(x1, x2, t)
         p[1:-1, 1:-1] = 0.0
-        coupling = _five_point(off, p)
+        coupling = _five_point(off, _framed(p))
+        # only now: the operator zeroes coefficients the coupling reads
+        apply = _step_operator(center, off, padded)
         rhs = recent[-1] / g.ht
         if source is not None:
-            rhs = rhs + source(x1, x2, t)
-        rhs = rhs[1:-1, 1:-1] - coupling
+            rhs = rhs + np.broadcast_to(source(x1, x2, t), (n1, n2))[1:-1, 1:-1]
+        rhs -= coupling
 
         bound = REFINE_RTOL * np.linalg.norm(rhs)
         start = _start(recent, n)
@@ -433,6 +501,7 @@ def solve_density(
         sweeps += made
         if sol is None:
             krylov_steps += 1
+            magnitude = _step_operator(np.abs(center), [np.abs(c) for c in off], padded)
             sol, reached, backward = _gmres(apply, magnitude, precondition, rhs, start, bound)
             if reached > bound and backward > BACKWARD_ERROR_FLOOR:
                 raise RuntimeError(
@@ -446,7 +515,7 @@ def solve_density(
         # the earliest smallest wins; a NaN, once met, stays
         if here[0] < smallest[0] or np.isnan(here[0]):
             smallest = here
-        recent = recent[-2:] + [p]
+        recent = recent[-2:] + [sol]
 
     return DensitySolution(
         slabs,

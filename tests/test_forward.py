@@ -170,6 +170,35 @@ def test_interior_step_matches_full_node_operator():
     assert solution.min_density == pytest.approx(float(np.min(expected)), rel=1e-13)
 
 
+def test_contiguous_step_operator_is_the_framed_stencil_bit_for_bit():
+    # the 11 x 7 interior of a 13 x 9 grid, so a swapped shift reads the
+    # wrong neighbour; coefficients of both signs that jump 200-fold
+    # across the middle row, as the drift of the jump tests does; every
+    # bit is compared, so a term summed in another order fails
+    rng = np.random.default_rng(29)
+    m1, m2 = 11, 7
+    jump = np.where(np.arange(m1)[:, None] < m1 // 2, 1.0, 200.0)
+    center = (4.0 + rng.standard_normal((m1, m2))) * jump
+    off = [rng.standard_normal((m1, m2)) * jump for _ in range(4)]
+    x = rng.standard_normal((m1, m2))
+
+    def framed_form(center, off, x):
+        framed = np.zeros((m1 + 2, m2 + 2))
+        framed[1:-1, 1:-1] = x
+        return center * x + forward._five_point(off, forward._framed(framed))
+
+    expected = framed_form(center, off, x)
+    expected_abs = framed_form(np.abs(center), [np.abs(c) for c in off], np.abs(x))
+    padded = forward._padded(m1, m2)
+    masked = [c.copy() for c in off]
+    apply = forward._step_operator(center, masked, padded)
+    magnitude = forward._step_operator(np.abs(center), [np.abs(c) for c in masked], padded)
+    # both share one buffer, so each call must fill it afresh
+    for _ in range(2):
+        assert np.array_equal(apply(x).view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(magnitude(np.abs(x)).view(np.uint64), expected_abs.view(np.uint64))
+
+
 def drift_jump_spec(factor):
     """A steady drift that grows ``factor``-fold past mid-horizon."""
     g = grid(13, 9, 9)
