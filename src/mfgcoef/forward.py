@@ -23,13 +23,15 @@ one-sided Neumann traces at the outflow face) are restricted to the
 coarser inversion grid.
 
 The solve streams its time levels and forms no matrix and no fine-grid
-space-time array.  It samples v one slab at a time, steps with the last
-three solved interiors, and keeps v and p only at the fine time levels
-that the outputs read (``kept_slabs``): the coarse times, the levels
-beside them that the time difference of s reads, and the levels beside
-those that v_t reads.  On the default grids (81x81x321 fine, 21x21x11
-coarse) that is 53 of 321 levels, 2.8 MB per field against 16.8 MB, and
-the traced allocation peak of ``generate`` is about 12 MB.  Everything a
+space-time array.  It samples v one level at a time into one scratch
+slab, steps with the last three solved interiors, and keeps p only at
+the fine time levels where s is formed (``kept_slabs``): the coarse
+times and the levels beside them that the time difference of s reads.
+It keeps no v: v is analytic, so the cost and the observations sample it
+again where they read it, by the solve's own calls.  On the default
+grids (81x81x321 fine, 21x21x11 coarse) that is 33 of 321 levels,
+1.7 MB against 16.8 MB for a field on every node, and the traced
+allocation peak of ``generate`` is about 8.6 MB.  Everything a
 sweep touches is contiguous: the interiors, the coefficient arrays, and
 the four neighbour arrays of the step operator, which are shifted views
 of one zero-padded flat buffer (``_padded``).
@@ -129,11 +131,12 @@ def kept_slabs(fine: SpaceTimeGrid, coarse: SpaceTimeGrid) -> Tuple[np.ndarray, 
 
     Returns ``(cost, kept)``.  ``cost`` holds the levels where ``make_s``
     forms s: the coarse times and the levels that the rows of the time
-    difference at those times read.  ``kept`` adds the levels that the
-    rows of v_t at the ``cost`` levels read; the observations read the
-    coarse times only.  Both are taken from the nonzero pattern of the
+    difference at those times read.  The density solve keeps p at these;
+    the observations read the coarse times among them.  ``kept`` adds the
+    levels that the rows of v_t at the ``cost`` levels read, where
+    ``make_s`` samples v.  Both are taken from the nonzero pattern of the
     time-difference matrix.  When ``coarse`` is ``fine`` every level is
-    kept.
+    in both.
     """
     st = restriction_strides(fine, coarse)[2]
     reads = first_diff_matrix(fine.nt, fine.ht) != 0
@@ -146,10 +149,12 @@ def kept_slabs(fine: SpaceTimeGrid, coarse: SpaceTimeGrid) -> Tuple[np.ndarray, 
 
 @dataclass
 class DensitySolution:
-    """The value and the density at the kept time levels, and the solve's record.
+    """The density at the kept time levels, and the solve's record.
 
-    ``slabs`` holds the fine time indices kept, ascending, and ``value``
-    and ``density`` are indexed (x1, x2, position in ``slabs``).
+    ``slabs`` holds the fine time indices kept, ascending (the ``cost``
+    levels of ``kept_slabs``), and ``density`` is indexed (x1, x2,
+    position in ``slabs``).  The value function is not kept: it is
+    analytic, and the outputs sample it from the spec.
     ``min_density`` is the signed minimum of p over every fine node,
     kept or not, and ``min_node`` its (x1, x2, t) index, the earliest
     level where it is reached.  ``preconditioned_sweeps`` counts the
@@ -158,11 +163,10 @@ class DensitySolution:
     depend on the data only, so they repeat exactly from run to run.  With the
     extrapolated start, a step whose drift changes smoothly takes two to
     five sweeps.  A solve for the generation grid itself keeps every
-    level, so its fields are the full (n1, n2, nt) arrays.
+    level, so its density is the full (n1, n2, nt) array.
     """
 
     slabs: np.ndarray
-    value: np.ndarray
     density: np.ndarray
     min_density: float
     min_node: Tuple[int, int, int]
@@ -222,6 +226,28 @@ def _framed(q: np.ndarray):
     return q[:-2, 1:-1], q[1:-1, :-2], q[1:-1, 2:], q[2:, 1:-1]
 
 
+def _boundary_coupling(coeffs, q: np.ndarray) -> np.ndarray:
+    """The terms of ``_five_point(coeffs, _framed(q))`` that read q's boundary.
+
+    Only the ring of interior nodes beside the boundary has such terms, so
+    only the ring is formed, each node summing its terms in
+    ``_five_point``'s order; q's interior is not read, and the result is
+    +0 inside the ring.  ``_five_point`` on q with its interior zeroed
+    adds c * 0 for each interior neighbour as well, a zero whose sign may
+    differ, and a zero added to a nonzero sum leaves it exact.  So the two
+    agree bit for bit wherever the boundary terms are nonzero, and inside
+    the ring both are zeros, which subtracted from a nonzero right-hand
+    side leave it exact.
+    """
+    west, south, north, east = coeffs
+    out = np.zeros(west.shape)
+    out[0] = west[0] * q[0, 1:-1]
+    out[:, 0] += south[:, 0] * q[1:-1, 0]
+    out[:, -1] += north[:, -1] * q[1:-1, -1]
+    out[-1] += east[-1] * q[-1, 1:-1]
+    return out
+
+
 def _padded(m1: int, m2: int):
     """A zero-padded flat buffer for an (m1, m2) interior, as contiguous views.
 
@@ -275,7 +301,8 @@ def _richardson(apply, precondition, rhs: np.ndarray, x: np.ndarray, bound: floa
     """
     residual = rhs - apply(x)
     made = 0
-    while np.linalg.norm(residual) > bound:
+    # a NaN norm or bound fails this test, so a NaN step is never accepted
+    while not np.linalg.norm(residual) <= bound:
         if made == SWEEP_CAP:
             return None, made
         x = x + precondition(residual)
@@ -351,9 +378,9 @@ def solve_density(
 ) -> DensitySolution:
     """Backward-Euler solve of the density equation on the fine grid.
 
-    Returns the value and the density at the fine time levels that
-    ``make_s`` and ``extract_observations`` read for the inversion grid
-    ``coarse`` (``kept_slabs``; every level when ``coarse`` is
+    Returns the density at the fine time levels that ``make_s`` and
+    ``extract_observations`` read for the inversion grid ``coarse`` (the
+    ``cost`` levels of ``kept_slabs``; every level when ``coarse`` is
     ``spec.grid``), the signed minimum of p over every fine node and
     where it sits (the caller decides whether that is far enough above
     zero; ``make_s`` enforces the hard floor), and the counts of
@@ -381,8 +408,13 @@ def solve_density(
     the same sum; a zero added to a nonzero number leaves it exact, so
     every node where center * x is nonzero gets the bits of
     ``center * x + _five_point(off, _framed(framed))``, by the same IEEE
-    operations in the same order.  The boundary coupling is still formed
-    by ``_five_point`` on the full slab, with the unmasked coefficients.
+    operations in the same order.  The boundary coupling, which the
+    right-hand side subtracts, is formed before the masking and only on
+    the ring of interior nodes beside the boundary (``_boundary_coupling``).
+    ``_five_point`` on the slab with its interior zeroed adds c * 0 for
+    each interior neighbour besides: zeros added to nonzero sums on the
+    ring, and zeros subtracted from a nonzero right-hand side inside it,
+    so the right-hand side keeps its bits.
 
     The step matrix is (1/ht) I - lap_h plus the drift part, and the sine
     bases of the x1 and x2 lines diagonalize the first part exactly, so
@@ -398,15 +430,17 @@ def solve_density(
     smaller, so GMRES also stops, after any cycle, once the normwise
     backward error ||b - Ax|| / || |A| |x| || is at most
     BACKWARD_ERROR_FLOOR.  A step that meets neither test within the
-    GMRES budget raises RuntimeError.
+    GMRES budget raises RuntimeError.  Both tests are written so that a
+    NaN residual or bound fails them, so a step that meets a NaN raises
+    too rather than passing its start as solved.
 
-    The solve streams its levels.  v is sampled one level at a time, by
-    the same ``value_fn`` calls in the same order as a sampling of the
-    whole grid, and besides the kept levels only the last three solved
-    interiors and the current slab are held.  The kept levels are stored
-    time-major, (slab, n1, n2), and returned as their (n1, n2, slab)
-    views: on the default grids 53 of 321 levels, 2.8 MB per field
-    against 16.8 MB for a field on every fine node.
+    The solve streams its levels.  v is sampled one level at a time into
+    one scratch slab, by the same ``value_fn`` calls in the same order as
+    a sampling of the whole grid, and besides the kept densities only the
+    last three solved interiors and the current slabs are held.  The
+    kept levels are stored time-major, (slab, n1, n2), and returned as
+    their (n1, n2, slab) view: on the default grids 33 of 321 levels,
+    1.7 MB against 16.8 MB for a field on every fine node.
     """
     g = spec.grid
     n1, n2 = g.n1, g.n2
@@ -414,27 +448,20 @@ def solve_density(
     # wherever they factor by axis, not on every node
     x1, x2 = g.x1[:, None], g.x2[None, :]
     times = g.t
-    slabs = kept_slabs(g, coarse)[1]
+    slabs = kept_slabs(g, coarse)[0]
     stored = np.full(g.nt, -1)
     stored[slabs] = np.arange(slabs.size)
-    value = np.empty((slabs.size, n1, n2))
     density = np.empty((slabs.size, n1, n2))
 
-    def slab(store: np.ndarray, n: int) -> np.ndarray:
-        return store[stored[n]] if stored[n] >= 0 else np.empty((n1, n2))
-
-    def sample_value(n: int) -> np.ndarray:
-        v = slab(value, n)
-        v[...] = spec.value_fn(x1, x2, times[n])
-        return v
+    def slab(n: int) -> np.ndarray:
+        return density[stored[n]] if stored[n] >= 0 else np.empty((n1, n2))
 
     # the smallest p of a slab and its node, so no full-grid minimum is formed
     def minimum(p: np.ndarray, n: int):
         k = int(np.argmin(p))
         return p.flat[k], np.unravel_index(k, p.shape) + (n,)
 
-    sample_value(0)
-    p = slab(density, 0)
+    p = slab(0)
     p[...] = spec.density_fn(x1, x2, times[0])
     smallest = minimum(p, 0)
     recent = [p[1:-1, 1:-1].copy()]
@@ -459,12 +486,13 @@ def solve_density(
         return np.matmul(left, basis2, out=right)
 
     padded = _padded(n1 - 2, n2 - 2)
+    v = np.empty((n1, n2))
 
     sweeps = 0
     krylov_steps = 0
     for n in range(1, g.nt):
         t = times[n]
-        v = sample_value(n)
+        v[...] = spec.value_fn(x1, x2, t)
 
         # advection coefficients from half-node fluxes of dv: the east
         # and west ones are rows of d1, the north and south columns of d2
@@ -482,12 +510,10 @@ def solve_density(
             -inv_h1sq - half1[1:],
         )
 
-        # Dirichlet data; the zeroed interior drops interior neighbours
-        # from the coupling
-        p = slab(density, n)
+        # Dirichlet data, whose coupling moves to the right-hand side
+        p = slab(n)
         p[...] = spec.density_fn(x1, x2, t)
-        p[1:-1, 1:-1] = 0.0
-        coupling = _five_point(off, _framed(p))
+        coupling = _boundary_coupling(off, p)
         # only now: the operator zeroes coefficients the coupling reads
         apply = _step_operator(center, off, padded)
         rhs = recent[-1] / g.ht
@@ -503,7 +529,8 @@ def solve_density(
             krylov_steps += 1
             magnitude = _step_operator(np.abs(center), [np.abs(c) for c in off], padded)
             sol, reached, backward = _gmres(apply, magnitude, precondition, rhs, start, bound)
-            if reached > bound and backward > BACKWARD_ERROR_FLOOR:
+            # written so that a NaN residual or bound fails it
+            if not (reached <= bound or backward <= BACKWARD_ERROR_FLOOR):
                 raise RuntimeError(
                     f"density step {n} (t={t:.6g}) did not converge: residual "
                     f"{reached:.3e} against the bound {bound:.3e} after {SWEEP_CAP} "
@@ -519,13 +546,29 @@ def solve_density(
 
     return DensitySolution(
         slabs,
-        value.transpose(1, 2, 0),
         density.transpose(1, 2, 0),
         float(smallest[0]),
         tuple(int(i) for i in smallest[1]),
         sweeps,
         krylov_steps,
     )
+
+
+def _value_samples(spec: ForwardSpec, levels: np.ndarray, index=np.s_[:, :]) -> np.ndarray:
+    """v at the fine time ``levels``, each level's slab cut by ``index``; levels last.
+
+    Each level is sampled as a full (n1, n2) slab and then cut, by the
+    call that ``solve_density`` makes at that level, so the samples have
+    the bits of the solve's.  Each cut is copied, so no full slab
+    outlives its level.
+    """
+    g = spec.grid
+    x1, x2 = g.x1[:, None], g.x2[None, :]
+    slabs = [
+        np.broadcast_to(spec.value_fn(x1, x2, g.t[n]), g.spatial_shape())[index].copy()
+        for n in levels
+    ]
+    return np.stack(slabs, axis=-1)
 
 
 def _on_time_axis(
@@ -557,18 +600,21 @@ def make_s(
         s = [v_t + lap(v) - |grad v|^2 / 2 - k * (interaction of p)] / p
 
     Returns s and its rate s_t at the nodes of ``coarse``, which must nest
-    in the generation grid, from the levels that ``solution`` keeps for
-    it.  All derivatives of the sampled value function are taken with the
-    fine-grid stencils and the interaction with the fine-grid quadrature,
-    but only their rows at the coarse (x1, x2) nodes and at the ``cost``
-    levels of ``kept_slabs`` are formed: s there, then s_t by the rows of
-    the central time difference at the coarse times.  Every product
-    still runs over the whole time axis, with zeros at the levels not
-    formed (see ``_on_time_axis``); the rows of the two time differences
-    read those levels with zero weights.  So the result is bit for bit
-    the one that a solve keeping every level gives.  With
-    ``coarse = spec.grid`` every stride is 1 and this is the full-grid
-    construction.  The division requires p >= 1e-8 at every fine node (a
+    in the generation grid, from the density levels that ``solution``
+    keeps for it and from v sampled at the levels and nodes read here
+    (``_value_samples``: each level is sampled as a full (n1, n2) slab by
+    the solve's own call and then cut, so the samples have the solve's
+    bits).  All derivatives of the sampled value function are taken with
+    the fine-grid stencils and the interaction with the fine-grid
+    quadrature, but only their rows at the coarse (x1, x2) nodes and at
+    the ``cost`` levels of ``kept_slabs`` are formed: s there, then s_t
+    by the rows of the central time difference at the coarse times.
+    Every product still runs over the whole time axis, with zeros at the
+    levels not formed (see ``_on_time_axis``); the rows of the two time
+    differences read those levels with zero weights.  So the result is
+    bit for bit the one that a solve keeping every level gives, with v
+    on every fine node.  With ``coarse = spec.grid`` every stride is 1
+    and this is the full-grid construction.  The division requires p >= 1e-8 at every fine node (a
     density is positive), which is checked against the solve's signed
     minimum; the error message names the node where it is reached.
 
@@ -586,22 +632,22 @@ def make_s(
         )
 
     s1, s2, st_ = restriction_strides(g, coarse)
-    levels = kept_slabs(g, coarse)[0]
+    levels, kept = kept_slabs(g, coarse)
     at = solution.positions(levels)
-    value, density = solution.value, solution.density
+    density = solution.density
     d_t = first_diff_matrix(g.nt, g.ht)
     # v_t's samples are stored time-major and each line stack line-major,
     # so the products read them without a copy; the stencil and quadrature
     # rows at coarse nodes read only the whole x1 lines through the coarse
     # x2 nodes and the x2 lines through the coarse x1 nodes
-    samples = _on_time_axis(g.nt, solution.slabs, value[::s1, ::s2], (2, 0, 1))
+    samples = _on_time_axis(g.nt, kept, _value_samples(spec, kept, np.s_[::s1, ::s2]), (2, 0, 1))
     vt = apply_along_axis(d_t, samples, 2)[:, :, levels]
     del samples
-    lines1 = _on_time_axis(g.nt, levels, value[:, ::s2, at])
+    lines1 = _on_time_axis(g.nt, levels, _value_samples(spec, levels, np.s_[:, ::s2]))
     vlap = apply_along_axis(second_diff_matrix(g.n1, g.h1)[::s1], lines1, 0)[:, :, levels]
     vx1 = apply_along_axis(first_diff_matrix(g.n1, g.h1)[::s1], lines1, 0)[:, :, levels]
     del lines1
-    lines2 = _on_time_axis(g.nt, levels, value[::s1, :, at], (1, 0, 2))
+    lines2 = _on_time_axis(g.nt, levels, _value_samples(spec, levels, np.s_[::s1]), (1, 0, 2))
     vlap = vlap + apply_along_axis(second_diff_matrix(g.n2, g.h2)[::s2], lines2, 1)[:, :, levels]
     vx2 = apply_along_axis(first_diff_matrix(g.n2, g.h2)[::s2], lines2, 1)[:, :, levels]
     del lines2
@@ -617,35 +663,31 @@ def make_s(
 def extract_observations(
     spec: ForwardSpec, solution: DensitySolution, coarse: SpaceTimeGrid
 ) -> ObservationData:
-    """Restrict the solution's fields to the inversion grid's observation set.
+    """Restrict v and the solution's density to the inversion grid's observation set.
 
-    Reads the coarse times that ``solution`` keeps.  Neumann traces at
+    Reads the density at the coarse times that ``solution`` keeps, and v
+    sampled at those times (``_value_samples``).  Neumann traces at
     x1 = b are formed on the fine grid (3-point one-sided, second order)
     before subsampling in (x2, t).
     """
     g = spec.grid
     s1, s2, st_ = restriction_strides(g, coarse)
-    at = solution.positions(np.arange(0, g.nt, st_))
-    value, density = solution.value, solution.density
+    levels = np.arange(0, g.nt, st_)
+    value = _value_samples(spec, levels)
+    density = solution.density[:, :, solution.positions(levels)]
 
-    mid = at[coarse.mid_index]
-    v0 = value[::s1, ::s2, mid]
-    p0 = density[::s1, ::s2, mid]
+    v0 = value[::s1, ::s2, coarse.mid_index]
+    p0 = density[::s1, ::s2, coarse.mid_index]
 
     def faces_of(arr: np.ndarray):
-        return (
-            arr[0][::s2, at],
-            arr[-1][::s2, at],
-            arr[::s1][:, 0, at],
-            arr[::s1][:, -1, at],
-        )
+        return arr[0][::s2], arr[-1][::s2], arr[::s1][:, 0], arr[::s1][:, -1]
 
     g01 = Field.from_faces(coarse, *faces_of(value))
     g02 = Field.from_faces(coarse, *faces_of(density))
 
     def outflow_neumann(arr: np.ndarray) -> np.ndarray:
         d = (3.0 * arr[-1] - 4.0 * arr[-2] + arr[-3]) / (2.0 * g.h1)
-        return d[::s2, at]
+        return d[::s2]
 
     g11 = Field(coarse, GAMMA_TRACE, outflow_neumann(value))
     g12 = Field(coarse, GAMMA_TRACE, outflow_neumann(density))
@@ -664,8 +706,8 @@ def extract_observations(
 def generate(spec: ForwardSpec, coarse: SpaceTimeGrid) -> GeneratedData:
     """Full forward pass: solve, build the cost, restrict everything.
 
-    The solve keeps the value and the density at the levels the two
-    later stages read, and both read them from its solution.
+    The solve keeps the density at the levels the two later stages read,
+    and both sample v from the spec where they read it.
     """
     solution = solve_density(spec, coarse)
     s, st = make_s(spec, solution, coarse)
