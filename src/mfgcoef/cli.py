@@ -18,13 +18,17 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import hashlib
 import json
 import os
 import platform
 import sys
 
 import numpy as np
+
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    from _sha256 import sha256  # CPython 3.10-3.11
 
 from . import __version__
 from .carleman import ratio_log_slope, run_certification, validate_lambdas
@@ -70,7 +74,14 @@ class NumericalFailure(RuntimeError):
 
 
 def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
+    """Hex SHA-256 of the file at ``path``, read in 1 MiB chunks.
+
+    Uses CPython's built-in SHA-256, the module that ``hashlib`` falls back
+    to without OpenSSL: the digest is the same by definition, and ``hashlib``
+    would map OpenSSL's libcrypto (about 3.6 MiB of resident pages) into
+    every command only to hash a few small files.
+    """
+    digest = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)

@@ -174,10 +174,15 @@ class DensitySolution:
     krylov_steps: int
 
     def positions(self, levels: np.ndarray) -> np.ndarray:
-        """Where the fine time ``levels`` sit in ``slabs``; all must be kept."""
-        if not np.isin(levels, self.slabs).all():
+        """Where the fine time ``levels`` sit in ``slabs``; all must be kept.
+
+        A binary search and an equality check; ``np.isin`` would load
+        ``numpy.ma`` on its sort path.
+        """
+        at = np.searchsorted(self.slabs, levels)
+        if (at == self.slabs.size).any() or (self.slabs[at] != levels).any():
             raise ValueError("the density solution does not keep the time levels read here")
-        return np.searchsorted(self.slabs, levels)
+        return at
 
 
 def _start(recent: List[np.ndarray], n: int) -> np.ndarray:

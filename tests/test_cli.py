@@ -1,4 +1,5 @@
 import ctypes
+import hashlib
 import json
 import os
 import shutil
@@ -12,7 +13,14 @@ import pytest
 
 import mfgcoef
 from mfgcoef import carleman
-from mfgcoef.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, _write_manifest, main
+from mfgcoef.cli import (
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_PRECONDITION,
+    _sha256,
+    _write_manifest,
+    main,
+)
 from mfgcoef.fieldio import read_field, read_pgm, write_field
 from mfgcoef.grid import OBSERVATION_FIELDS, SPATIAL, Field, SpaceTimeGrid
 
@@ -772,27 +780,38 @@ SOLVER_MODULES = ("forward", "objective", "inverse", "noise", "pipeline")
 
 
 @pytest.fixture(scope="module")
-def command_modules(tmp_path_factory):
-    """Each command run once in a fresh child, with every module it loaded."""
-    cwd = tmp_path_factory.mktemp("commands")
+def commands_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("commands")
+
+
+@pytest.fixture(scope="module")
+def command_modules(commands_dir):
+    """Each command run once in a fresh child, with every module it loaded.
+
+    ``generate`` runs the default config, the grids the benchmark times:
+    some numpy functions take another path on larger inputs, and the
+    smoke grids would not reach it.  Its dataset is left in ``ds``.
+    """
     data = Path(__file__).resolve().parents[1] / "benchmarks" / "data"
     smoke = str(data / "smoke.ini")
-    commands = [
-        ["verify-carleman", "--trials", "2", "--seed", "1", "--out", "carl"],
-        ["invert", str(data / "smoke"), "--delta", "0.03", "--config", smoke, "--out", "inv"],
-        ["generate", "--config", smoke, "--out", "ds"],
-    ]
+    commands = {
+        "verify-carleman": ["verify-carleman", "--trials", "2", "--seed", "1", "--out", "carl"],
+        "invert": ["invert", str(data / "smoke"), "--delta", "0.03", "--config", smoke,
+                   "--out", "inv"],
+        "clean invert": ["invert", str(data / "reference"), "--out", "clean"],
+        "generate": ["generate", "--out", "ds"],
+    }
     loaded = {}
-    for argv in commands:
+    for command, argv in commands.items():
         child = _run_child(
             "import sys\n"
             "import mfgcoef.cli as cli\n"
             f"assert cli.main({argv!r}) == 0\n"
             "print(' '.join(sorted(sys.modules)))\n",
-            cwd,
+            commands_dir,
         )
         assert child.returncode == 0, child.stderr
-        loaded[argv[0]] = child.stdout.splitlines()[-1].split()
+        loaded[command] = child.stdout.splitlines()[-1].split()
     return loaded
 
 
@@ -827,18 +846,46 @@ def test_imports_load_only_the_layers_they_need(tmp_path, command_modules):
     assert solvers == {
         "verify-carleman": set(),
         "invert": {"objective", "inverse", "noise", "pipeline"},
+        "clean invert": {"objective", "inverse", "noise", "pipeline"},
         "generate": {"forward", "pipeline"},
     }
 
 
 # scipy is a test-only dependency; numpy.polynomial costs about 0.9 MiB of
 # resident memory, and the Gauss rule of the certification is built
-# without it; numpy.ma, which np.median and np.unique load, costs about
-# 8 ms of start-up
+# without it; numpy.ma, which np.median, np.unique and the sort path of
+# np.isin load, costs about 1 MiB and 16 ms of start-up
 @pytest.mark.parametrize("package", ["scipy", "numpy.polynomial", "numpy.ma"])
 def test_no_command_loads(command_modules, package):
     for command, modules in command_modules.items():
         assert not [m for m in modules if (m + ".").startswith(package + ".")], command
+
+
+def test_commands_without_random_numbers_do_not_load_openssl(command_modules):
+    # hashlib maps OpenSSL's libcrypto, about 3.6 MiB resident; the output
+    # hashes use the interpreter's own SHA-256, so only the commands that
+    # draw from numpy.random (secrets -> hmac -> _hashlib) load it
+    for command in ("generate", "clean invert"):
+        assert "_hashlib" not in command_modules[command], command
+
+
+def test_output_hash_is_hashlibs_sha256(tmp_path):
+    # an empty file, and files on either side of the 1 MiB read chunk
+    rng = np.random.default_rng(0)
+    for size in (0, 1 << 20, (1 << 20) + 1):
+        data = rng.bytes(size)
+        path = tmp_path / f"{size}.bin"
+        path.write_bytes(data)
+        assert _sha256(str(path)) == hashlib.sha256(data).hexdigest(), size
+
+
+def test_default_generate_manifest_hashes_are_hashlibs(commands_dir, command_modules):
+    # command_modules has run the default generate into commands_dir / "ds"
+    outputs = json.loads((commands_dir / "ds" / "manifest.json").read_text())["outputs"]
+    assert len(outputs) == 8
+    for name, entry in outputs.items():
+        data = (commands_dir / entry["path"]).read_bytes()
+        assert entry["sha256"] == hashlib.sha256(data).hexdigest(), name
 
 
 @pytest.mark.skipif(

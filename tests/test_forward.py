@@ -530,6 +530,33 @@ def test_kept_slabs_on_the_default_grids():
     assert np.array_equal(kept_slabs(fine, fine)[1], np.arange(fine.nt))
 
 
+@pytest.mark.parametrize("grids", ["default", "small"])
+def test_positions_finds_the_kept_levels_and_refuses_the_others(grids):
+    # a solve keeps p at the cost levels (33 of 321 on the default grids);
+    # make_s reads all of them and extract_observations the coarse times.
+    # A level outside the kept set, or past the last level, raises rather
+    # than returning a neighbour or indexing past the end
+    if grids == "default":
+        cfg = ExperimentConfig()
+        fine, coarse = cfg.fine_grid(), cfg.coarse_grid()
+    else:
+        fine, coarse = grid(9, 9, 33), grid(3, 3, 5)
+    cost = kept_slabs(fine, coarse)[0]
+    times = np.arange(0, fine.nt, restriction_strides(fine, coarse)[2])
+    if grids == "default":
+        assert (fine.nt, cost.size, times.size) == (321, 33, 11)
+    for slabs in (cost, times):
+        solution = DensitySolution(slabs, np.ones((1, 1, slabs.size)), 1.0, (0, 0, 0), 0, 0)
+        for levels in (slabs, times):
+            expected = [slabs.tolist().index(n) for n in levels]
+            assert solution.positions(levels).tolist() == expected
+        missing = min(set(range(fine.nt)) - set(slabs.tolist()))
+        for level in (missing, fine.nt):
+            with pytest.raises(ValueError, match="does not keep"):
+                solution.positions(np.append(times, level))
+    assert missing == 1  # the coarse times do not keep level 1
+
+
 @pytest.mark.parametrize("coarse_nt", [11, 5])
 def test_streamed_solve_equals_every_slab_solve_bit_for_bit(coarse_nt):
     # strides (4, 4, 8) or (4, 4, 20), so most fine levels are never kept

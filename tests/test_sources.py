@@ -59,3 +59,28 @@ def test_the_guard_sees_every_record_writer():
 def test_only_fieldio_writes_json_or_17_digit_floats(path):
     found = record_writers(path.read_text())
     assert bool(found) == (path.name == "fieldio.py"), found
+
+
+def hashlib_imports(source: str):
+    """The ``hashlib`` imports a module holds, in walk order.
+
+    ``hashlib`` maps OpenSSL's libcrypto, about 3.6 MiB resident, into the
+    process; the output hashes use the interpreter's own SHA-256 instead.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "hashlib"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hashlib":
+            found.append(node.module)
+    return found
+
+
+def test_the_guard_sees_every_hashlib_import():
+    source = "import hashlib\nimport hashlib as h\nfrom hashlib import sha256\nimport hmac\n"
+    assert hashlib_imports(source) == ["hashlib", "hashlib", "hashlib"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_no_module_imports_hashlib(path):
+    assert hashlib_imports(path.read_text()) == []
