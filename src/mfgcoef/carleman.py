@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -41,18 +40,36 @@ GAUSS_POINTS = 16
 N_KNOTS = 17
 
 
-def validate_exponent(alpha: float) -> Fraction:
+class Ratio(NamedTuple):
+    """A fraction in lowest terms."""
+
+    numerator: int
+    denominator: int
+
+
+def validate_exponent(alpha: float) -> Ratio:
     """Check alpha is a ratio of odd integers in (0, 1/3); return the fraction.
 
     The sign-safe power |t - T/2|^(1+alpha) only realizes the intended odd
-    extension when alpha = n1/n2 with both parts odd.
+    extension when alpha = n1/n2 with both parts odd.  The fraction is the
+    one of smallest denominator up to 999 within 1e-12 of alpha.  Two
+    distinct fractions of such denominators lie at least 1/(999*998) apart,
+    so it is the closest one, ``Fraction(alpha).limit_denominator(999)``,
+    and in lowest terms.
     """
-    frac = Fraction(alpha).limit_denominator(999)
-    if abs(float(frac) - alpha) > 1e-12:
+    if not -1.0 < alpha < 1.0:
+        raise ValueError(f"alpha={alpha!r} is outside the open interval (0, 1/3)")
+    frac = next(
+        (Ratio(round(alpha * q), q) for q in range(1, 1000)
+         if abs(round(alpha * q) / q - alpha) <= 1e-12),
+        None,
+    )
+    if frac is None:
         raise ValueError(f"alpha={alpha!r} is not an odd/odd rational within 1e-12")
     if frac.numerator % 2 == 0 or frac.denominator % 2 == 0:
         raise ValueError(
-            f"alpha={alpha!r} reduces to {frac}, which is not a ratio of odd integers"
+            f"alpha={alpha!r} reduces to {frac.numerator}/{frac.denominator}, "
+            f"which is not a ratio of odd integers"
         )
     if not (0 < 3 * frac.numerator < frac.denominator):
         raise ValueError(f"alpha={alpha!r} is outside the open interval (0, 1/3)")
@@ -327,10 +344,17 @@ def run_certification(
     """Certify the inequality over a seeded ensemble of random profiles.
 
     Each profile is piecewise linear on N_KNOTS equispaced knots in [-d, d]
-    with values drawn uniformly from [-1, 1], one row per trial.
+    with values drawn uniformly from [-1, 1), one row per trial.  The
+    values are ``np.random.default_rng(seed).uniform(-1, 1)``'s: numpy's
+    PCG64 stream of ``SeedSequence(seed)``, reproduced in ``streams``.
     """
-    rng = np.random.default_rng(seed)
-    profiles = rng.uniform(-1.0, 1.0, size=(n_trials, N_KNOTS))
+    # the streams are loaded only where numbers are drawn
+    from .streams import SeedSequence, pcg64_random
+
+    profiles = pcg64_random(SeedSequence(seed), (n_trials, N_KNOTS))
+    # uniform on [-1, 1) as numpy draws it, low + (high - low) * u, in place
+    profiles *= 2.0
+    profiles -= 1.0
     return certify(np.linspace(-d, d, N_KNOTS), profiles, lambdas, alpha)
 
 

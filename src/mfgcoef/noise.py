@@ -2,9 +2,11 @@
 
 Each observation sample is scaled by (1 + level * zeta) with zeta drawn
 uniformly from [0, 1), one independent draw per stored sample per field.
-The stream is counter-based (Philox) and keyed per field in a fixed
-order, so results do not depend on the order fields are processed in and
-a seed reproduces the noisy dataset bit for bit.
+The stream is numpy's counter-based Philox stream, reproduced in
+``streams``: field i of OBSERVATION_FIELDS draws from child i, keyed by
+spawn index i, of ``SeedSequence(seed)``.  So results do not depend on
+the order fields are processed in, and a seed reproduces the noisy
+dataset bit for bit.
 
 Difference stencils amplify per-point noise by about 1/h^2 for the
 Laplacian of a slice and 1/ht for the time derivative of a trace, and so
@@ -50,11 +52,6 @@ _LOG_ALPHA_RANGE = (-6.0, 9.0)
 _BISECTIONS = 32
 
 
-def _field_generator(seed: int, name: str) -> np.random.Generator:
-    children = np.random.SeedSequence(seed).spawn(len(OBSERVATION_FIELDS))
-    return np.random.Generator(np.random.Philox(children[OBSERVATION_FIELDS.index(name)]))
-
-
 def inject(obs: ObservationData, level: float, seed: int) -> ObservationData:
     """A copy of the observations with noise of relative ``level`` from ``seed``.
 
@@ -63,13 +60,16 @@ def inject(obs: ObservationData, level: float, seed: int) -> ObservationData:
     which copy wins on the grid, keeping the pipeline deterministic.
     """
     fields = obs.fields()
+    if level == 0.0:
+        return ObservationData(grid=obs.grid, **{n: f.copy() for n, f in fields.items()})
+    # the streams are loaded only where numbers are drawn
+    from .streams import SeedSequence, philox_random
+
+    children = SeedSequence(seed).spawn(len(OBSERVATION_FIELDS))
     noisy = {}
-    for name in OBSERVATION_FIELDS:
+    for name, child in zip(OBSERVATION_FIELDS, children):
         f = fields[name]
-        if level == 0.0:
-            noisy[name] = f.copy()
-            continue
-        zeta = _field_generator(seed, name).random(size=f.values.shape)
+        zeta = philox_random(child, f.values.shape)
         noisy[name] = Field(f.grid, f.rank, f.values * (1.0 + level * zeta))
     return ObservationData(grid=obs.grid, **noisy)
 

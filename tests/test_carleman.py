@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,6 +61,25 @@ def test_exponent_validation():
     for bad in (0.25, 0.4, 1.0 / 3.0, 0.35, -0.2, 2.0 / 5.0):
         with pytest.raises(ValueError):
             validate_exponent(bad)
+
+
+@pytest.mark.parametrize("alpha", [float("inf"), float("-inf"), float("nan"), 1e300])
+def test_exponent_out_of_range_is_a_value_error(alpha):
+    # the command layer reports a ValueError as a bad input
+    with pytest.raises(ValueError, match="outside the open interval"):
+        bound_constant(0.5, alpha)
+
+
+def test_exponent_is_the_closest_fraction_of_denominator_at_most_999():
+    odd = [(p, q) for q in range(3, 1000, 2) for p in range(1, q, 2) if 3 * p < q]
+    for p, q in odd[::97] + [(1, 5), (1, 7), (331, 999), (1, 997)]:
+        for alpha in (p / q, p / q + 4e-13, p / q - 9e-13):
+            expect = Fraction(alpha).limit_denominator(999)
+            got = validate_exponent(alpha)
+            assert (got.numerator, got.denominator) == (expect.numerator, expect.denominator)
+    # within 1e-12 of no fraction of denominator at most 999
+    with pytest.raises(ValueError, match="within 1e-12"):
+        validate_exponent(0.2 + 2e-12)
 
 
 def weight_grid(n1, nt):
@@ -177,6 +197,14 @@ def test_certification_suite_seeded():
     assert (r.status == "holds").all()
     again = run_certification(seed=123, n_trials=10, lambdas=(1.0, 8.0), d=0.5, alpha=0.2)
     assert np.array_equal(r.lhs, again.lhs) and np.array_equal(r.rhs, again.rhs)
+
+
+def test_certification_profiles_are_default_rngs_uniform_draws():
+    profiles = np.random.default_rng(123).uniform(-1.0, 1.0, size=(10, carleman.N_KNOTS))
+    knots = np.linspace(-0.5, 0.5, carleman.N_KNOTS)
+    expect = certify(knots, profiles, (1.0, 8.0), 0.2)
+    r = run_certification(seed=123, n_trials=10, lambdas=(1.0, 8.0), d=0.5, alpha=0.2)
+    assert np.array_equal(r.lhs, expect.lhs) and np.array_equal(r.rhs, expect.rhs)
 
 
 def test_ratio_closed_form_and_slope():

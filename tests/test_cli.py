@@ -849,24 +849,28 @@ def test_imports_load_only_the_layers_they_need(tmp_path, command_modules):
         "clean invert": {"objective", "inverse", "noise", "pipeline"},
         "generate": {"forward", "pipeline"},
     }
+    # only the commands that draw random numbers load the streams
+    drawing = {command for command, modules in command_modules.items()
+               if "mfgcoef.streams" in modules}
+    assert drawing == {"verify-carleman", "invert"}
 
 
 # scipy is a test-only dependency; numpy.polynomial costs about 0.9 MiB of
 # resident memory, and the Gauss rule of the certification is built
 # without it; numpy.ma, which np.median, np.unique and the sort path of
-# np.isin load, costs about 1 MiB and 16 ms of start-up
-@pytest.mark.parametrize("package", ["scipy", "numpy.polynomial", "numpy.ma"])
+# np.isin load, costs about 1 MiB and 16 ms of start-up; _hashlib maps
+# OpenSSL's libcrypto, about 3.6 MiB, and the output hashes use the
+# interpreter's own SHA-256; numpy.random, with secrets -> hmac ->
+# _hashlib, costs about 6 MiB and 12 ms, and the noise and the
+# certification draw from mfgcoef.streams; fractions, with decimal,
+# costs about 0.44 MiB
+@pytest.mark.parametrize(
+    "package", ["scipy", "numpy.polynomial", "numpy.ma", "numpy.random", "secrets", "fractions",
+                "_hashlib"],
+)
 def test_no_command_loads(command_modules, package):
     for command, modules in command_modules.items():
         assert not [m for m in modules if (m + ".").startswith(package + ".")], command
-
-
-def test_commands_without_random_numbers_do_not_load_openssl(command_modules):
-    # hashlib maps OpenSSL's libcrypto, about 3.6 MiB resident; the output
-    # hashes use the interpreter's own SHA-256, so only the commands that
-    # draw from numpy.random (secrets -> hmac -> _hashlib) load it
-    for command in ("generate", "clean invert"):
-        assert "_hashlib" not in command_modules[command], command
 
 
 def test_output_hash_is_hashlibs_sha256(tmp_path):

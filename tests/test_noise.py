@@ -10,6 +10,7 @@ from mfgcoef.carleman import CarlemanParams
 from mfgcoef.grid import (
     FACES,
     GAMMA_TRACE,
+    OBSERVATION_FIELDS,
     SPATIAL,
     Field,
     ObservationData,
@@ -26,7 +27,6 @@ from mfgcoef.noise import (
     _LOG_ALPHA_RANGE,
     _PARITIES,
     _block_nullity,
-    _field_generator,
     _gram,
     _parity_basis,
     _parity_slices,
@@ -114,12 +114,16 @@ def test_inject_seeded_and_bounded():
 
 
 def test_inject_streams_are_per_field():
-    # drawing one field's noise must not depend on the other fields
+    # drawing one field's noise must not depend on the other fields: field
+    # i draws from numpy's Philox stream of child i of SeedSequence(seed)
     obs = analytic_obs()
     noisy = inject(obs, 0.03, 77)
-    zeta = _field_generator(77, "g02").random(size=obs.g02.values.shape)
-    expect = obs.g02.values * (1.0 + 0.03 * zeta)
-    assert np.array_equal(noisy.g02.values, expect)
+    for i, name in enumerate(OBSERVATION_FIELDS):
+        child = np.random.SeedSequence(77).spawn(len(OBSERVATION_FIELDS))[i]
+        f = obs.fields()[name]
+        zeta = np.random.Generator(np.random.Philox(child)).random(size=f.values.shape)
+        expect = f.values * (1.0 + 0.03 * zeta)
+        assert np.array_equal(noisy.fields()[name].values, expect), name
 
 
 def test_smooth_at_level_zero_returns_every_field_bit_for_bit():

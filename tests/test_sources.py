@@ -61,26 +61,50 @@ def test_only_fieldio_writes_json_or_17_digit_floats(path):
     assert bool(found) == (path.name == "fieldio.py"), found
 
 
-def hashlib_imports(source: str):
-    """The ``hashlib`` imports a module holds, in walk order.
+# hashlib maps OpenSSL's libcrypto, about 3.6 MiB resident; numpy.random
+# imports secrets, and with it hmac and hashlib, and seven bit-generator
+# extensions, about 6 MiB; fractions imports decimal, about 0.44 MiB
+HEAVY_MODULES = ("hashlib", "secrets", "fractions", "numpy.random")
 
-    ``hashlib`` maps OpenSSL's libcrypto, about 3.6 MiB resident, into the
-    process; the output hashes use the interpreter's own SHA-256 instead.
+
+def heavy_imports(source: str):
+    """The imports of HEAVY_MODULES and the ``np.random`` references a module holds, in walk order.
+
+    The output hashes use the interpreter's own SHA-256, the noise and the
+    certification draw from ``streams``, and ``validate_exponent`` finds
+    its fraction without ``fractions``.
     """
+
+    def heavy(name):
+        return any((name + ".").startswith(module + ".") for module in HEAVY_MODULES)
+
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            found += [a.name for a in node.names if a.name.split(".")[0] == "hashlib"]
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hashlib":
-            found.append(node.module)
+            found += [a.name for a in node.names if heavy(a.name)]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found += [f"{node.module}.{a.name}" for a in node.names
+                      if heavy(node.module) or heavy(f"{node.module}.{a.name}")]
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            found.append(f"{node.value.id}.random")
     return found
 
 
 def test_the_guard_sees_every_hashlib_import():
-    source = "import hashlib\nimport hashlib as h\nfrom hashlib import sha256\nimport hmac\n"
-    assert hashlib_imports(source) == ["hashlib", "hashlib", "hashlib"]
+    source = (
+        "import hashlib\nimport hashlib as h\nfrom hashlib import sha256\nimport hmac\n"
+        "import secrets\nfrom fractions import Fraction\nimport numpy.random\n"
+        "from numpy import random\nfrom numpy.random import default_rng\n"
+        "import numpy as np\nrng = np.random.default_rng(0)\nx = numpy.random.random()\n"
+        "y = rng.random()\n"
+    )
+    assert sorted(heavy_imports(source)) == [
+        "fractions.Fraction", "hashlib", "hashlib", "hashlib.sha256", "np.random",
+        "numpy.random", "numpy.random", "numpy.random", "numpy.random.default_rng", "secrets",
+    ]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
 def test_no_module_imports_hashlib(path):
-    assert hashlib_imports(path.read_text()) == []
+    assert heavy_imports(path.read_text()) == []
