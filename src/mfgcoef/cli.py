@@ -57,7 +57,7 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_NUMERICAL = 3
 
-DATASET_FIELDS = OBSERVATION_FIELDS + ("cost", "cost_rate")
+DATASET_FIELDS = tuple(OBSERVATION_FIELDS) + ("cost", "cost_rate")
 
 # glibc's mallopt parameters, and the thresholds of a descent in iterates
 # of its grid (see _keep_freed_heap); mallopt takes a C int, which ctypes

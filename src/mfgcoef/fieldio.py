@@ -20,17 +20,10 @@ import json
 
 import numpy as np
 
-from .grid import BOUNDARY_TRACE, GAMMA_TRACE, SPACE_TIME, SPATIAL, Field, SpaceTimeGrid
+from .grid import RANK_AXES, Field, SpaceTimeGrid
 
 MAGIC = "mfgcoef-field"
 VERSION = 1
-
-RANK_AXES = {
-    SPATIAL: ("x1", "x2"),
-    SPACE_TIME: ("x1", "x2", "t"),
-    GAMMA_TRACE: ("x2", "t"),
-    BOUNDARY_TRACE: ("s",),
-}
 
 
 def _fmt(value) -> str:
@@ -43,22 +36,11 @@ def _fmt(value) -> str:
     return f"{value:.17g}"
 
 
-def _axis_extents(grid: SpaceTimeGrid, axis: str):
-    return {
-        "x1": (grid.a, grid.b),
-        "x2": (-grid.half_width, grid.half_width),
-        "t": (0.0, grid.horizon),
-    }.get(axis)
-
-
 def _header(field: Field) -> str:
     g = field.grid
     axes = RANK_AXES[field.rank]
-    extents = []
-    for ax in axes:
-        span = _axis_extents(g, ax)
-        if span is not None:
-            extents.extend(span)
+    # the boundary trace's axis has no extent
+    extents = [x for ax in axes for x in g.axis(ax).extent or ()]
     lines = [
         f"{MAGIC} {VERSION}",
         f"rank {field.rank}",
@@ -146,7 +128,7 @@ def write_csv(path, field: Field) -> None:
     g = field.grid
     axes = RANK_AXES[field.rank]
     # the boundary trace's axis has no coordinates, so its rows carry the index
-    coords = [{"x1": g.x1, "x2": g.x2, "t": g.t}.get(ax) for ax in axes]
+    coords = [g.axis(ax).nodes for ax in axes]
     head = [f"# {MAGIC} {VERSION}", f"# rank {field.rank}", f"# {_grid_line(g)}",
             ",".join(axes) + ",value"]
     vals = field.values

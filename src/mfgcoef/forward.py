@@ -63,6 +63,7 @@ from .grid import (
     SpaceTimeGrid,
     apply_along_axis,
     first_diff_matrix,
+    gather_faces,
     restriction_strides,
     second_diff_matrix,
 )
@@ -404,22 +405,11 @@ def solve_density(
     of x2 face differences.
 
     Every array a sweep reads is contiguous.  Each product copies the
-    interior once into a zero-padded flat buffer, whose shifts by the row
-    length give the west and east neighbours and whose shifts by one give
-    the south and north ones (``_padded``, ``_step_operator``).  Those
-    read across a row end at the first and last columns, so the
-    coefficients there are zero.  The framed slab gives c * 0 there and
-    the buffer 0 * x, zeros whose signs may differ, in the same place of
-    the same sum; a zero added to a nonzero number leaves it exact, so
-    every node where center * x is nonzero gets the bits of
-    ``center * x + _five_point(off, _framed(framed))``, by the same IEEE
-    operations in the same order.  The boundary coupling, which the
-    right-hand side subtracts, is formed before the masking and only on
-    the ring of interior nodes beside the boundary (``_boundary_coupling``).
-    ``_five_point`` on the slab with its interior zeroed adds c * 0 for
-    each interior neighbour besides: zeros added to nonzero sums on the
-    ring, and zeros subtracted from a nonzero right-hand side inside it,
-    so the right-hand side keeps its bits.
+    interior once into a zero-padded flat buffer (``_padded``), and the
+    boundary coupling, which the right-hand side subtracts, is formed
+    only on the ring of interior nodes beside the boundary.  Both keep
+    the bits of the products on the slab framed by its boundary values;
+    ``_step_operator`` and ``_boundary_coupling`` say why.
 
     The step matrix is (1/ht) I - lap_h plus the drift part, and the sine
     bases of the x1 and x2 lines diagonalize the first part exactly, so
@@ -683,12 +673,8 @@ def extract_observations(
 
     v0 = value[::s1, ::s2, coarse.mid_index]
     p0 = density[::s1, ::s2, coarse.mid_index]
-
-    def faces_of(arr: np.ndarray):
-        return arr[0][::s2], arr[-1][::s2], arr[::s1][:, 0], arr[::s1][:, -1]
-
-    g01 = Field.from_faces(coarse, *faces_of(value))
-    g02 = Field.from_faces(coarse, *faces_of(density))
+    g01 = Field.from_faces(coarse, gather_faces(value[::s1, ::s2]))
+    g02 = Field.from_faces(coarse, gather_faces(density[::s1, ::s2]))
 
     def outflow_neumann(arr: np.ndarray) -> np.ndarray:
         d = (3.0 * arr[-1] - 4.0 * arr[-2] + arr[-3]) / (2.0 * g.h1)

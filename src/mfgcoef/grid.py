@@ -14,15 +14,19 @@ gradient and its diagonal are all read.  The record the two halves
 exchange, ``ObservationData``, is defined here too, beside the field
 ranks it is built from.
 
-Array layout is row-major (x1, x2) for spatial fields and (x1, x2, t) for
-space-time fields.
+This module alone declares the stored layout, in three tables that the
+other modules read: RANK_AXES, each rank's axes (row-major, so (x1, x2)
+for spatial fields and (x1, x2, t) for space-time ones); FACES, where
+each boundary face sits; and OBSERVATION_FIELDS, each observation's
+rank.  ``SpaceTimeGrid.axis`` gives an axis's node count, extent and
+node coordinates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -31,12 +35,48 @@ SPACE_TIME = "space-time"
 BOUNDARY_TRACE = "boundary-trace"
 GAMMA_TRACE = "gamma-trace"
 
-RANKS = (SPATIAL, SPACE_TIME, BOUNDARY_TRACE, GAMMA_TRACE)
+# The stored layout, declared once.  Each rank's axes in storage order;
+# the boundary trace's one axis, s, runs over its faces concatenated in
+# FACES order, and the gamma trace samples the outflow face x1 = b.
+RANK_AXES = {
+    SPATIAL: ("x1", "x2"),
+    SPACE_TIME: ("x1", "x2", "t"),
+    BOUNDARY_TRACE: ("s",),
+    GAMMA_TRACE: ("x2", "t"),
+}
+RANKS = tuple(RANK_AXES)
 
-# Fixed face order for boundary-trace storage.  Corners are stored twice
-# (once per adjacent face); consumers that scatter a trace onto the grid
-# apply the x2 faces first so the x1 faces win the corners.
-FACES = ("x1a", "x1b", "x2lo", "x2hi")
+# Each boundary face's site, in storage order: the spatial axis it closes
+# (0 for x1, 1 for x2) and which end of it, 0 or -1.  A face spans the
+# other spatial axis and t, and keeps its corners, so each corner is
+# stored twice; ``pin_faces`` writes the x2 faces first so the x1 faces
+# win the corners.
+FACES = {"x1a": (0, 0), "x1b": (0, -1), "x2lo": (1, 0), "x2hi": (1, -1)}
+
+# the observation set and each field's rank, in the order that fixes each
+# field's noise stream
+OBSERVATION_FIELDS = {
+    "v0": SPATIAL,
+    "p0": SPATIAL,
+    "g01": BOUNDARY_TRACE,
+    "g02": BOUNDARY_TRACE,
+    "g11": GAMMA_TRACE,
+    "g12": GAMMA_TRACE,
+}
+
+
+class Axis(NamedTuple):
+    """One axis of RANK_AXES on a grid: its node count and its extent.
+
+    The boundary trace's axis s has no extent, so it has no coordinates.
+    """
+
+    count: int
+    extent: Optional[Tuple[float, float]]
+
+    @property
+    def nodes(self) -> Optional[np.ndarray]:
+        return None if self.extent is None else np.linspace(*self.extent, self.count)
 
 
 @dataclass(frozen=True)
@@ -101,17 +141,28 @@ class SpaceTimeGrid:
         """Index of the t = horizon/2 slice."""
         return (self.nt - 1) // 2
 
+    def axis(self, name: str) -> Axis:
+        """The axis of RANK_AXES called ``name``; s counts a trace's stored samples."""
+        if name == "s":
+            return Axis(self.trace_length(), None)
+        count, lo, hi = {
+            "x1": (self.n1, self.a, self.b),
+            "x2": (self.n2, -self.half_width, self.half_width),
+            "t": (self.nt, 0.0, self.horizon),
+        }[name]
+        return Axis(count, (lo, hi))
+
     @property
     def x1(self) -> np.ndarray:
-        return np.linspace(self.a, self.b, self.n1)
+        return self.axis("x1").nodes
 
     @property
     def x2(self) -> np.ndarray:
-        return np.linspace(-self.half_width, self.half_width, self.n2)
+        return self.axis("x2").nodes
 
     @property
     def t(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.nt)
+        return self.axis("t").nodes
 
     @property
     def volume(self) -> float:
@@ -137,9 +188,15 @@ class SpaceTimeGrid:
         """Node coordinates X1, X2 as (n1, n2) arrays."""
         return np.meshgrid(self.x1, self.x2, indexing="ij")
 
+    def face_shape(self, name: str) -> Tuple[int, int]:
+        """Shape of one face of FACES: the spatial axis it does not close, then t."""
+        shape = self.spacetime_shape()
+        axis, _ = FACES[name]
+        return shape[:axis] + shape[axis + 1 :]
+
     def trace_length(self) -> int:
-        """Stored sample count of a boundary trace (faces keep their corners)."""
-        return 2 * self.n2 * self.nt + 2 * self.n1 * self.nt
+        """Stored sample count of a boundary trace: all its faces, corners included."""
+        return sum(math.prod(self.face_shape(name)) for name in FACES)
 
 
 def first_diff_matrix(n: int, h: float) -> np.ndarray:
@@ -282,17 +339,34 @@ def apply_along_axis(mat: np.ndarray, values: np.ndarray, axis: int) -> np.ndarr
     return out.reshape((mat.shape[0],) + moved.shape[1:]).transpose(back)
 
 
+def _face_index(name: str):
+    """Index of one face of FACES in an array whose last three axes are x1, x2 and t."""
+    axis, end = FACES[name]
+    return (Ellipsis, end) + (slice(None),) * (2 - axis)
+
+
+def gather_faces(values: np.ndarray):
+    """The faces of an array whose last three axes are x1, x2 and t, by FACES name."""
+    return {name: values[_face_index(name)] for name in FACES}
+
+
+def pin_faces(values: np.ndarray, faces) -> None:
+    """Write ``faces``, by FACES name, onto the faces of ``values`` in place.
+
+    The last three axes of ``values`` are x1, x2 and t.  The x2 faces go
+    first, so the x1 faces win the corners.
+    """
+    for name in sorted(FACES, key=lambda name: -FACES[name][0]):
+        values[_face_index(name)] = faces[name]
+
+
 @dataclass
 class Field:
     """Values attached to a grid with a rank tag.
 
-    Ranks and value shapes:
-
-    - spatial:        (n1, n2)
-    - space-time:     (n1, n2, nt)
-    - boundary-trace: flat, the four faces concatenated in FACES order,
-                      x1 faces shaped (n2, nt) and x2 faces (n1, nt)
-    - gamma-trace:    (n2, nt), samples on the x1 = b face
+    The values are shaped by the counts of the rank's axes (RANK_AXES);
+    a boundary trace is flat, its faces concatenated in FACES order, each
+    shaped as ``SpaceTimeGrid.face_shape``.
     """
 
     grid: SpaceTimeGrid
@@ -311,60 +385,36 @@ class Field:
 
     @staticmethod
     def expected_shape(grid: SpaceTimeGrid, rank: str) -> Tuple[int, ...]:
-        if rank == SPATIAL:
-            return grid.spatial_shape()
-        if rank == SPACE_TIME:
-            return grid.spacetime_shape()
-        if rank == GAMMA_TRACE:
-            return (grid.n2, grid.nt)
-        if rank == BOUNDARY_TRACE:
-            return (grid.trace_length(),)
-        raise ValueError(f"unknown rank {rank!r}")
+        return tuple(grid.axis(name).count for name in RANK_AXES[rank])
 
     @classmethod
-    def from_faces(
-        cls,
-        grid: SpaceTimeGrid,
-        x1a: np.ndarray,
-        x1b: np.ndarray,
-        x2lo: np.ndarray,
-        x2hi: np.ndarray,
-    ) -> "Field":
+    def from_faces(cls, grid: SpaceTimeGrid, faces) -> "Field":
+        """The boundary trace of ``faces``, a mapping of every FACES name to its values."""
         parts = []
-        for name, arr, shape in (
-            ("x1a", x1a, (grid.n2, grid.nt)),
-            ("x1b", x1b, (grid.n2, grid.nt)),
-            ("x2lo", x2lo, (grid.n1, grid.nt)),
-            ("x2hi", x2hi, (grid.n1, grid.nt)),
-        ):
-            arr = np.asarray(arr, dtype=float)
+        for name in FACES:
+            arr = np.asarray(faces[name], dtype=float)
+            shape = grid.face_shape(name)
             if arr.shape != shape:
                 raise ValueError(f"face {name} expects shape {shape}, got {arr.shape}")
             parts.append(arr.ravel())
         return cls(grid, BOUNDARY_TRACE, np.concatenate(parts))
 
     def face(self, name: str) -> np.ndarray:
-        """View of one stored face of a boundary trace, shaped (n, nt)."""
+        """View of one stored face of a boundary trace, shaped as ``grid.face_shape``."""
         if self.rank != BOUNDARY_TRACE:
             raise ValueError(f"face() needs a boundary-trace field, got {self.rank!r}")
-        g = self.grid
-        sizes = {
-            "x1a": (0, g.n2),
-            "x1b": (g.n2 * g.nt, g.n2),
-            "x2lo": (2 * g.n2 * g.nt, g.n1),
-            "x2hi": (2 * g.n2 * g.nt + g.n1 * g.nt, g.n1),
-        }
-        if name not in sizes:
-            raise ValueError(f"unknown face {name!r}, expected one of {FACES}")
-        start, rows = sizes[name]
-        return self.values[start : start + rows * g.nt].reshape(rows, g.nt)
+        if name not in FACES:
+            raise ValueError(f"unknown face {name!r}, expected one of {tuple(FACES)}")
+        start = 0
+        for other in FACES:
+            shape = self.grid.face_shape(other)
+            stop = start + math.prod(shape)
+            if other == name:
+                return self.values[start:stop].reshape(shape)
+            start = stop
 
     def copy(self) -> "Field":
         return Field(self.grid, self.rank, self.values.copy())
-
-
-# the observation set, in the order that fixes each field's noise stream
-OBSERVATION_FIELDS = ("v0", "p0", "g01", "g02", "g11", "g12")
 
 
 @dataclass
@@ -373,8 +423,9 @@ class ObservationData:
 
     Midpoint slices of value and density, Dirichlet traces of both on the
     whole lateral boundary, and Neumann traces of both on the outflow face
-    x1 = b.  Everything lives on the inversion grid.  The forward half
-    writes this record and the inverse half reads it.
+    x1 = b, each of the rank OBSERVATION_FIELDS gives it.  Everything
+    lives on the inversion grid.  The forward half writes this record and
+    the inverse half reads it.
     """
 
     grid: SpaceTimeGrid
@@ -386,8 +437,7 @@ class ObservationData:
     g12: Field
 
     def __post_init__(self) -> None:
-        ranks = (SPATIAL, SPATIAL, BOUNDARY_TRACE, BOUNDARY_TRACE, GAMMA_TRACE, GAMMA_TRACE)
-        for name, rank in zip(OBSERVATION_FIELDS, ranks):
+        for name, rank in OBSERVATION_FIELDS.items():
             f = getattr(self, name)
             if f.rank != rank:
                 raise ValueError(f"observation {name}: expected rank {rank!r}, got {f.rank!r}")

@@ -24,7 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FACES, ObservationData, SpaceTimeGrid, apply_along_axis, first_diff_matrix
+from .grid import (
+    FACES,
+    ObservationData,
+    SpaceTimeGrid,
+    apply_along_axis,
+    first_diff_matrix,
+    pin_faces,
+)
 from .objective import (
     ObjectiveContext,
     curvature_diagonal,
@@ -53,8 +60,8 @@ class DataConstraints:
     """The affine set of iterates that carry the boundary data.
 
     The descent moves the free-node vector, u's then m's.  ``embed``
-    copies a template of the face data (x2 faces first, the x1 faces
-    over the shared corners), writes the free values and applies the
+    copies a template of the face data (pinned by ``grid.pin_faces``, the
+    x1 faces winning the corners), writes the free values and applies the
     closure across the whole tied row; ``free`` reads the vector back,
     and ``pullback`` is the transpose of ``embed``'s linear part (the
     tied layer passes 1/4 of its gradient to the layer below it).
@@ -72,10 +79,7 @@ class DataConstraints:
 
         self.rates = {name: rate(obs.g01.face(name), obs.g02.face(name)) for name in FACES}
         self._pinned = np.zeros((2,) + g.spacetime_shape())
-        self._pinned[:, :, 0] = self.rates["x2lo"]
-        self._pinned[:, :, -1] = self.rates["x2hi"]
-        self._pinned[:, 0] = self.rates["x1a"]
-        self._pinned[:, -1] = self.rates["x1b"]
+        pin_faces(self._pinned, self.rates)
         self._dirichlet = 3.0 * self.rates["x1b"]
         self._neumann = 2.0 * g.h1 * rate(obs.g11.values, obs.g12.values)
         self._free_shape = self._pinned[FREE].shape
@@ -100,18 +104,18 @@ class DataConstraints:
 
 
 def _face_blend(grid: SpaceTimeGrid, rates) -> np.ndarray:
-    """Mean of the two linear interpolations between opposite faces, u and m stacked."""
-    n1, n2, nt = grid.spacetime_shape()
-    w1 = np.linspace(0.0, 1.0, n1)
-    w2 = np.linspace(0.0, 1.0, n2)
-    along_x1 = (
-        (1.0 - w1)[:, None, None] * rates["x1a"][:, None, :, :]
-        + w1[:, None, None] * rates["x1b"][:, None, :, :]
-    )
-    along_x2 = (
-        (1.0 - w2)[None, :, None] * rates["x2lo"][:, :, None, :]
-        + w2[None, :, None] * rates["x2hi"][:, :, None, :]
-    )
+    """Mean of the two linear interpolations between opposite faces, u and m stacked.
+
+    Each face's rates are spread across the axis it closes, weighted from
+    0 at the opposite face up to 1 at its own; the weight is shaped to
+    broadcast along that axis of (x1, x2, t).
+    """
+    terms = ([], [])
+    for name, (axis, end) in FACES.items():
+        w = np.linspace(0.0, 1.0, grid.spatial_shape()[axis])
+        w = (w if end == -1 else 1.0 - w).reshape((-1,) + (1,) * (2 - axis))
+        terms[axis].append(w * np.expand_dims(rates[name], axis + 1))
+    along_x1, along_x2 = (low + high for low, high in terms)
     return 0.5 * (along_x1 + along_x2)
 
 

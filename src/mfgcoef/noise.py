@@ -38,7 +38,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .grid import FACES, GAMMA_TRACE, OBSERVATION_FIELDS, SPATIAL, Field, ObservationData
+from .grid import BOUNDARY_TRACE, FACES, OBSERVATION_FIELDS, SPATIAL, Field, ObservationData
 
 # penalty orders, two above the highest derivative read off each surface:
 # the Laplacian of the midpoint slices, the time derivative of the traces
@@ -225,13 +225,13 @@ def regularized_fit(values: np.ndarray, level: float, order: int) -> np.ndarray:
     return q1.T @ fit @ q2
 
 
-def _fit_trace(f: Field, level: float) -> Field:
-    """Fit each stored face of a trace as a surface over (face coordinate, t)."""
-    if f.rank == GAMMA_TRACE:
-        return Field(f.grid, GAMMA_TRACE, regularized_fit(f.values, level, TRACE_ORDER))
-    return Field.from_faces(
-        f.grid, *(regularized_fit(f.face(name), level, TRACE_ORDER) for name in FACES)
-    )
+def _fit(f: Field, level: float) -> Field:
+    """Fit a slice as one surface, and each stored face of a trace as its own."""
+    order = SLICE_ORDER if f.rank == SPATIAL else TRACE_ORDER
+    if f.rank == BOUNDARY_TRACE:
+        faces = {name: regularized_fit(f.face(name), level, order) for name in FACES}
+        return Field.from_faces(f.grid, faces)
+    return Field(f.grid, f.rank, regularized_fit(f.values, level, order))
 
 
 def smooth_observations(obs: ObservationData, level: float) -> ObservationData:
@@ -242,13 +242,5 @@ def smooth_observations(obs: ObservationData, level: float) -> ObservationData:
     boundary trace on (face coordinate, t) with TRACE_ORDER.  Level 0
     returns a copy of the data, bit for bit.
     """
-    g = obs.grid
-    return ObservationData(
-        grid=g,
-        v0=Field(g, SPATIAL, regularized_fit(obs.v0.values, level, SLICE_ORDER)),
-        p0=Field(g, SPATIAL, regularized_fit(obs.p0.values, level, SLICE_ORDER)),
-        g01=_fit_trace(obs.g01, level),
-        g02=_fit_trace(obs.g02, level),
-        g11=_fit_trace(obs.g11, level),
-        g12=_fit_trace(obs.g12, level),
-    )
+    fitted = {name: _fit(f, level) for name, f in obs.fields().items()}
+    return ObservationData(grid=obs.grid, **fitted)

@@ -33,9 +33,10 @@ the residual operators, which is what the descent calls at every trial
 point.  Each operator acts once per pass: dt, Dxx1 and Dxx2 on the
 stacked z, the running integral V on (u_x1, u_x2, m), and each transpose
 on the stack or the sum of everything it scatters (27 products along an
-axis per pass, H2 penalty included).  The gradient is the derivative of
-``evaluate`` to rounding, and the tests hold it against central
-differences.
+axis per pass, H2 penalty included).  The value is the pieces' sum,
+``ObjectiveParts.total``; the gradient is its derivative to rounding,
+and the tests hold it against central differences of that value.
+``residuals`` returns the two residual fields of the same pass.
 """
 
 from __future__ import annotations
@@ -200,17 +201,12 @@ def _split(ctx: ObjectiveContext, z: np.ndarray, p: _Parts) -> ObjectiveParts:
     return ObjectiveParts(first=first, second=second, smoothness=smooth)
 
 
-def evaluate(ctx: ObjectiveContext, z: np.ndarray) -> float:
-    """Objective value alone, the reference for the fused pass."""
-    return _split(ctx, z, _forward_parts(ctx, z)).total
-
-
 def value_and_gradient(ctx: ObjectiveContext, z: np.ndarray) -> Tuple[ObjectiveParts, np.ndarray]:
     """The objective's pieces and its exact gradient from one residual pass.
 
-    The split's total equals ``evaluate`` bit for bit.  The adjoint
-    mirrors the forward pass: each transpose acts once, on the stack or
-    the sum of everything it scatters.
+    The pieces' ``total`` is the objective value; no other path forms
+    it.  The adjoint mirrors the forward pass: each transpose acts once,
+    on the stack or the sum of everything it scatters.
     """
     p = _forward_parts(ctx, z)
     dx1, dx2, dt = ctx._d1
@@ -242,7 +238,7 @@ def value_and_gradient(ctx: ObjectiveContext, z: np.ndarray) -> Tuple[ObjectiveP
 
 
 def curvature_diagonal(ctx: ObjectiveContext, start: np.ndarray) -> np.ndarray:
-    """Per-node curvature estimate of ``evaluate`` at ``start``, for step scaling.
+    """Per-node curvature estimate of the objective at ``start``, for step scaling.
 
     Separate-squares diagonal of the Gauss-Newton Hessian: each linear
     map from a node to the residuals contributes the weighted sum of its

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 from test_forward import convergence_orders
-from test_objective import admissible_difference, make_context, random_iterate
+from test_objective import admissible_difference, make_context, objective_value, random_iterate
 from test_objective import grid as make_grid
 
 from mfgcoef.carleman import ratio_log_slope, run_certification
@@ -22,7 +22,7 @@ from mfgcoef.fieldio import read_field, write_field
 from mfgcoef.grid import SPACE_TIME, Field, first_diff_matrix, second_diff_matrix
 from mfgcoef.inverse import DataConstraints
 from mfgcoef.noise import inject, smooth_observations
-from mfgcoef.objective import convexity_gap, evaluate, value_and_gradient
+from mfgcoef.objective import convexity_gap, value_and_gradient
 from mfgcoef.pipeline import run_generation, run_inversion
 
 
@@ -74,7 +74,7 @@ def test_criterion_02_gradient_matches_central_differences():
         d = random_iterate(ctx.grid, rng, amplitude=1.0)
         d = d / np.max(np.abs(d))
         eps = 1e-5
-        fd = (evaluate(ctx, base + eps * d) - evaluate(ctx, base - eps * d)) / (2.0 * eps)
+        fd = (objective_value(ctx, base + eps * d) - objective_value(ctx, base - eps * d)) / (2.0 * eps)
         worst = max(worst, abs(np.vdot(grad, d) - fd) / abs(fd))
     verdict(2, worst < 1e-5, f"max relative gradient error {worst:.3e} over 20 directions")
 

@@ -717,14 +717,52 @@ def _run_child(code: str, cwd: Path, **env_vars: str) -> subprocess.CompletedPro
     )
 
 
-def test_noisy_invert_does_not_depend_on_the_blas_thread_count(tmp_path):
+# output hashes of the committed reference dataset's inversions, clean and
+# with noise 0.03 from seed 17, at one and two OpenBLAS threads alike
+INVERT_HASHES = {
+    "clean": {
+        "gradient_history": "37f1d9ae177a1f9c749e38ec822a0bda475a30f387f663faeaaa3d32720b90a5",
+        "k_comp": "7d92bd35395caaa5be0bc4ded4a5a587e4142c590abb76c3a67dbf2629db8b47",
+        "k_comp_csv": "658a37dba700b07778e65c19f797763ab0b7f5eadaf6437832726ccc6ad4a3d4",
+        "k_comp_pgm": "934d94dc3fe8e9f67dd6736473f64e6fca4a794644c1229f857c11e356b6bdac",
+        "k_comp_pgm_sidecar": "7ffa5c54accf02b54991a6a358975c3f9d6cc4d9b113741847ac5b8c6e93bbf0",
+        "k_true": "55a79076b25cce5b06f8731b6176ab50ed1b1f1871613724b103f0b70a646966",
+        "m": "de9a52bccf373d16096736a2b2cbf18964060f9118a24d3b2c2cbc2716da4afb",
+        "metrics": "3b5a78d81af159dabd9b4b6dbe4042e8b144af8c46cea4f1c85a18807e742816",
+        "objective_history": "00abd9e311d67eb8663bb6223556f2783c9c3cbaa4ccd81df1ab12a6366db064",
+        "objective_parts": "55f8c908614e88ed9e3c411b967266aff20e4bed6b35f62be0ae4b07cf35981d",
+        "u": "e5ce5024edc6d9905369166db9f099b93ecafc45e8f1779646211c1b280ebfe0",
+    },
+    "noisy": {
+        "gradient_history": "9e9145faab656065de02d732b7696446223831d3ca730eee26a95fe8dc58df2c",
+        "k_comp": "026432dda3e21722509927eff40945a9e19f5c895182648b70456ea1711d2a8c",
+        "k_comp_csv": "44d8d644bcb8d7c28caac8e9f31e2f8fbe775a42b20543b26e86ca1f060c9be3",
+        "k_comp_pgm": "681dc2ac6f49ba613ea8e3b1496a77987253eba58ef48b9798975b6bcf42b22c",
+        "k_comp_pgm_sidecar": "d5eea0d1f371f532dfab1e5766c11538103491dc13d44c6d15c47627933e6ffc",
+        "k_true": "55a79076b25cce5b06f8731b6176ab50ed1b1f1871613724b103f0b70a646966",
+        "m": "d5ef6c055353fb4d6483e981f3d7c6da268a97a5a54c99c0bd6779c64b306f7f",
+        "metrics": "7b503d62248815b3ea60c7c3a915fbe808e85f945cb92ac96c7d6d38548e97bd",
+        "objective_history": "275b08b37d299d8cc81dbe8175a25db31bd2c3ec9dcca6dce1eba72d859a3ca8",
+        "objective_parts": "fb46c7c7f06a49e88471ebeaff0e016c5376187c3baf84ea512fed0acbd26fda",
+        "u": "f07a60d2a43fc24fdc3989f46c993219c3a7649b35f619cb2d5c89ac4b2667a6",
+    },
+}
+INVERT_ITERATIONS = {"clean": 156, "noisy": 134}
+
+
+@pytest.mark.parametrize("case, noise", [
+    pytest.param("clean", [], id="clean"),
+    pytest.param("noisy", ["--delta", "0.03", "--seed", "17"], id="noisy"),
+])
+def test_invert_does_not_depend_on_the_blas_thread_count(tmp_path, case, noise):
     # the noise fit and the descent give the same bits at one and two
-    # OpenBLAS threads, so the reconstruction files hash alike
+    # OpenBLAS threads, so the reconstruction files hash alike, and as
+    # pinned in INVERT_HASHES
     reference = Path(__file__).resolve().parents[1] / "benchmarks" / "data" / "reference"
 
     def run(threads):
         out = tmp_path / f"threads{threads}"
-        argv = ["invert", str(reference), "--delta", "0.03", "--seed", "17", "--out", str(out)]
+        argv = ["invert", str(reference), *noise, "--out", str(out)]
         child = _run_child(
             f"import mfgcoef.cli as cli\nassert cli.main({argv!r}) == 0\n",
             tmp_path, OPENBLAS_NUM_THREADS=str(threads),
@@ -735,15 +773,15 @@ def test_noisy_invert_does_not_depend_on_the_blas_thread_count(tmp_path):
         return hashes, manifest["iterations"]
 
     one, two = run(1), run(2)
-    assert one[1] == two[1]
-    assert one[0] == two[0]
+    assert one[1] == two[1] == INVERT_ITERATIONS[case]
+    assert one[0] == two[0] == INVERT_HASHES[case]
 
 
 def test_generate_observations_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the forward solve gives the same observation bits at one and two
-    # OpenBLAS threads.  cost and cost_rate are left out: the products of
-    # make_s round by the GEMM tiling, so they still differ (ROADMAP item
-    # 13's open half)
+    # OpenBLAS threads, and the pinned ones.  cost and cost_rate are left
+    # out: the products of make_s round by the GEMM tiling, so they still
+    # differ (ROADMAP item 13's open half)
     def run(threads):
         out = tmp_path / f"threads{threads}"
         argv = ["generate", "--out", str(out)]
@@ -755,12 +793,19 @@ def test_generate_observations_do_not_depend_on_the_blas_thread_count(tmp_path):
         outputs = json.loads((out / "manifest.json").read_text())["outputs"]
         return {name: outputs[name]["sha256"] for name in OBSERVATION_FIELDS}
 
-    assert run(1) == run(2)
+    assert run(1) == run(2) == {
+        "v0": "827baea83d91496511bd3e2834b3eeda1d395b745888722639bfdf8873c86cbd",
+        "p0": "73c413b9c366e1b74cce80c6463aa507172d91986d59cdbf13111a9c346ce05a",
+        "g01": "f159395bf4b2fdc3e9c7976c44d4d879b0921b2a2afcee72d639b3a088f631ae",
+        "g02": "d184e4ef64b20bad4dafadd74468aa7c80d1969af371d97ccac088a1db519f4f",
+        "g11": "2295564cc76ea664b93e3f74ab750d2dc9e7d599d310fe0d7edfde28d47c96d8",
+        "g12": "c6dabf7440cd652b96e37deefff965aa49680c678c0e4c907978d37814652bac",
+    }
 
 
 def test_verify_carleman_does_not_depend_on_the_blas_thread_count(tmp_path):
     # the forms are summed piece by piece in a fixed order, so the report
-    # hashes alike at one and two OpenBLAS threads
+    # hashes alike at one and two OpenBLAS threads, and as pinned
     def run(threads):
         out = tmp_path / f"threads{threads}"
         argv = ["verify-carleman", "--seed", "7", "--out", str(out)]
@@ -772,7 +817,9 @@ def test_verify_carleman_does_not_depend_on_the_blas_thread_count(tmp_path):
         manifest = json.loads((out / "manifest.json").read_text())
         return {name: entry["sha256"] for name, entry in manifest["outputs"].items()}
 
-    assert run(1) == run(2)
+    assert run(1) == run(2) == {
+        "report": "54afa1a99374ecb642c8d506bb8f9de6cc07d17d0a3a47f8fb39056088f47b3c",
+    }
 
 
 # the layers that solve and descend; the commands that run neither load none

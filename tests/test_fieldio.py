@@ -10,16 +10,7 @@ from mfgcoef.fieldio import (
     write_pgm,
     write_rows,
 )
-from mfgcoef.grid import (
-    BOUNDARY_TRACE,
-    GAMMA_TRACE,
-    SPACE_TIME,
-    SPATIAL,
-    Field,
-    SpaceTimeGrid,
-)
-
-RANKS = (SPATIAL, SPACE_TIME, GAMMA_TRACE, BOUNDARY_TRACE)
+from mfgcoef.grid import RANKS, SPATIAL, Field, SpaceTimeGrid
 
 
 def read_csv(path) -> Field:

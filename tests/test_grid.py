@@ -3,6 +3,10 @@ import pytest
 
 from mfgcoef.grid import (
     BOUNDARY_TRACE,
+    FACES,
+    GAMMA_TRACE,
+    RANK_AXES,
+    RANKS,
     SPACE_TIME,
     SPATIAL,
     Field,
@@ -10,6 +14,8 @@ from mfgcoef.grid import (
     SpaceTimeGrid,
     apply_along_axis,
     first_diff_matrix,
+    gather_faces,
+    pin_faces,
     restriction_strides,
     second_diff_matrix,
     trapezoid_weights,
@@ -59,6 +65,26 @@ def test_field_shape_validation():
         Field(g, SPATIAL, np.zeros((g.n1, g.n2 + 1)))
     with pytest.raises(ValueError):
         Field(g, "volumetric", np.zeros(g.spatial_shape()))
+    # every rank's shape is the counts of its axes
+    g = base_grid(n1=6, n2=5, nt=7)
+    shapes = {
+        SPATIAL: (6, 5),
+        SPACE_TIME: (6, 5, 7),
+        BOUNDARY_TRACE: (2 * 5 * 7 + 2 * 6 * 7,),
+        GAMMA_TRACE: (5, 7),
+    }
+    assert set(RANKS) == set(shapes)
+    for rank in RANKS:
+        counts = tuple(g.axis(name).count for name in RANK_AXES[rank])
+        assert Field.expected_shape(g, rank) == counts == shapes[rank], rank
+    # every axis but the trace's has an extent and the nodes spanning it
+    for name, nodes in (("x1", g.x1), ("x2", g.x2), ("t", g.t)):
+        axis = g.axis(name)
+        assert axis.extent == (nodes[0], nodes[-1])
+        assert np.array_equal(axis.nodes, nodes)
+        assert axis.count == nodes.size
+    assert np.array_equal(g.x2, np.linspace(-0.5, 0.5, 5))
+    assert g.axis("s").extent is None and g.axis("s").nodes is None
 
 
 def ddx1(values, g):
@@ -221,16 +247,37 @@ def test_apply_along_axis_matches_moveaxis_form_bit_for_bit():
 
 def test_boundary_trace_faces_round_trip():
     g = base_grid(n1=6, n2=5, nt=5)
-    rng = np.random.default_rng(2)
-    faces = {
-        "x1a": rng.standard_normal((g.n2, g.nt)),
-        "x1b": rng.standard_normal((g.n2, g.nt)),
-        "x2lo": rng.standard_normal((g.n1, g.nt)),
-        "x2hi": rng.standard_normal((g.n1, g.nt)),
-    }
-    f = Field.from_faces(g, faces["x1a"], faces["x1b"], faces["x2lo"], faces["x2hi"])
+    values = np.random.default_rng(2).standard_normal(g.spacetime_shape())
+    faces = gather_faces(values)
+    assert list(faces) == list(FACES)
+    # each face sits where FACES places it
+    assert np.array_equal(faces["x1a"], values[0])
+    assert np.array_equal(faces["x1b"], values[-1])
+    assert np.array_equal(faces["x2lo"], values[:, 0])
+    assert np.array_equal(faces["x2hi"], values[:, -1])
+    f = Field.from_faces(g, faces)
+    assert f.values.shape == (g.trace_length(),) == (2 * (g.n1 + g.n2) * g.nt,)
     for name, arr in faces.items():
+        assert f.face(name).shape == g.face_shape(name)
         assert np.array_equal(f.face(name), arr)
+    # a leading axis gathers faces of each slice alike
+    stacked = gather_faces(np.stack((values, -values)))
+    for name, arr in faces.items():
+        assert np.array_equal(stacked[name], np.stack((arr, -arr)))
+    with pytest.raises(ValueError, match="face x2lo expects shape"):
+        Field.from_faces(g, {**faces, "x2lo": faces["x1a"]})
+    with pytest.raises(ValueError, match="unknown face 'x3'"):
+        f.face("x3")
+    # pinned faces let the x1 faces win the corners
+    values = np.zeros((2,) + g.spacetime_shape())
+    marks = {"x1a": 1.0, "x1b": 2.0, "x2lo": 3.0, "x2hi": 4.0}
+    pin_faces(values, {name: np.full((2,) + g.face_shape(name), v) for name, v in marks.items()})
+    assert np.all(values[:, 0] == 1.0) and np.all(values[:, -1] == 2.0)
+    assert np.all(values[:, 1:-1, 0] == 3.0) and np.all(values[:, 1:-1, -1] == 4.0)
+    assert np.all(values[:, 1:-1, 1:-1] == 0.0)
+    # read back, each x2 face carries the x1 faces' marks at its two ends
+    x2lo = gather_faces(values)["x2lo"]
+    assert np.all(x2lo[:, 0] == 1.0) and np.all(x2lo[:, -1] == 2.0)
 
 
 def test_ddt_on_traces():
@@ -240,13 +287,12 @@ def test_ddt_on_traces():
     ramp = np.broadcast_to(g.t, (g.n2, g.nt)).copy()
     gamma = Field(g, "gamma-trace", 2.0 * ramp)
     assert np.allclose(apply_along_axis(dt, gamma.values, 1), 2.0, atol=1e-13)
-    tr = Field.from_faces(
-        g,
-        ramp,
-        3.0 * ramp,
-        np.broadcast_to(g.t, (g.n1, g.nt)).copy(),
-        np.zeros((g.n1, g.nt)),
-    )
+    tr = Field.from_faces(g, {
+        "x1a": ramp,
+        "x1b": 3.0 * ramp,
+        "x2lo": np.broadcast_to(g.t, (g.n1, g.nt)).copy(),
+        "x2hi": np.zeros((g.n1, g.nt)),
+    })
     assert tr.rank == BOUNDARY_TRACE
     assert np.allclose(apply_along_axis(dt, tr.face("x1b"), 1), 3.0, atol=1e-13)
     assert np.allclose(apply_along_axis(dt, tr.face("x2lo"), 1), 1.0, atol=1e-13)

@@ -9,6 +9,8 @@ from mfgcoef.grid import (
     ObservationData,
     apply_along_axis,
     first_diff_matrix,
+    gather_faces,
+    pin_faces,
 )
 from mfgcoef.inverse import (
     FREE,
@@ -18,9 +20,10 @@ from mfgcoef.inverse import (
     descend,
     initial_guess,
 )
-from mfgcoef.objective import evaluate, value_and_gradient
+from mfgcoef.noise import inject
+from mfgcoef.objective import value_and_gradient
 
-from test_objective import grid, make_context, random_iterate
+from test_objective import grid, make_context, objective_value, random_iterate
 
 
 def hand_observations(g, x1b_u=0.0, neumann_u=0.0):
@@ -32,8 +35,9 @@ def hand_observations(g, x1b_u=0.0, neumann_u=0.0):
     t = g.t[None, :]
     zeros_x1 = np.zeros((g.n2, g.nt))
     zeros_x2 = np.zeros((g.n1, g.nt))
-    trace_u = Field.from_faces(g, zeros_x1, np.full((g.n2, 1), x1b_u) * t, zeros_x2, zeros_x2)
-    trace_zero = Field.from_faces(g, zeros_x1, zeros_x1, zeros_x2, zeros_x2)
+    zero_faces = {"x1a": zeros_x1, "x1b": zeros_x1, "x2lo": zeros_x2, "x2hi": zeros_x2}
+    trace_u = Field.from_faces(g, {**zero_faces, "x1b": np.full((g.n2, 1), x1b_u) * t})
+    trace_zero = Field.from_faces(g, zero_faces)
     return ObservationData(
         grid=g,
         v0=Field(g, SPATIAL, np.zeros(g.spatial_shape())),
@@ -69,6 +73,21 @@ def test_projection_scatters_data_and_is_idempotent():
     assert np.array_equal(again, proj)
     # interior nodes pass through untouched
     assert np.array_equal(proj[:, 1:-3, 1:-1, :], z[:, 1:-3, 1:-1, :])
+    # noised traces store two different values at each corner, one per
+    # adjacent face; the iterate takes the x1 face's, as pin_faces does
+    c = DataConstraints(inject(ctx.observations, 0.1, 4))
+    proj = c.embed(c.free(z))
+    pinned = np.zeros_like(proj)
+    pin_faces(pinned, c.rates)
+    faces, expected = gather_faces(proj), gather_faces(pinned)
+    for name in ("x1a", "x1b"):
+        assert np.array_equal(faces[name], c.rates[name]), name
+    for name in ("x2lo", "x2hi"):
+        assert np.array_equal(faces[name][:, keep], expected[name][:, keep]), name
+        for end, x1_face in ((0, "x1a"), (-1, "x1b")):
+            corner = 0 if name == "x2lo" else -1
+            assert np.array_equal(faces[name][:, end], c.rates[x1_face][:, corner]), name
+            assert not np.array_equal(faces[name][:, end], c.rates[name][:, end]), name
 
 
 def test_outflow_closure_worked_values():
@@ -114,7 +133,7 @@ def test_reduced_gradient_is_the_constrained_derivative():
     def constrained_diff(node):
         plus = c.embed(c.free(nudged(node, eps)))
         minus = c.embed(c.free(nudged(node, -eps)))
-        return (evaluate(ctx, plus) - evaluate(ctx, minus)) / (2.0 * eps)
+        return (objective_value(ctx, plus) - objective_value(ctx, minus)) / (2.0 * eps)
 
     interior = (3, 4, 2)
     assert constrained_diff(interior) == pytest.approx(red_u[interior], rel=1e-4)
@@ -159,11 +178,11 @@ def test_quadratic_mode_minimizer_is_the_linear_solve():
     w_star = np.linalg.solve(hess, -r0)
     assert np.max(np.abs(reduced(w_star))) < 1e-10 * np.max(np.abs(r0))
     # a true minimum: every probe raises the objective
-    j_star = evaluate(ctx, c.embed(w_star))
+    j_star = objective_value(ctx, c.embed(w_star))
     rng = np.random.default_rng(9)
     for _ in range(3):
         probe = w_star + 0.1 * rng.standard_normal(dim)
-        assert evaluate(ctx, c.embed(probe)) > j_star
+        assert objective_value(ctx, c.embed(probe)) > j_star
 
 
 def test_quadratic_mode_second_lbfgs_step_lands_on_the_minimizer():

@@ -55,12 +55,12 @@ def analytic_obs(g=None):
     tmid = 0.5 * g.horizon
 
     def faces(fn):
-        return (
-            fn(g.a, g.x2[:, None], g.t[None, :]),
-            fn(g.b, g.x2[:, None], g.t[None, :]),
-            fn(g.x1[:, None], -g.half_width, g.t[None, :]),
-            fn(g.x1[:, None], g.half_width, g.t[None, :]),
-        )
+        return {
+            "x1a": fn(g.a, g.x2[:, None], g.t[None, :]),
+            "x1b": fn(g.b, g.x2[:, None], g.t[None, :]),
+            "x2lo": fn(g.x1[:, None], -g.half_width, g.t[None, :]),
+            "x2hi": fn(g.x1[:, None], g.half_width, g.t[None, :]),
+        }
 
     def v_x1(x1v, x2v, t):
         return -0.1 * np.pi * np.sin(np.pi * x1v) * np.sin(np.pi * x2v) * (t * t + 1.0)
@@ -72,8 +72,8 @@ def analytic_obs(g=None):
         grid=g,
         v0=Field(g, SPATIAL, v(x1, x2, tmid)),
         p0=Field(g, SPATIAL, p(x1, x2, tmid)),
-        g01=Field.from_faces(g, *faces(v)),
-        g02=Field.from_faces(g, *faces(p)),
+        g01=Field.from_faces(g, faces(v)),
+        g02=Field.from_faces(g, faces(p)),
         g11=Field(g, GAMMA_TRACE, v_x1(g.b, g.x2[:, None], g.t[None, :])),
         g12=Field(g, GAMMA_TRACE, p_x1(g.b, g.x2[:, None], g.t[None, :])),
     )

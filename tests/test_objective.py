@@ -9,7 +9,6 @@ from mfgcoef.objective import (
     ObjectiveContext,
     convexity_gap,
     curvature_diagonal,
-    evaluate,
     recover_coefficient,
     residuals,
     value_and_gradient,
@@ -55,6 +54,11 @@ def make_context(g, lam=3.0, beta=1e-3, residual_scale=1.0):
     )
 
 
+def objective_value(ctx, z):
+    """The objective at z, read from the one pass that forms it."""
+    return value_and_gradient(ctx, z)[0].total
+
+
 def random_iterate(g, rng, amplitude=0.1):
     shape = g.spacetime_shape()
     return np.stack((amplitude * rng.standard_normal(shape), amplitude * rng.standard_normal(shape)))
@@ -70,17 +74,8 @@ def test_gradient_matches_central_differences():
         d = random_iterate(g, rng, amplitude=1.0)
         d = d / np.max(np.abs(d))
         eps = 1e-5
-        fd = (evaluate(ctx, it + eps * d) - evaluate(ctx, it - eps * d)) / (2.0 * eps)
+        fd = (objective_value(ctx, it + eps * d) - objective_value(ctx, it - eps * d)) / (2.0 * eps)
         assert fd == pytest.approx(np.vdot(grad, d), rel=1e-6)
-
-
-def test_fused_pass_value_is_evaluate_bit_for_bit():
-    # the descent's objective history comes from the fused pass
-    g = grid(9, 8, 5)
-    ctx = make_context(g)
-    it = random_iterate(g, np.random.default_rng(8))
-    parts, _ = value_and_gradient(ctx, it)
-    assert parts.total == evaluate(ctx, it)
 
 
 def test_beta_only_mode_is_the_smoothness_quadratic():
@@ -90,7 +85,7 @@ def test_beta_only_mode_is_the_smoothness_quadratic():
     it = random_iterate(g, rng)
     h2 = H2Form(g)
     expected = 0.5 * (h2.norm_sq(it[0]) + h2.norm_sq(it[1]))
-    assert evaluate(ctx, it) == pytest.approx(expected, rel=1e-12)
+    assert objective_value(ctx, it) == pytest.approx(expected, rel=1e-12)
     # Euler identity of the pure quadratic
     parts, grad = value_and_gradient(ctx, it)
     assert np.vdot(grad, it) == pytest.approx(2.0 * expected, rel=1e-12)
@@ -98,7 +93,7 @@ def test_beta_only_mode_is_the_smoothness_quadratic():
 
 
 def test_curvature_diagonal_is_the_hessian_diagonal_of_the_penalty():
-    # with both residuals off, evaluate is the quadratic beta * z . H z, so a
+    # with both residuals off, the objective is the quadratic beta * z . H z, so a
     # second difference along a unit vector reads a Hessian diagonal entry
     # exactly, whatever the step
     g = grid(7, 6, 5)
@@ -106,13 +101,13 @@ def test_curvature_diagonal_is_the_hessian_diagonal_of_the_penalty():
     rng = np.random.default_rng(8)
     it = random_iterate(g, rng)
     curv = curvature_diagonal(ctx, it)
-    base = evaluate(ctx, it)
+    base = objective_value(ctx, it)
     nodes = ((0, 0, 0), (3, 2, 1), (6, 5, 4), (1, 4, 2), (5, 1, 3), (2, 3, 4))
     for node in nodes:
         for slot in (0, 1):
             e = np.zeros_like(it)
             e[(slot,) + node] = 1.0
-            second = evaluate(ctx, it + e) - 2.0 * base + evaluate(ctx, it - e)
+            second = objective_value(ctx, it + e) - 2.0 * base + objective_value(ctx, it - e)
             assert curv[(slot,) + node] == pytest.approx(second, rel=1e-10)
 
 
@@ -247,6 +242,6 @@ def test_residual_shapes_and_validation():
     assert l2.shape == g.spacetime_shape()
     bad = np.zeros((2, 3, 3, 3))
     with pytest.raises(ValueError, match="iterate shape"):
-        evaluate(ctx, bad)
+        value_and_gradient(ctx, bad)
     with pytest.raises(ValueError, match="beta"):
         make_context(g, beta=-1.0)
